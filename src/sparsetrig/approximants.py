@@ -14,16 +14,21 @@ them; `strict=True` turns a failed certificate into an exception.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import trigpoly as tp
+from .blockpoly import (BlockSum, BlockTerm, LazyRate, ScaledProduct,
+                        contracted_index_map)
+from .blocks import block_member_B, block_member_D
 from .circle import (CircleGrid, SampledFunction, l0_of_abs, measure_fraction,
                      triangle_coeff, triangle_coeff_array, triangle_coeff_tail)
+from .numbertheory import is_prime
 from .trigpoly import TrigPoly
 
 DEGREE_CAP = 2 ** 16
@@ -318,7 +323,6 @@ def fejer_until(f: SampledFunction, delta: float, eps: float,
 # ---------------------------------------------------------------------------
 
 def _next_prime(n: int) -> int:
-    from .numbertheory import is_prime
     n = max(2, n)
     while not is_prime(n):
         n += 1
@@ -333,7 +337,6 @@ def disjoint_prime_rates(count: int, payload_deg: int, carrier_spread: int,
     with 1 <= k, k' <= payload_deg (prime rates preclude exact collisions;
     the greedy walk enforces the gap).
     """
-    import bisect
     gap = 2 * carrier_spread + 2
     used: List[int] = []  # sorted multiples k * N_i
     rates: List[int] = []
@@ -506,7 +509,6 @@ def korner_polynomial(eps: float, delta: float,
                 {"needed_degree": float(est_deg), "budget": deg_budget,
                  "tiles": K, "deg_tile": deg_f, "deg_dip": dip.degree()},
             )
-    from .blockpoly import BlockSum, BlockTerm
     for s in range(1, K + 1):
         carrier = tp.translate(tile, 2.0 * math.pi * s / K)
         terms.append(BlockTerm(carrier, dip, rates[s - 1]))
@@ -599,7 +601,6 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
     base = 2 * deg_f + g_poly.degree() + 2
     if base % 2 == 0:
         base += 1  # keep K * base^s odd * odd = odd when K odd
-    from .blockpoly import BlockSum, BlockTerm
     terms = []
     rates = []
     r = K * base
@@ -614,7 +615,6 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
     two_pi = 2.0 * math.pi
     g_vals = g_poly.values(grid, allow_alias=True)
     bad = np.zeros(grid.size, dtype=bool)
-    from .blockpoly import contracted_index_map
     u_threshold = eps / 4.0
     if g_target > eps / 4.0:
         # with a clamped unit approximant the eps/4 cut would empty E;
@@ -639,8 +639,8 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
     vals = q.values(grid)
     on_e = np.abs(vals - 1.0)[e_mask]
     report.add("close_to_one_on_E", float(on_e.max()) if on_e.size else 0.0, eps)
-    # certified pointwise bound for sup_n |S_n(Q)|
-    sup_sn = _blocksum_symmetric_sn_upper(q, grid)
+    # certified pointwise bound for sup_n |S_n(Q)|: the S** upper bracket
+    sup_sn = q.sstar_upper(grid)
     l2_on = math.sqrt(float(np.mean(np.minimum(sup_sn, 1e18)[e_mask] ** 2))) if e_mask.any() else 0.0
     report.add("sup_n_L2_on_E", l2_on, 2.0)
     report.add("sup_n_tail_measure", measure_fraction(sup_sn > 2.0), eps)
@@ -653,12 +653,6 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
     return report
 
 
-def _blocksum_symmetric_sn_upper(q, grid: CircleGrid) -> np.ndarray:
-    """Pointwise certified bound for sup_n |S_n(q)| of a BlockSum."""
-    lower, upper = q.sstar_star_bracket(grid)
-    return upper
-
-
 # ---------------------------------------------------------------------------
 # block-spectrum approximants
 # ---------------------------------------------------------------------------
@@ -669,7 +663,6 @@ EXACT_RATE_S_CAP = 10000
 
 
 def _scale_rate(s: int, k: int, a: int):
-    from .blockpoly import LazyRate
     if s <= EXACT_RATE_S_CAP:
         return a * (2 * s) ** (k + s)
     return LazyRate(a, 2 * s, k + s)
@@ -677,7 +670,6 @@ def _scale_rate(s: int, k: int, a: int):
 
 def _carrier_rate_terms(p1: TrigPoly, payload: TrigPoly, s: int, a: int):
     """One BlockTerm per carrier frequency k, contracted at rate a(2s)^(k+s)."""
-    from .blockpoly import BlockTerm
     terms = []
     for k in sorted(p1.coeffs):
         terms.append(BlockTerm(TrigPoly({k: p1[k]}), payload, _scale_rate(s, k, a)))
@@ -705,8 +697,6 @@ def _structural_containment(product, p1: TrigPoly, payload: TrigPoly,
     integer rates a sample of reconstructed frequencies is additionally
     re-checked against the standalone membership oracle.
     """
-    from .blockpoly import ScaledProduct
-    from .blocks import block_member_B, block_member_D
     ok = True
     reasons = []
     if p1.degree() > s:
@@ -718,9 +708,7 @@ def _structural_containment(product, p1: TrigPoly, payload: TrigPoly,
     if analytic and not payload.is_analytic():
         ok = False
         reasons.append("payload not analytic")
-    q3_log2 = q3.degree_log2() if hasattr(q3, "degree_log2") \
-        else math.log2(max(q3.degree(), 1))
-    if q3_log2 > math.log2(max(s, 1)) + 1e-12:
+    if q3.degree_log2() > math.log2(max(s, 1)) + 1e-12:
         ok = False
         reasons.append("tiled stage degree exceeds s")
     sampled = 0
@@ -820,7 +808,6 @@ def block_approximant(f: SampledFunction, eps: float, delta: float,
             )
     unit_l1 = tp.coeff_norms(payload).l1 + 1.0
 
-    from .blockpoly import BlockSum, ScaledProduct
     p2 = BlockSum(_carrier_rate_terms(p1, payload, s, a), layout="segments")
 
     # step 3: tiled dip contracted onto the coarse carrier progression
@@ -914,7 +901,6 @@ def analytic_block_approximant(f: SampledFunction, eps: float,
         )
     unit_l1 = tp.coeff_norms(payload).l1
 
-    from .blockpoly import BlockSum, ScaledProduct
     p2 = BlockSum(_carrier_rate_terms(p1, payload, s, a), layout="segments")
 
     eps3 = eps / (6.0 * l1_p1 * unit_l1 + 3.0)

@@ -20,6 +20,11 @@ Rates may be exact integers or LazyRate objects a * b^e whose value is
 never materialized; frequency bookkeeping then runs in signed-log space
 with explicit relative margins instead of exact integer comparisons.
 
+TrigPoly, BlockSum and ScaledProduct answer one polynomial protocol:
+values(grid, allow_alias), degree, degree_log2, min_abs_freq, is_analytic,
+spectrum_size, coeff_zero/coeff_l1/coeff_linf, sstar_upper(grid),
+iter_coeffs(limit), min_orbit_fraction(grid) and the `lazy` flag.
+
 Sampling health: values are exact pointwise regardless of gcd(r_i, M),
 but a small orbit M/gcd means the grid sees few distinct payload samples;
 the orbit fraction is recorded so reports can flag degenerate sampling.
@@ -79,10 +84,6 @@ def rate_log2(r: Rate) -> float:
     if isinstance(r, LazyRate):
         return r.log2
     return math.log2(r)
-
-
-def rate_mod(r: Rate, m: int) -> int:
-    return r % m
 
 
 def rate_is_odd(r: Rate) -> bool:
@@ -159,21 +160,13 @@ def freq_times_rate(k: int, r: Rate) -> Freq:
 
 
 def contracted_index_map(rate: Rate, grid: CircleGrid) -> np.ndarray:
-    """sigma with theta_{sigma(j)} = rate * t_j (mod 2 pi), exact for any rate.
-
-    With t_j = -pi + 2 pi j / M, the angle rate*t_j reduces to the grid by
-    e^{i r t_j} = (-1)^r omega^{r j}; the half-turn lands on index M/2 when
-    the rate is even, 0 otherwise.
-    """
-    m = grid.size
-    r = rate_mod(rate, m)
-    base = 0 if rate_is_odd(rate) else (m // 2)
-    return (base + r * np.arange(m, dtype=np.int64)) % m
+    """sigma with theta_{sigma(j)} = rate * t_j (mod 2 pi), exact for any rate."""
+    return grid.contracted_indices(rate % grid.size, rate_is_odd(rate))
 
 
 def orbit_fraction(rate: Rate, grid: CircleGrid) -> float:
     """Fraction of distinct grid angles hit by t -> rate * t."""
-    g = math.gcd(rate_mod(rate, grid.size), grid.size)
+    g = math.gcd(rate % grid.size, grid.size)
     return 1.0 / g
 
 
@@ -453,9 +446,6 @@ class BlockSum:
             top1 = np.where(swap, c, top1)
         return dmid, dmid + top1 + top2
 
-    def sstar_star_upper_max(self, grid: CircleGrid) -> float:
-        return float(self.sstar_star_bracket(grid)[1].max())
-
     def sstar_upper(self, grid: CircleGrid) -> np.ndarray:
         """Pointwise upper bound for sup over windows on the grid."""
         if self.layout == "segments":
@@ -466,40 +456,39 @@ class BlockSum:
 class ScaledProduct:
     """Outer special product Q(R t) * P with R > 2 deg P and Q^(0) = 0.
 
-    Q and P may each be a TrigPoly or a BlockSum; the partial-sum bound
-    follows the standard block decomposition: any window value is
-    P(t) * (window of Q)(Rt) plus at most two cut outer blocks, each a
-    coefficient of Q times a window of P.
+    Q and P may be any polynomials of the shared protocol (TrigPoly,
+    BlockSum or ScaledProduct).  The partial-sum bound follows the standard
+    block decomposition: any window value is P(t) * (window of Q)(Rt) plus
+    at most two cut outer blocks, each a coefficient of Q times a window
+    of P.
     """
 
     def __init__(self, q, rate: Rate, p, q_sstar_bound: Optional[float] = None):
         self.q = q
         self.p = p
         self.rate = rate
-        dp = Freq.of(_deg_freq(p))
+        dp = Freq.of(p.degree())
         two_dp = Freq(dp.sign, dp.log2 + 1.0) if dp.sign else Freq.of(0)
         if not two_dp.clearly_below(Freq.of(rate), 0.0):
             raise ValueError("rate must exceed 2 * deg(inner)")
-        if _coeff0(q) != 0:
+        if q.coeff_zero() != 0:
             raise ValueError("outer factor must have zero mean coefficient")
         #: scalar bound for sup_t sup_windows |S(Q)|: crude l1 by default
-        self.q_sstar_bound = q_sstar_bound if q_sstar_bound is not None else _l1(q)
+        self.q_sstar_bound = q_sstar_bound if q_sstar_bound is not None else q.coeff_l1()
 
     @property
     def lazy(self) -> bool:
-        return isinstance(self.rate, LazyRate) or getattr(self.p, "lazy", False) \
-            or getattr(self.q, "lazy", False)
+        return isinstance(self.rate, LazyRate) or self.p.lazy or self.q.lazy
 
     def degree(self):
-        dq = Freq.of(_deg_freq(self.q))
+        dq = Freq.of(self.q.degree())
         return Freq(1, dq.log2 + rate_log2(self.rate)) if dq.sign else Freq.of(0)
 
     def degree_log2(self) -> float:
-        d = self.degree()
-        return d.log2
+        return self.degree().log2
 
     def min_abs_freq(self):
-        mq = Freq.of(_min_abs_freq(self.q))
+        mq = Freq.of(self.q.min_abs_freq())
         if mq.sign == 0:
             return Freq.of(0)
         # min |k_q R + k_p| >= minabs(Q) R - deg(P): in log space the inner
@@ -507,16 +496,22 @@ class ScaledProduct:
         return Freq(1, mq.log2 + rate_log2(self.rate) - 1e-12)
 
     def spectrum_size(self):
-        return _size(self.q) * _size(self.p)
+        return self.q.spectrum_size() * self.p.spectrum_size()
 
     def is_analytic(self) -> bool:
-        return Freq.of(_min_freq(self.q)).sign > 0 and _analytic_inner_ok(self)
+        # the inner polynomial's degree must stay below minabs(Q) * rate
+        if not self.q.is_analytic():
+            return False
+        dp = Freq.of(self.p.degree())
+        mq = Freq.of(self.q.min_abs_freq())
+        return dp.sign == 0 or dp.clearly_below(
+            Freq(1, mq.log2 + rate_log2(self.rate)), 0.0)
 
     def coeff_linf(self):
-        return _linf(self.q) * _linf(self.p)
+        return self.q.coeff_linf() * self.p.coeff_linf()
 
     def coeff_l1(self):
-        return _l1(self.q) * _l1(self.p)
+        return self.q.coeff_l1() * self.p.coeff_l1()
 
     def coeff_zero(self):
         return 0j
@@ -525,157 +520,25 @@ class ScaledProduct:
         if self.lazy:
             raise OverflowError("lazy rates: frequencies not materializable")
         count = 0
-        for kq, cq in _iter_coeffs(self.q):
+        for kq, cq in self.q.iter_coeffs():
             base = kq * self.rate
-            for kp, cp in _iter_coeffs(self.p):
+            for kp, cp in self.p.iter_coeffs():
                 yield base + kp, cq * cp
                 count += 1
                 if limit is not None and count >= limit:
                     return
 
     def values(self, grid: CircleGrid, allow_alias: bool = True) -> np.ndarray:
-        qv = _values(self.q, grid)
-        pv = _values(self.p, grid)
+        qv = self.q.values(grid, allow_alias=True)
+        pv = self.p.values(grid, allow_alias=True)
         return qv[contracted_index_map(self.rate, grid)] * pv
 
     def sstar_upper(self, grid: CircleGrid) -> np.ndarray:
         """Pointwise certified bound on sup over windows of |S_{n,m}|."""
-        pv = np.abs(_values(self.p, grid))
-        inner = _sstarstar_upper(self.p, grid)
-        return pv * self.q_sstar_bound + 2.0 * _linf(self.q) * inner
+        pv = np.abs(self.p.values(grid, allow_alias=True))
+        inner = self.p.sstar_upper(grid)
+        return pv * self.q_sstar_bound + 2.0 * self.q.coeff_linf() * inner
 
     def min_orbit_fraction(self, grid: CircleGrid) -> float:
-        base = orbit_fraction(self.rate, grid)
-        if isinstance(self.p, BlockSum):
-            base = min(base, self.p.min_orbit_fraction(grid))
-        if isinstance(self.q, BlockSum):
-            base = min(base, self.q.min_orbit_fraction(grid))
-        return base
-
-
-# -- polymorphic helpers over TrigPoly | BlockSum | ScaledProduct -----------
-
-def _deg_freq(x):
-    return x.degree()
-
-
-def _coeff0(x):
-    if isinstance(x, TrigPoly):
-        return x[0]
-    return x.coeff_zero()
-
-
-def _l1(x):
-    if isinstance(x, TrigPoly):
-        return coeff_norms(x).l1
-    return x.coeff_l1()
-
-
-def _linf(x):
-    if isinstance(x, TrigPoly):
-        return coeff_norms(x).linf
-    return x.coeff_linf()
-
-
-def _size(x):
-    if isinstance(x, TrigPoly):
-        return len(x)
-    return x.spectrum_size()
-
-
-def _min_abs_freq(x):
-    return x.min_abs_freq()
-
-
-def _min_freq(x):
-    if isinstance(x, TrigPoly):
-        return min(x.spectrum()) if len(x) else 0
-    if isinstance(x, BlockSum):
-        lows = [seg["lo"] for seg in x._segments]
-        return Freq.of(lows[0]) if x.lazy else lows[0]
-    return _min_freq_scaled(x)
-
-
-def _min_freq_scaled(x: ScaledProduct):
-    mq = Freq.of(_min_freq(x.q))
-    if mq.sign == 0:
-        return Freq.of(0)
-    return Freq(mq.sign, mq.log2 + rate_log2(x.rate))
-
-
-def _analytic_inner_ok(x: ScaledProduct) -> bool:
-    # the inner polynomial's degree is dominated by minabs(Q) * rate
-    mq = Freq.of(_min_abs_freq(x.q))
-    dp = Freq.of(_deg_freq(x.p))
-    if dp.sign == 0:
-        return True
-    return dp.clearly_below(Freq(1, mq.log2 + rate_log2(x.rate)), 0.0)
-
-
-def _values(x, grid: CircleGrid) -> np.ndarray:
-    return x.values(grid, allow_alias=True) if not isinstance(x, TrigPoly) \
-        else x.values(grid, allow_alias=True)
-
-
-def _iter_coeffs(x):
-    if isinstance(x, TrigPoly):
-        return iter(x.coeffs.items())
-    return x.iter_coeffs()
-
-
-def _sstarstar_upper(x, grid: CircleGrid) -> np.ndarray:
-    if isinstance(x, TrigPoly):
-        # crude but always valid pointwise bound
-        return np.full(grid.size, coeff_norms(x).l1)
-    if isinstance(x, BlockSum):
-        if x.layout == "segments":
-            return x.sstar_star_bracket(grid)[1]
-        return np.full(grid.size, x.coeff_l1())
-    # ScaledProduct: S**(Q_[R] P) <= |P| * bound(S**Q) + 2 linf(Q) * S**(P)
-    pv = np.abs(_values(x.p, grid))
-    return pv * x.q_sstar_bound + 2.0 * _linf(x.q) * _sstarstar_upper(x.p, grid)
-
-
-def values_of(x, grid: CircleGrid) -> np.ndarray:
-    return _values(x, grid)
-
-
-def spectrum_size_of(x) -> int:
-    return _size(x)
-
-
-def degree_log2_of(x) -> float:
-    if isinstance(x, TrigPoly):
-        return math.log2(max(x.degree(), 1))
-    return x.degree_log2()
-
-
-def min_abs_freq_of(x):
-    return x.min_abs_freq()
-
-
-def analytic_of(x) -> bool:
-    return x.is_analytic()
-
-
-def sstar_upper_of(x, grid: CircleGrid) -> np.ndarray:
-    if isinstance(x, TrigPoly):
-        return np.full(grid.size, coeff_norms(x).l1)
-    return x.sstar_upper(grid)
-
-
-def l1_of(x) -> float:
-    return _l1(x)
-
-
-def linf_of(x) -> float:
-    return _linf(x)
-
-
-def iter_coeffs_of(x, limit: Optional[int] = None):
-    if isinstance(x, TrigPoly):
-        items = sorted(x.coeffs.items())
-        return iter(items[:limit] if limit else items)
-    if not hasattr(x, "iter_coeffs"):
-        raise OverflowError("no materializable coefficient stream")
-    return x.iter_coeffs(limit)
+        return min(orbit_fraction(self.rate, grid), self.p.min_orbit_fraction(grid),
+                   self.q.min_orbit_fraction(grid))

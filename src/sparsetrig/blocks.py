@@ -9,11 +9,11 @@ explicit cap on `s` because the scale factor (2s)^(2s+2) grows violently.
 
 from __future__ import annotations
 
-import json
+import bisect
 import math
 from fractions import Fraction
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 DEFAULT_S_CAP = 6
 
@@ -57,7 +57,6 @@ class SpectrumSet:
         return len(self.elements)
 
     def __contains__(self, x: int) -> bool:
-        import bisect
         i = bisect.bisect_left(self.elements, x)
         return i < len(self.elements) and self.elements[i] == x
 
@@ -319,9 +318,6 @@ class ManifestEntry:
 class BuiltSpectrum:
     spectrum: SpectrumSet
     manifest: Tuple[ManifestEntry, ...]
-
-    def manifest_json(self) -> str:
-        return json.dumps([m.as_dict() for m in self.manifest], sort_keys=True)
 
 
 def _eps_array(eps: Callable[[int], float] | Sequence[float], n: int) -> List[float]:

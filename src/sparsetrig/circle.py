@@ -54,6 +54,17 @@ class CircleGrid:
     def spacing(self) -> float:
         return 2.0 * math.pi / self.size
 
+    def contracted_indices(self, residue: int, odd: bool) -> np.ndarray:
+        """sigma with t_{sigma(j)} = r * t_j (mod 2 pi) for any integer rate r
+        with r = residue (mod M) and the given parity.
+
+        e^{i r t_j} = (-1)^r omega^{r j}: the half-turn lands on index M/2
+        when r is even, 0 otherwise.
+        """
+        m = self.size
+        base = 0 if odd else m // 2
+        return (base + residue * np.arange(m, dtype=np.int64)) % m
+
 
 def default_grid() -> CircleGrid:
     return CircleGrid(DEFAULT_GRID_SIZE)

@@ -22,13 +22,11 @@ from . import blocks, numbertheory, riesz
 from .approximants import (ApproximantReport, ConstructionInfeasible,
                            analytic_korner, analytic_unit, block_approximant,
                            analytic_block_approximant, korner_polynomial)
-from .blockpoly import iter_coeffs_of
 from .circle import CircleGrid
-from .engines import (engine_grid, run_ae_engine, run_asymptotic_l2_engine,
+from .engines import (run_ae_engine, run_asymptotic_l2_engine,
                       run_infinity_mode, run_measure_engine,
                       run_squares_engine, run_stoptime_engine)
 from .targets import make_target
-from .trigpoly import TrigPoly
 
 STREAM_COEFF_CAP = 200000
 
@@ -54,19 +52,27 @@ def _write_spectrum(path: Path, spec) -> None:
             fh.write(f"{x}\n")
 
 
-def _write_poly_csv(path: Path, poly) -> None:
-    rows = []
+def _coeff_rows(poly):
+    """The first STREAM_COEFF_CAP (k, c) pairs of poly, or None when its
+    frequencies cannot be written: lazy rates, or integers with more
+    decimal digits than int-to-str conversion allows.  The digit check
+    runs on the degree before any row is collected."""
+    max_digits = sys.get_int_max_str_digits()
+    if max_digits and poly.degree_log2() * math.log10(2.0) + 1.0 > max_digits:
+        return None
     try:
-        for k, c in iter_coeffs_of(poly, STREAM_COEFF_CAP):
-            rows.append((k, c))
-    except (OverflowError, AttributeError):
-        rows = None
+        return list(poly.iter_coeffs(STREAM_COEFF_CAP))
+    except OverflowError:
+        return None
+
+
+def _write_poly_csv(path: Path, poly) -> None:
+    """Coefficient CSV; header only when the frequencies cannot be written."""
+    rows = _coeff_rows(poly)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "re", "im"])
-        if rows is None:
-            return
-        for k, c in sorted(rows, key=lambda kc: kc[0]):
+        for k, c in sorted(rows or (), key=lambda kc: kc[0]):
             w.writerow([k, repr(float(c.real)), repr(float(c.imag))])
 
 
@@ -220,14 +226,10 @@ def _write_merged_stream(path: Path, run) -> None:
         w.writerow(["order_index", "k", "re", "im"])
         order = 0
         for st in run.stages:
-            if st.poly is None:
-                continue
-            try:
-                rows = sorted(iter_coeffs_of(st.poly, STREAM_COEFF_CAP),
-                              key=lambda kc: abs(kc[0]))
-            except (OverflowError, AttributeError):
-                continue  # lazy frequencies: structural record only
-            for k, cval in rows:
+            rows = None if st.poly is None else _coeff_rows(st.poly)
+            if rows is None:
+                continue  # lazy or unprintable frequencies: structural record only
+            for k, cval in sorted(rows, key=lambda kc: abs(kc[0])):
                 w.writerow([order, k, repr(float(cval.real)),
                             repr(float(cval.imag))])
                 order += 1

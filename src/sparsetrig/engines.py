@@ -14,18 +14,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from . import trigpoly as tp
 from .approximants import (ApproximantReport, ConstructionInfeasible,
-                           analytic_block_approximant, block_approximant,
-                           fejer_until)
-from .blockpoly import (BlockSum, Freq, LazyRate, ScaledProduct,
-                        contracted_index_map, degree_log2_of, l1_of, linf_of,
-                        rate_log2, sstar_upper_of, values_of)
-from .blocks import BuiltSpectrum, ManifestEntry, SpectrumSet
+                           analytic_block_approximant, analytic_korner,
+                           block_approximant, fejer_until)
+from .blockpoly import (Freq, LazyRate, ScaledProduct, contracted_index_map,
+                        rate_log2)
+from .blocks import (BuiltSpectrum, ManifestEntry, SpectrumSet,
+                     divide_spectrum, shift_spectrum)
 from .circle import (CircleGrid, SampledFunction, l0_of_abs, measure_fraction)
 from .riesz import default_ratio_rule
 from .trigpoly import TrigPoly
@@ -40,7 +39,11 @@ def engine_grid() -> CircleGrid:
 
 
 class _Modulated:
-    """carrier(nu t) * inner, carrier = cos or a one-sided exponential."""
+    """carrier(nu t) * inner, carrier = cos or a one-sided exponential.
+
+    Speaks the polynomial protocol of `sparsetrig.blockpoly` as far as the
+    engines use it; its frequencies are never materialized.
+    """
 
     def __init__(self, nu, inner, kind: str):
         self.nu = nu
@@ -51,10 +54,10 @@ class _Modulated:
         idx = contracted_index_map(self.nu, grid)
         theta = grid.points[idx]
         carrier = np.cos(theta) if self.kind == "cos" else np.exp(1j * theta)
-        return carrier * values_of(self.inner, grid)
+        return carrier * self.inner.values(grid, allow_alias=True)
 
     def degree_log2(self) -> float:
-        return max(rate_log2(self.nu), degree_log2_of(self.inner)) + 1e-12
+        return max(rate_log2(self.nu), self.inner.degree_log2()) + 1e-12
 
     def min_abs_freq(self) -> Freq:
         # spectrum sits at +-nu + spec(inner); the block hole keeps
@@ -65,19 +68,19 @@ class _Modulated:
         return self.kind == "exp"
 
     def coeff_l1(self) -> float:
-        return l1_of(self.inner) * (1.0 if self.kind == "cos" else 1.0)
+        return self.inner.coeff_l1()
 
     def sstar_upper(self, grid: CircleGrid) -> np.ndarray:
         # windows of cos(nu t) P split into two half-windows of P shifted by
         # +-nu; each is bounded by a rectangular window of P
-        factor = 1.0 if self.kind == "cos" else 1.0
-        from .blockpoly import _sstarstar_upper
-        return factor * _sstarstar_upper(self.inner, grid)
+        return self.inner.sstar_upper(grid)
 
     def spectrum_size(self) -> int:
-        from .blockpoly import spectrum_size_of
-        n = spectrum_size_of(self.inner)
+        n = self.inner.spectrum_size()
         return 2 * n if self.kind == "cos" else n
+
+    def iter_coeffs(self, limit: Optional[int] = None):
+        raise OverflowError("modulated stages: frequencies not materialized")
 
 
 @dataclass
@@ -126,21 +129,18 @@ class RepresentationRun:
         out = np.zeros(self.grid.size, dtype=complex)
         for st in self.stages[:upto]:
             if st.poly is not None:
-                out += values_of(st.poly, self.grid)
+                out += st.poly.values(self.grid, allow_alias=True)
         return out
 
     def follows_chain_ok(self) -> bool:
         """Each stage's spectrum beyond the previous stage's degree."""
         prev = -math.inf
         for st in self.stages:
-            if st.poly is None or isinstance(st.poly, TrigPoly) and not len(st.poly):
+            if st.poly is None or st.poly.spectrum_size() == 0:
                 continue
-            lo = st.poly.min_abs_freq()
-            lo_log = lo.log2 if isinstance(lo, Freq) else math.log2(max(int(lo), 1))
-            if lo_log <= prev:
+            if Freq.of(st.poly.min_abs_freq()).log2 <= prev:
                 return False
-            prev = st.poly.degree_log2() if hasattr(st.poly, "degree_log2") \
-                else math.log2(max(st.poly.degree(), 1))
+            prev = st.poly.degree_log2()
         return True
 
     def manifest(self) -> dict:
@@ -202,11 +202,9 @@ def run_ae_engine(f: SampledFunction, built: BuiltSpectrum, n_stages: int,
                      "reason": str(exc)})
                 continue
             poly = rep.poly
-            lo = poly.min_abs_freq() if not isinstance(poly, TrigPoly) else 0
-            lo_log = lo.log2 if isinstance(lo, Freq) else math.log2(max(int(lo), 1)) \
-                if lo else -math.inf
-            if isinstance(poly, TrigPoly) and not len(poly):
-                lo_log = math.inf  # zero stage follows anything
+            # a zero stage follows anything
+            lo_log = Freq.of(poly.min_abs_freq()).log2 \
+                if poly.spectrum_size() else math.inf
             if lo_log <= prev_deg_log2:
                 run.flags.setdefault("skipped_blocks", []).append(
                     {"n": n, "s": entry.s, "a": entry.a,
@@ -219,17 +217,14 @@ def run_ae_engine(f: SampledFunction, built: BuiltSpectrum, n_stages: int,
             run.flags.setdefault("notes", []).append(
                 f"manifest exhausted before stage {n}")
             break
-        pv = values_of(stage.poly, grid) if not (
-            isinstance(stage.poly, TrigPoly) and not len(stage.poly)) \
-            else np.zeros(grid.size, dtype=complex)
-        residual = residual - pv
+        residual = residual - stage.poly.values(grid, allow_alias=True)
         stage.cert("residual_measure",
                    measure_fraction(np.abs(residual) > delta_n), eps_n)
         rep = stage.report
         if rep is not None and "sstar_measure" in rep.measured:
             m = rep.measured["sstar_measure"]
             stage.cert("sstar_measure", m["measured"], m["bound"])
-        if not isinstance(stage.poly, TrigPoly):
+        if stage.poly.spectrum_size():
             prev_deg_log2 = stage.poly.degree_log2()
         run.stages.append(stage)
     run.final_residual = residual
@@ -293,7 +288,7 @@ def run_squares_engine(f: SampledFunction, n_stages: int,
                                        "diagnostics": exc.diagnostics}
             break
         inner = rep.poly
-        if isinstance(inner, TrigPoly) and not len(inner):
+        if inner.spectrum_size() == 0:
             if nu_n is None:
                 nu_n = auto_nu(prev_nu, ratio_rule(n), prev_deg_log2 + 1.0)
             poly = inner
@@ -312,7 +307,7 @@ def run_squares_engine(f: SampledFunction, n_stages: int,
                          poly, rep)
         idx = contracted_index_map(nu_n, grid)
         cosv = np.cos(grid.points[idx])
-        pv = values_of(poly, grid) if not isinstance(poly, TrigPoly) else np.zeros(grid.size, dtype=complex)
+        pv = poly.values(grid, allow_alias=True)
         # r_n = P_n - F_n cos nu_n t: the approximation error of the stage
         r_n = pv - residual * cosv
         stage.cert("stage_error_measure",
@@ -322,7 +317,7 @@ def run_squares_engine(f: SampledFunction, n_stages: int,
             stage.cert("sstar_measure", m["measured"], m["bound"])
         residual = residual - pv
         prev_nu = nu_n
-        if not isinstance(poly, TrigPoly):
+        if poly.spectrum_size():
             prev_deg_log2 = poly.degree_log2()
         run.stages.append(stage)
     run.final_residual = residual
@@ -340,7 +335,6 @@ def _analytic_stage(f_target: np.ndarray, n: int, grid: CircleGrid,
                     partial: np.ndarray, unit_floor: float):
     """One stage of the positive-spectrum scheme; returns (stage, P values,
     E_n, new degree)."""
-    from .approximants import analytic_korner
     tol = 2.0 ** -(n + 1)
     resid = f_target - partial
     g_n, gdiag = fejer_until(SampledFunction(grid, resid), tol, tol, 4096)
@@ -350,7 +344,7 @@ def _analytic_stage(f_target: np.ndarray, n: int, grid: CircleGrid,
         stage.note = f"residual approximation stalled: {gdiag}"
         return stage, None, None, prev_deg
     d_mask = np.abs(g_n.values(grid, allow_alias=True) - resid) <= tol
-    g_l1 = tp.coeff_norms(g_n).l1
+    g_l1 = g_n.coeff_l1()
     eps_n = tol / (g_l1 + 1.0)
     q_rep = analytic_korner(eps_n, grid=grid, strict=False,
                             unit_floor=unit_floor)
@@ -497,16 +491,13 @@ def run_stoptime_engine(f: SampledFunction, interval_mask: np.ndarray,
             run.flags["infeasible"] = {"stage": k, "reason": str(exc),
                                        "diagnostics": exc.diagnostics}
             break
-        inner = rep.poly
-        if isinstance(inner, TrigPoly) and not len(inner):
-            poly = inner
-            pv = np.zeros(grid.size, dtype=complex)
-        else:
-            poly = _Modulated(nu_k, inner, "exp")
-            pv = poly.values(grid)
-            sup_total += np.asarray(sstar_upper_of(poly, grid))
+        poly = rep.poly
+        if poly.spectrum_size():
+            poly = _Modulated(nu_k, poly, "exp")
+            sup_total += poly.sstar_upper(grid)
             prev_deg_log2 = poly.degree_log2()
             prev_nu = nu_k
+        pv = poly.values(grid, allow_alias=True)
         stage = RunStage(k, {"kind": "D_nu", "s": s_budget, "a": a,
                              "nu_log2": rate_log2(nu_k)}, poly, rep)
         if rep is not None and "l0_f_minus_P" in rep.measured:
@@ -561,7 +552,7 @@ def run_measure_engine(f: SampledFunction, n_stages: int,
         stage_poly = sub.stage_polys()
         pv = f.values * 0
         for p in stage_poly:
-            pv = pv + values_of(p, grid)
+            pv = pv + p.values(grid, allow_alias=True)
         partial = partial + pv
         stage = RunStage(k, {"kind": "cover", "arc_measure": measure_fraction(mask)},
                          None, None)
@@ -603,7 +594,6 @@ def transform_series_shift(run: RepresentationRun, n: int) -> RepresentationRun:
                       dict(st.certificates), st.ok, st.note)
         out.stages.append(ns)
     if run.spectrum is not None:
-        from .blocks import shift_spectrum
         out.spectrum = shift_spectrum(run.spectrum, n)
     out.final_residual = None if run.final_residual is None else \
         run.final_residual * np.exp(-1j * n * grid.points)
@@ -640,6 +630,5 @@ def transform_series_divide(run: RepresentationRun, m: int) -> RepresentationRun
         out.stages.append(RunStage(st.index, st.block, newp, st.report,
                                    dict(st.certificates), st.ok, st.note))
     if run.spectrum is not None:
-        from .blocks import divide_spectrum
         out.spectrum = divide_spectrum(run.spectrum, m)
     return out

@@ -13,9 +13,10 @@ guarantees by keeping every frequency odd.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -100,11 +101,8 @@ def _check_orbit(nu: int, m: int):
 
 def contracted_angle_indices(nu: int, grid: CircleGrid) -> np.ndarray:
     """Index map sigma with theta_{sigma(j)} = nu * t_j (mod 2 pi), exact."""
-    m = grid.size
-    _check_orbit(nu, m)
-    r = nu % m
-    base = ((1 - nu) * (m // 2)) % m
-    return (base + r * np.arange(m, dtype=np.int64)) % m
+    _check_orbit(nu, grid.size)
+    return grid.contracted_indices(nu % grid.size, nu % 2 == 1)
 
 
 @dataclass
@@ -270,10 +268,6 @@ def cross_identity_max_error(sched: RieszSchedule, grid: CircleGrid, n_max: int)
     return worst
 
 
-def normal_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
-
-
 def ks_distance_to_normal(samples: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance of an empirical sample to N(0, 1)."""
     x = np.sort(np.asarray(samples, dtype=float))
@@ -333,10 +327,9 @@ def almost_orthogonality(sched: RieszSchedule, grid: CircleGrid) -> np.ndarray:
 
 def export_diagnostics_csv(diag: RieszDiagnostics, path, stride: int = 64) -> None:
     """Thin CSV export: columns t, first_ok_index, min_log_trace, masked."""
-    import csv as _csv
     t = diag.grid.points
     with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(["t", "first_ok_index", "min_log_trace", "masked"])
         for j in range(0, diag.grid.size, stride):
             w.writerow([repr(float(t[j])), int(diag.first_ok_index[j]),

@@ -13,13 +13,12 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .circle import CircleGrid, GridError, SampledFunction
 
-COEFF_EPS = 0.0  # stored coefficients are dropped only when exactly zero
 DENSE_EVAL_THRESHOLD = 512
 
 
@@ -89,6 +88,38 @@ class TrigPoly:
     def is_analytic(self) -> bool:
         """True iff the spectrum lies in Z+ = {1, 2, ...}."""
         return all(k > 0 for k in self._coeffs)
+
+    # -- polynomial protocol (shared with the lazy types in blockpoly) ----
+
+    #: frequencies are exact integers, never lazy handles
+    lazy = False
+
+    def degree_log2(self) -> float:
+        return math.log2(max(self.degree(), 1))
+
+    def spectrum_size(self) -> int:
+        return len(self._coeffs)
+
+    def coeff_zero(self) -> complex:
+        return self[0]
+
+    def coeff_l1(self) -> float:
+        return coeff_norms(self).l1
+
+    def coeff_linf(self) -> float:
+        return coeff_norms(self).linf
+
+    def sstar_upper(self, grid: CircleGrid) -> np.ndarray:
+        """Crude but always valid pointwise bound on S**: the l1 norm."""
+        return np.full(grid.size, self.coeff_l1())
+
+    def iter_coeffs(self, limit: Optional[int] = None) -> Iterator[Tuple[int, complex]]:
+        """(frequency, coefficient) in frequency order, the first `limit`."""
+        items = sorted(self._coeffs.items())
+        return iter(items[:limit] if limit else items)
+
+    def min_orbit_fraction(self, grid: CircleGrid) -> float:
+        return 1.0
 
     # -- algebra ---------------------------------------------------------
 
@@ -231,8 +262,6 @@ def s_star(p: TrigPoly, grid: CircleGrid) -> SampledFunction:
     levels: Dict[int, list] = {}
     for k, c in p.coeffs.items():
         levels.setdefault(abs(k), []).append((k, c))
-    if 0 not in levels:
-        pass  # S_0 = 0 contributes nothing to the sup of moduli
     for lev in sorted(levels):
         for k, c in levels[lev]:
             running += TrigPoly({k: c}).values(grid, allow_alias=True)

@@ -8,6 +8,7 @@ from sparsetrig.blockpoly import (BlockSum, BlockTerm, Freq, LazyRate,
                                   ScaledProduct, contracted_index_map,
                                   orbit_fraction)
 from sparsetrig.circle import CircleGrid
+from sparsetrig.engines import _Modulated
 from sparsetrig.trigpoly import TrigPoly
 
 
@@ -157,3 +158,72 @@ def test_freq_ordering():
     assert abs(a) > abs(b)
     assert Freq.of(128).clearly_below(Freq.of(256))
     assert not Freq.of(128).clearly_below(Freq.of(128))
+
+
+def reference(x) -> TrigPoly:
+    """Independent materialization through the exact TrigPoly algebra."""
+    if isinstance(x, TrigPoly):
+        return x
+    if isinstance(x, BlockSum):
+        out = TrigPoly()
+        for t in x.terms:
+            out = out + tp.multiply(tp.contract(t.payload, t.rate), t.carrier)
+        return out
+    if isinstance(x, ScaledProduct):
+        return tp.multiply(tp.contract(reference(x.q), x.rate), reference(x.p))
+    inner = reference(x.inner)  # _Modulated with an exact integer nu
+    if x.kind == "exp":
+        return inner.shift_freq(x.nu)
+    return inner.shift_freq(x.nu).scale(0.5) + inner.shift_freq(-x.nu).scale(0.5)
+
+
+def analytic_product():
+    return ScaledProduct(TrigPoly({1: 0.5, 2: 0.25j}), 37,
+                         TrigPoly({-1: 1.0, 0: 2.0, 1: 1.0}))
+
+
+PROTOCOL_CASES = {
+    "trigpoly": lambda: TrigPoly({-3: 0.5, 0: 1.0, 2: 0.25j, 5: -1.0}),
+    "blocksum": small_blocksum,
+    "scaled_trigpoly": analytic_product,
+    "scaled_blocksum": lambda: ScaledProduct(
+        BlockSum([BlockTerm(TrigPoly({0: 1.0}), TrigPoly({-1: 1.0, 1: 1.0}), 3)]),
+        409, small_blocksum()),
+    "modulated_cos": lambda: _Modulated(301, analytic_product(), "cos"),
+    "modulated_exp": lambda: _Modulated(301, analytic_product(), "exp"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_CASES))
+def test_polynomial_protocol_conformance(name):
+    grid = CircleGrid(8192)
+    x = PROTOCOL_CASES[name]()
+    mat = reference(x)
+    assert np.allclose(x.values(grid), mat.values(grid), atol=1e-10)
+    assert x.coeff_l1() == pytest.approx(tp.coeff_norms(mat).l1)
+    assert x.spectrum_size() == len(mat)
+    assert x.is_analytic() == mat.is_analytic()
+    # degree and min |k| are reported in log space, where the lazy types
+    # neglect the inner degree against the rate: within one binary order
+    assert x.degree_log2() == pytest.approx(math.log2(mat.degree()), abs=1.0)
+    truth = tp.s_star_star(mat, grid).values.real
+    assert np.all(truth <= x.sstar_upper(grid) + 1e-9)
+    if isinstance(x, _Modulated):
+        # modulated stages only promise min |k| >= nu / 2
+        assert Freq.of(x.min_abs_freq()) <= Freq.of(mat.min_abs_freq())
+        with pytest.raises(OverflowError):
+            x.iter_coeffs()
+        return
+    assert Freq.of(x.min_abs_freq()).log2 == pytest.approx(
+        Freq.of(mat.min_abs_freq()).log2, abs=1.0)
+    assert not x.lazy
+    assert x.coeff_zero() == mat[0]
+    assert x.coeff_linf() == pytest.approx(tp.coeff_norms(mat).linf)
+    assert x.min_orbit_fraction(grid) == 1.0
+    got = dict(x.iter_coeffs())
+    assert sorted(got) == list(mat.spectrum())
+    assert all(got[k] == pytest.approx(mat[k]) for k in got)
+    head = list(x.iter_coeffs(3))
+    assert len(head) == 3
+    if isinstance(x, TrigPoly):  # sorted, then truncated
+        assert head == sorted(mat.coeffs.items())[:3]

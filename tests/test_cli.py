@@ -2,10 +2,14 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from sparsetrig import cli
+from sparsetrig.blockpoly import BlockSum, BlockTerm
 from sparsetrig.cli import main
+from sparsetrig.trigpoly import TrigPoly
 
 
 def run_cli(args):
@@ -100,3 +104,15 @@ def test_console_entrypoint():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "build-spectrum" in proc.stdout
+
+
+def test_unprintable_exact_frequencies_write_headers_only(tmp_path):
+    # exact rate 10^5000: more decimal digits than int-to-str allows
+    huge = BlockSum([BlockTerm(TrigPoly({0: 1.0}), TrigPoly({-1: 0.5, 1: 0.5}),
+                               10 ** 5000)])
+    cli._write_poly_csv(tmp_path / "poly.csv", huge)
+    run = SimpleNamespace(stages=[SimpleNamespace(poly=huge)])
+    cli._write_merged_stream(tmp_path / "merged.csv", run)
+    assert (tmp_path / "poly.csv").read_text().splitlines() == ["k,re,im"]
+    assert (tmp_path / "merged.csv").read_text().splitlines() == \
+        ["order_index,k,re,im"]
