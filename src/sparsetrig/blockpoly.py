@@ -153,6 +153,19 @@ class Freq:
         return f"Freq({'+' if self.sign > 0 else '-' if self.sign < 0 else '0'}2^{self.log2:.3f})"
 
 
+def log2_sum_upper(a: float, b: float) -> float:
+    """Upper bound on log2(2^a + 2^b), kept in log space; the 1e-12 covers
+    float rounding."""
+    hi, lo = max(a, b), min(a, b)
+    return hi + math.log2(1.0 + 2.0 ** (lo - hi)) + 1e-12
+
+
+def log2_diff_lower(a: float, b: float) -> float:
+    """Lower bound on log2(2^a - 2^b), -inf when 2^b >= 2^a."""
+    gap = 1.0 - 2.0 ** (b - a)
+    return a + math.log2(gap) - 1e-12 if gap > 0.0 else -math.inf
+
+
 def freq_times_rate(k: int, r: Rate) -> Freq:
     if k == 0:
         return Freq(0, -math.inf)
@@ -481,8 +494,12 @@ class ScaledProduct:
         return isinstance(self.rate, LazyRate) or self.p.lazy or self.q.lazy
 
     def degree(self):
+        # max |k_q R + k_p| <= deg(Q) R + deg(P)
         dq = Freq.of(self.q.degree())
-        return Freq(1, dq.log2 + rate_log2(self.rate)) if dq.sign else Freq.of(0)
+        if dq.sign == 0:
+            return Freq.of(0)
+        return Freq(1, log2_sum_upper(dq.log2 + rate_log2(self.rate),
+                                      Freq.of(self.p.degree()).log2))
 
     def degree_log2(self) -> float:
         return self.degree().log2
@@ -491,9 +508,9 @@ class ScaledProduct:
         mq = Freq.of(self.q.min_abs_freq())
         if mq.sign == 0:
             return Freq.of(0)
-        # min |k_q R + k_p| >= minabs(Q) R - deg(P): in log space the inner
-        # degree is negligible against the rate by construction
-        return Freq(1, mq.log2 + rate_log2(self.rate) - 1e-12)
+        # min |k_q R + k_p| >= minabs(Q) R - deg(P)
+        return Freq(1, log2_diff_lower(mq.log2 + rate_log2(self.rate),
+                                       Freq.of(self.p.degree()).log2))
 
     def spectrum_size(self):
         return self.q.spectrum_size() * self.p.spectrum_size()

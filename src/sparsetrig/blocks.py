@@ -10,6 +10,7 @@ explicit cap on `s` because the scale factor (2s)^(2s+2) grows violently.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from fractions import Fraction
 from dataclasses import dataclass
@@ -336,6 +337,7 @@ def _eps_array(eps: Callable[[int], float] | Sequence[float], n: int) -> List[fl
     return vals
 
 
+@functools.lru_cache(maxsize=None)
 def linearization_constant(s: int, s_cap: int = DEFAULT_S_CAP) -> int:
     """C(s) used by the ratio test: covers labels and max element / a.
 
@@ -346,28 +348,13 @@ def linearization_constant(s: int, s_cap: int = DEFAULT_S_CAP) -> int:
     return max(abs(e[1]) for e in cert.entries) + 1
 
 
-def build_hadamard_spectrum(
-    eps: Callable[[int], float] | Sequence[float],
-    n_target: int,
-    lam1: int = 2,
-    s_cap: int = DEFAULT_S_CAP,
-    max_b_steps: int = 10 ** 6,
-) -> BuiltSpectrum:
-    """Symmetric spectrum with lambda(n+1)/lambda(n) > 1 + eps(n).
-
-    Alternates between inserting an entire block B(s, a) whenever the
-    current eps allows the block's internal ratios (taking the maximal
-    feasible s, each s used at most once so the embedded s_k increase),
-    and single-step growth lambda(m+1) = ceil(lambda(m)(1+eps(m))) + 1.
-    """
+def _hadamard_walk(family: str, eps, n_target: int, lam1: int, s_cap: int,
+                   max_b_steps: int) -> Tuple[List[int], Tuple[ManifestEntry, ...]]:
+    """The increasing positive sequence of build_hadamard_spectrum and its
+    manifest; family "B" inserts the positive part of B(s, a), "D" all of
+    D(s, a)."""
+    block = block_B if family == "B" else block_D
     evals = _eps_array(eps, n_target + 1)
-    c_cache = {}
-
-    def cconst(s):
-        if s not in c_cache:
-            c_cache[s] = linearization_constant(s, s_cap)
-        return c_cache[s]
-
     out: List[int] = [int(lam1)]
     manifest: List[ManifestEntry] = []
     last_s = 0
@@ -379,19 +366,18 @@ def build_hadamard_spectrum(
         # current eps admits, i.e. eps(m) < 1/(2 C(s)).
         s_pick = 0
         for s in range(s_cap, last_s, -1):
-            if e < 1.0 / (2.0 * cconst(s)):
+            if e < 1.0 / (2.0 * linearization_constant(s, s_cap)):
                 s_pick = s
                 break
         if s_pick:
-            c = cconst(s_pick)
+            c = linearization_constant(s_pick, s_cap)
             cres = residual_constant(s_pick)
             a = max(4 * cres + 1, 1)
             hole_exp = (2 * s_pick) ** (2 * s_pick + 1)
             while True:
                 # ratio into the block and internal sparsity margin
                 if hole_exp * a > out[-1] * (1.0 + e) and (a - 2 * cres) / (a * c) > 1.0 / (2.0 * c):
-                    blk = block_B(s_pick, a, s_cap)
-                    pos = blk.positive()
+                    pos = block(s_pick, a, s_cap).positive()
                     ratios_ok = all(
                         pos[i + 1] > pos[i] * (1.0 + evals[min(m + i, n_target)])
                         for i in range(len(pos) - 1)
@@ -400,7 +386,7 @@ def build_hadamard_spectrum(
                         break
                 a *= 2
             out.extend(pos)
-            manifest.append(ManifestEntry("B", s_pick, a))
+            manifest.append(ManifestEntry(family, s_pick, a))
             last_s = s_pick
         else:
             b_steps += 1
@@ -410,24 +396,15 @@ def build_hadamard_spectrum(
                 )
             # exact rational growth: float products overflow / tie for big entries
             out.append(math.ceil(out[-1] * (1 + Fraction(e))) + 1)
-    pos = tuple(out)
-    full = tuple(sorted({-x for x in pos} | set(pos)))
-    return BuiltSpectrum(SpectrumSet(full), tuple(manifest))
+    return out, tuple(manifest)
 
 
-def build_squares_spectrum(
-    w: Callable[[int], float],
-    n_blocks: int,
-    s_start: int = 1,
-    s_cap: int = DEFAULT_S_CAP,
-) -> BuiltSpectrum:
-    """Union of blocks B(s, 2a(s), a(s)^2): a symmetric near-squares spectrum.
-
-    Every positive element satisfies b = k^2 + tau(b) with k = a + l(b) and
-    |tau(b)| <= C_lin + C_lin^2 where C_lin certifies the linearization of
-    B(s, 2a); a(s) is the smallest value making that bound < sqrt(w(a - C_lin)).
-    """
-    elements = set()
+def _squares_walk(family: str, w, n_blocks: int, s_start: int,
+                  s_cap: int) -> BuiltSpectrum:
+    """build_squares_spectrum over B(s, 2a, a^2) (family "B") or
+    D(s, 2a, a^2) (family "D") blocks."""
+    block_nu = block_B_nu if family == "B" else block_D_nu
+    elements: set = set()
     manifest: List[ManifestEntry] = []
     prev_max = 0
     for s in range(s_start, s_start + n_blocks):
@@ -444,15 +421,44 @@ def build_squares_spectrum(
         while not (tau_bound < math.sqrt(max(w(a - c_label), 0.0))) or a * a <= 2 * prev_max:
             a += max(1, a // 16)
         nu = a * a
-        blk = block_B(s, 2 * a, s_cap)
-        if nu <= max(blk.elements):
-            raise BlockRangeError("nu = a^2 must exceed max B(s, 2a)")
-        shifted = {x + nu for x in blk.elements} | {x - nu for x in blk.elements}
-        elements |= shifted
+        elements.update(block_nu(s, 2 * a, nu, s_cap).elements)
         prev_max = max(elements)
-        manifest.append(ManifestEntry("B_nu", s, 2 * a, nu))
-    full = tuple(sorted(elements | {-x for x in elements}))
-    return BuiltSpectrum(SpectrumSet(full), tuple(manifest))
+        manifest.append(ManifestEntry(family + "_nu", s, 2 * a, nu))
+    return BuiltSpectrum(SpectrumSet(tuple(sorted(elements))), tuple(manifest))
+
+
+def build_hadamard_spectrum(
+    eps: Callable[[int], float] | Sequence[float],
+    n_target: int,
+    lam1: int = 2,
+    s_cap: int = DEFAULT_S_CAP,
+    max_b_steps: int = 10 ** 6,
+) -> BuiltSpectrum:
+    """Symmetric spectrum with lambda(n+1)/lambda(n) > 1 + eps(n).
+
+    Alternates between inserting an entire block B(s, a) whenever the
+    current eps allows the block's internal ratios (taking the maximal
+    feasible s, each s used at most once so the embedded s_k increase),
+    and single-step growth lambda(m+1) = ceil(lambda(m)(1+eps(m))) + 1.
+    """
+    pos, manifest = _hadamard_walk("B", eps, n_target, lam1, s_cap, max_b_steps)
+    full = sorted({-x for x in pos} | set(pos))
+    return BuiltSpectrum(SpectrumSet(tuple(full)), manifest)
+
+
+def build_squares_spectrum(
+    w: Callable[[int], float],
+    n_blocks: int,
+    s_start: int = 1,
+    s_cap: int = DEFAULT_S_CAP,
+) -> BuiltSpectrum:
+    """Union of blocks B(s, 2a(s), a(s)^2): a symmetric near-squares spectrum.
+
+    Every positive element satisfies b = k^2 + tau(b) with k = a + l(b) and
+    |tau(b)| <= C_lin + C_lin^2 where C_lin certifies the linearization of
+    B(s, 2a); a(s) is the smallest value making that bound < sqrt(w(a - C_lin)).
+    """
+    return _squares_walk("B", w, n_blocks, s_start, s_cap)
 
 
 def build_analytic_hadamard_spectrum(
@@ -463,51 +469,8 @@ def build_analytic_hadamard_spectrum(
     max_b_steps: int = 10 ** 6,
 ) -> BuiltSpectrum:
     """Positive-only variant of build_hadamard_spectrum using D(s, a) blocks."""
-    evals = _eps_array(eps, n_target + 1)
-    c_cache = {}
-
-    def cconst(s):
-        if s not in c_cache:
-            c_cache[s] = linearization_constant(s, s_cap)
-        return c_cache[s]
-
-    out: List[int] = [int(lam1)]
-    manifest: List[ManifestEntry] = []
-    last_s = 0
-    b_steps = 0
-    while len(out) < n_target:
-        m = len(out)
-        e = evals[m - 1]
-        s_pick = 0
-        for s in range(s_cap, last_s, -1):
-            if e < 1.0 / (2.0 * cconst(s)):
-                s_pick = s
-                break
-        if s_pick:
-            c = cconst(s_pick)
-            cres = residual_constant(s_pick)
-            a = max(4 * cres + 1, 1)
-            hole_exp = (2 * s_pick) ** (2 * s_pick + 1)
-            while True:
-                if hole_exp * a > out[-1] * (1.0 + e) and (a - 2 * cres) / (a * c) > 1.0 / (2.0 * c):
-                    blk = block_D(s_pick, a, s_cap)
-                    pos = blk.elements
-                    ratios_ok = all(
-                        pos[i + 1] > pos[i] * (1.0 + evals[min(m + i, n_target)])
-                        for i in range(len(pos) - 1)
-                    )
-                    if ratios_ok:
-                        break
-                a *= 2
-            out.extend(pos)
-            manifest.append(ManifestEntry("D", s_pick, a))
-            last_s = s_pick
-        else:
-            b_steps += 1
-            if b_steps > max_b_steps:
-                raise RuntimeError("construction stalls")
-            out.append(math.ceil(out[-1] * (1 + Fraction(e))) + 1)
-    return BuiltSpectrum(SpectrumSet(tuple(out)), tuple(manifest))
+    pos, manifest = _hadamard_walk("D", eps, n_target, lam1, s_cap, max_b_steps)
+    return BuiltSpectrum(SpectrumSet(tuple(pos)), manifest)
 
 
 def build_analytic_squares_spectrum(
@@ -517,24 +480,4 @@ def build_analytic_squares_spectrum(
     s_cap: int = DEFAULT_S_CAP,
 ) -> BuiltSpectrum:
     """Positive near-squares spectrum from D(s, 2a, a^2) blocks."""
-    elements: set = set()
-    manifest: List[ManifestEntry] = []
-    prev_max = 0
-    for s in range(s_start, s_start + n_blocks):
-        if s > s_cap:
-            raise BlockRangeError(f"s={s} exceeds cap {s_cap}")
-        cert = linearize(s, 10 ** 4, s_cap)
-        c_label = max(abs(e[1]) for e in cert.entries)
-        c_res = cert.residual_bound()
-        tau_bound = c_res + c_label ** 2
-        a = max(2 * c_label + 2, tau_bound ** 2 + c_label + 1,
-                math.isqrt(2 * prev_max) + 1)
-        while not (tau_bound < math.sqrt(max(w(a - c_label), 0.0))) or a * a <= 2 * prev_max:
-            a += max(1, a // 16)
-        nu = a * a
-        blk = block_D(s, 2 * a, s_cap)
-        shifted = {x + nu for x in blk.elements}
-        elements |= shifted
-        prev_max = max(elements)
-        manifest.append(ManifestEntry("D_nu", s, 2 * a, nu))
-    return BuiltSpectrum(SpectrumSet(tuple(sorted(elements))), tuple(manifest))
+    return _squares_walk("D", w, n_blocks, s_start, s_cap)

@@ -50,10 +50,6 @@ class CircleGrid:
     def points(self) -> np.ndarray:
         return -math.pi + 2.0 * math.pi * np.arange(self.size) / self.size
 
-    @property
-    def spacing(self) -> float:
-        return 2.0 * math.pi / self.size
-
     def contracted_indices(self, residue: int, odd: bool) -> np.ndarray:
         """sigma with t_{sigma(j)} = r * t_j (mod 2 pi) for any integer rate r
         with r = residue (mod M) and the given parity.

@@ -76,21 +76,25 @@ def _write_poly_csv(path: Path, poly) -> None:
             w.writerow([k, repr(float(c.real)), repr(float(c.imag))])
 
 
+def _eps_rule(name):
+    """The eps(n) schedule of a Hadamard spectrum config: "1/log", "1/n"
+    or a constant."""
+    if name == "1/log":
+        return lambda i: 1.0 / math.log(i + 2)
+    if name == "1/n":
+        return lambda i: 1.0 / (i + 2)
+    if isinstance(name, (int, float)):
+        return lambda i: float(name)
+    raise ConfigError(f"unknown eps rule {name!r}")
+
+
 def cmd_build_spectrum(cfg: dict, out: Path, grid_size: int, seed: int) -> int:
     _check_keys(cfg, {"kind", "eps", "n", "w", "blocks", "s_cap"}, "build-spectrum")
     kind = cfg.get("kind")
     s_cap = int(cfg.get("s_cap", blocks.DEFAULT_S_CAP))
     if kind in ("hadamard", "analytic_hadamard"):
-        eps_name = cfg.get("eps", "1/log")
+        eps = _eps_rule(cfg.get("eps", "1/log"))
         n = int(cfg.get("n", 200))
-        if eps_name == "1/log":
-            eps = lambda i: 1.0 / math.log(i + 2)
-        elif eps_name == "1/n":
-            eps = lambda i: 1.0 / (i + 2)
-        elif isinstance(eps_name, (int, float)):
-            eps = lambda i: float(eps_name)
-        else:
-            raise ConfigError(f"unknown eps rule {eps_name!r}")
         build = blocks.build_hadamard_spectrum if kind == "hadamard" \
             else blocks.build_analytic_hadamard_spectrum
         built = build(eps, n, s_cap=s_cap)
@@ -175,10 +179,14 @@ def cmd_represent(cfg: dict, out: Path, grid_size: int, seed: int) -> int:
     stages = int(cfg.get("stages", 3))
     if engine == "ae":
         spec_cfg = cfg.get("spectrum", {"kind": "hadamard", "eps": "1/n", "n": 120})
-        eps_rule = spec_cfg.get("eps", "1/n")
-        fn = (lambda i: 1.0 / math.log(i + 2)) if eps_rule == "1/log" \
-            else (lambda i: 1.0 / (i + 2))
-        built = blocks.build_hadamard_spectrum(fn, int(spec_cfg.get("n", 120)))
+        if not isinstance(spec_cfg, dict):
+            raise ConfigError("represent ae: spectrum must be a JSON object")
+        _check_keys(spec_cfg, {"kind", "eps", "n"}, "represent ae spectrum")
+        if spec_cfg.get("kind", "hadamard") != "hadamard":
+            raise ConfigError(f"represent ae: spectrum kind must be 'hadamard', "
+                              f"got {spec_cfg['kind']!r}")
+        built = blocks.build_hadamard_spectrum(_eps_rule(spec_cfg.get("eps", "1/n")),
+                                               int(spec_cfg.get("n", 120)))
         run = run_ae_engine(f, built, stages)
     elif engine == "squares":
         run = run_squares_engine(f, stages,

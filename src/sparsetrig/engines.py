@@ -22,7 +22,7 @@ from .approximants import (ApproximantReport, ConstructionInfeasible,
                            analytic_block_approximant, analytic_korner,
                            block_approximant, fejer_until)
 from .blockpoly import (Freq, LazyRate, ScaledProduct, contracted_index_map,
-                        rate_log2)
+                        log2_sum_upper, rate_log2)
 from .blocks import (BuiltSpectrum, ManifestEntry, SpectrumSet,
                      divide_spectrum, shift_spectrum)
 from .circle import (CircleGrid, SampledFunction, l0_of_abs, measure_fraction)
@@ -57,7 +57,8 @@ class _Modulated:
         return carrier * self.inner.values(grid, allow_alias=True)
 
     def degree_log2(self) -> float:
-        return max(rate_log2(self.nu), self.inner.degree_log2()) + 1e-12
+        # spectrum sits at +-nu + spec(inner): degree <= nu + deg(inner)
+        return log2_sum_upper(rate_log2(self.nu), self.inner.degree_log2())
 
     def min_abs_freq(self) -> Freq:
         # spectrum sits at +-nu + spec(inner); the block hole keeps
@@ -124,13 +125,6 @@ class RepresentationRun:
 
     def stage_polys(self):
         return [st.poly for st in self.stages if st.poly is not None]
-
-    def partial_sum_values(self, upto: int) -> np.ndarray:
-        out = np.zeros(self.grid.size, dtype=complex)
-        for st in self.stages[:upto]:
-            if st.poly is not None:
-                out += st.poly.values(self.grid, allow_alias=True)
-        return out
 
     def follows_chain_ok(self) -> bool:
         """Each stage's spectrum beyond the previous stage's degree."""

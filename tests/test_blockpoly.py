@@ -206,11 +206,13 @@ def test_polynomial_protocol_conformance(name):
     # degree and min |k| are reported in log space, where the lazy types
     # neglect the inner degree against the rate: within one binary order
     assert x.degree_log2() == pytest.approx(math.log2(mat.degree()), abs=1.0)
+    # ... and they are certified: the degree from above, min |k| from below
+    assert x.degree_log2() >= math.log2(mat.degree())
+    assert Freq.of(x.min_abs_freq()) <= Freq.of(mat.min_abs_freq())
     truth = tp.s_star_star(mat, grid).values.real
     assert np.all(truth <= x.sstar_upper(grid) + 1e-9)
     if isinstance(x, _Modulated):
         # modulated stages only promise min |k| >= nu / 2
-        assert Freq.of(x.min_abs_freq()) <= Freq.of(mat.min_abs_freq())
         with pytest.raises(OverflowError):
             x.iter_coeffs()
         return

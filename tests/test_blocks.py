@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -90,21 +91,34 @@ def test_spectrum_set_invariants():
     assert 1 in s and 2 not in s
 
 
-def test_hadamard_builder_ratios():
+#: per block family: (Hadamard builder, squares builder, block, two-sided)
+FAMILIES = {
+    "B": (bl.build_hadamard_spectrum, bl.build_squares_spectrum, bl.block_B, True),
+    "D": (bl.build_analytic_hadamard_spectrum, bl.build_analytic_squares_spectrum,
+          bl.block_D, False),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_hadamard_builder_ratios(family):
+    build, _, block, two_sided = FAMILIES[family]
     n = 150
     eps = lambda i: 1.0 / (i + 2)
-    built = bl.build_hadamard_spectrum(eps, n)
+    built = build(eps, n)
     pos = built.spectrum.positive()
     assert len(pos) >= n
     for i in range(min(len(pos), n) - 1):
         assert pos[i + 1] / pos[i] > 1.0 + eps(i + 1), i
-    assert built.spectrum.is_symmetric()
+    if two_sided:
+        assert built.spectrum.is_symmetric()
+    else:
+        assert pos == built.spectrum.elements
     assert len(built.manifest) >= 1
     # embedded blocks really are subsets
     els = set(built.spectrum.elements)
     for m in built.manifest:
-        blk = bl.block_B(m.s, m.a)
-        assert set(blk.elements) <= els
+        assert m.kind == family
+        assert set(block(m.s, m.a).elements) <= els
     # manifest s strictly increasing
     ss = [m.s for m in built.manifest]
     assert ss == sorted(set(ss))
@@ -122,14 +136,20 @@ def test_hadamard_builder_degenerate_zero_eps():
         assert y > x
 
 
-def test_squares_builder():
-    built = bl.build_squares_spectrum(lambda k: float(k), 3)
-    assert built.spectrum.is_symmetric()
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_squares_builder(family):
+    _, build, _, two_sided = FAMILIES[family]
+    built = build(lambda k: float(k), 3)
+    assert built.spectrum.is_symmetric() == two_sided
+    assert [m.s for m in built.manifest] == [1, 2, 3]
+    block_nu = bl.block_B_nu if two_sided else bl.block_D_nu
+    els = set(built.spectrum.elements)
     worst = 0.0
     for m in built.manifest:
-        assert m.kind == "B_nu"
+        assert m.kind == family + "_nu"
         a = m.a // 2
         assert m.nu == a * a
+        assert set(block_nu(m.s, m.a, m.nu).elements) <= els
     for b in built.spectrum.positive():
         k = round(math.isqrt(b))
         # nearest square among k-1, k, k+1
@@ -139,19 +159,57 @@ def test_squares_builder():
     assert worst < 1.0
 
 
-def test_analytic_builders_positive():
-    built = bl.build_analytic_hadamard_spectrum(lambda i: 1.0 / (i + 2), 80)
-    assert all(x > 0 for x in built.spectrum.elements)
-    pos = built.spectrum.elements
-    for i in range(len(pos) - 1):
-        assert pos[i + 1] / pos[i] > 1.0 + 1.0 / (i + 3)
-    els = set(pos)
-    for m in built.manifest:
-        assert set(bl.block_D(m.s, m.a).elements) <= els
+def _spectrum_sha256(built):
+    text = "\n".join(map(str, built.spectrum.elements))
+    return hashlib.sha256(text.encode()).hexdigest()
 
-    built2 = bl.build_analytic_squares_spectrum(lambda k: float(k), 2)
-    assert all(x > 0 for x in built2.spectrum.elements)
-    assert [m.s for m in built2.manifest] == [1, 2]
+
+#: exact builder outputs: (size, sha256 of the newline-joined spectrum,
+#: manifest as (kind, s, a, nu) tuples)
+PINNED = [
+    (bl.build_hadamard_spectrum, ("1/n", 150), 300,
+     "defb95e1e9ebc3f61fa50f8565bc4c4295029389ccb8771b16f7228d5f506d54",
+     [("B", 1, 36, None)]),
+    (bl.build_hadamard_spectrum, (0.01, 40), 80,
+     "95ce4a74cad768cc6616a81f7ea0a5cc0385d9224465b73f54da0b509846b802",
+     [("B", 1, 9, None)]),
+    (bl.build_analytic_hadamard_spectrum, ("1/n", 150), 150,
+     "da26484294ed93160373131e65912890f9ed061e600aa10ca00d2ed20c4a3e3f",
+     [("D", 1, 36, None)]),
+    (bl.build_analytic_hadamard_spectrum, (0.01, 40), 40,
+     "789e0ce954f8eb11ce1e41be201248cc3f82a02305314a86c1bdb33580677a06",
+     [("D", 1, 9, None)]),
+    (bl.build_squares_spectrum, 1, 24,
+     "d186a88568f0bab9174df82ac21e6bbe002b920c4c9f2218e32aa4a8f5aacd8c",
+     [("B_nu", 1, 321644, 25863715684)]),
+    (bl.build_squares_spectrum, 2, 184,
+     "de78c586379a61229645979a678f06b9b8b1f536c7d1397ceb1f41a206932b5a",
+     [("B_nu", 1, 321644, 25863715684),
+      ("B_nu", 2, 12196479403968586, 37188527462857478702001618709849)]),
+    (bl.build_analytic_squares_spectrum, 1, 3,
+     "d5deb3180158f1d7c2004cbfbab7b95e945cccb4c0b76e6a6b640a9568ba342d",
+     [("D_nu", 1, 321644, 25863715684)]),
+    (bl.build_analytic_squares_spectrum, 2, 23,
+     "4b3fe3b9757cf7539ff2626af3170c4a3f5dfe235162e790f5d1018d981a8b75",
+     [("D_nu", 1, 321644, 25863715684),
+      ("D_nu", 2, 12196479403968586, 37188527462857478702001618709849)]),
+]
+
+
+@pytest.mark.parametrize("build, arg, size, digest, manifest", PINNED, ids=[
+    "hadamard-n150", "hadamard-eps0.01", "analytic_hadamard-n150",
+    "analytic_hadamard-eps0.01", "squares-1", "squares-2", "analytic_squares-1",
+    "analytic_squares-2"])
+def test_builders_pinned_output(build, arg, size, digest, manifest):
+    if isinstance(arg, tuple):  # Hadamard builders: (eps rule, n)
+        rule, n = arg
+        eps = (lambda i: 1.0 / (i + 2)) if rule == "1/n" else (lambda i: rule)
+        built = build(eps, n)
+    else:  # squares builders: number of blocks, w(k) = k
+        built = build(lambda k: float(k), arg)
+    assert len(built.spectrum) == size
+    assert _spectrum_sha256(built) == digest
+    assert [(m.kind, m.s, m.a, m.nu) for m in built.manifest] == manifest
 
 
 def test_spectrum_file_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import sparsetrig
 from sparsetrig import cli
 from sparsetrig.blockpoly import BlockSum, BlockTerm
 from sparsetrig.cli import main
@@ -99,9 +101,30 @@ def test_represent_zero_engine(tmp_path):
     assert (out / "stages.csv").exists()
 
 
+@pytest.mark.parametrize("spectrum, word", [
+    ({"kind": "squares", "eps": "bogus"}, "squares"),
+    ({"kind": "hadamard", "eps": "bogus"}, "bogus"),
+    ({"kind": "hadamard", "w": "k"}, "'w'"),
+    ("hadamard", "object"),
+], ids=["squares-kind", "unknown-eps", "unknown-key", "not-object"])
+def test_represent_ae_rejects_bad_spectrum(tmp_path, spectrum, word):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"engine": "ae", "target": "const",
+                               "spectrum": spectrum}))
+    out = tmp_path / "r"
+    assert run_cli(["represent", "--config", cfg, "--out", out]) == 2
+    report = json.loads((out / "failure.json").read_text())
+    assert word in report["error"]
+    assert not (out / "manifest.json").exists()
+
+
 def test_console_entrypoint():
+    # the child imports the package under test, also from an uninstalled checkout
+    src = str(Path(sparsetrig.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "sparsetrig.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "build-spectrum" in proc.stdout
 
