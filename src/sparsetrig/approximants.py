@@ -32,6 +32,10 @@ from .numbertheory import is_prime
 from .trigpoly import TrigPoly
 
 DEGREE_CAP = 2 ** 16
+#: tile degree cap of the analytic tiled construction
+ANALYTIC_TILE_DEGREE_CAP = 4096
+#: S** constant C of the block approximant's m{S**(P) > C/eps (|f| + delta)}
+SSTAR_CONSTANT = 64.0
 #: outer-function peak budget: exp at which double-precision FFT cancellation
 #: noise begins to drown the off-arc values we must resolve
 OUTER_PEAK_LOG_CAP = 27.0
@@ -120,7 +124,6 @@ def _smoothstep(x: np.ndarray) -> np.ndarray:
 
 
 def analytic_unit(eps: float, grid: Optional[CircleGrid] = None,
-                  degree_cap: int = DEGREE_CAP,
                   strict: bool = True) -> ApproximantReport:
     """Analytic polynomial R with spectrum in Z+ and ||R - 1||_0 < eps.
 
@@ -169,7 +172,7 @@ def analytic_unit(eps: float, grid: Optional[CircleGrid] = None,
 
         n = 256
         best = None
-        while n <= min(degree_cap, m_work // 4):
+        while n <= min(DEGREE_CAP, m_work // 4):
             window = np.zeros(m_work, dtype=complex)
             window[1:n + 1] = fhat[1:n + 1]
             sn_analytic = np.fft.ifft(window * m_work)
@@ -190,7 +193,7 @@ def analytic_unit(eps: float, grid: Optional[CircleGrid] = None,
             f"analytic unit truncation stalled at degree {n_used} "
             f"(measured L0 {l0_meas:.4f} >= eps {eps})",
             {"eps": eps, "best_l0": l0_meas, "degree": n_used,
-             "degree_cap": degree_cap},
+             "degree_cap": DEGREE_CAP},
         )
     coeffs = {k: complex(-fhat[k]) for k in range(1, n_used + 1) if fhat[k] != 0}
     r_poly = TrigPoly(coeffs)
@@ -218,7 +221,7 @@ def analytic_unit(eps: float, grid: Optional[CircleGrid] = None,
 # symmetric (two-sided) unit approximant: 1 - Jackson-type dip
 # ---------------------------------------------------------------------------
 
-def jackson_dip(half_degree: int, work_size: int = 0) -> TrigPoly:
+def jackson_dip(half_degree: int) -> TrigPoly:
     """Zero-mean two-sided unit approximant V = 1 - J_N.
 
     J_N is the Jackson kernel (sin(Nt/2)/sin(t/2))^4 normalized to unit
@@ -228,7 +231,7 @@ def jackson_dip(half_degree: int, work_size: int = 0) -> TrigPoly:
     n = int(half_degree)
     if n < 2:
         raise ValueError("half_degree must be >= 2")
-    m = work_size or 1 << max(8, (4 * n - 1).bit_length())
+    m = 1 << max(8, (4 * n - 1).bit_length())
     t = -math.pi + 2.0 * math.pi * np.arange(m) / m
     s = np.sin(t / 2.0)
     num = np.sin(n * t / 2.0)
@@ -405,14 +408,35 @@ def _dip_payload(dip_width: float, degree: int) -> TrigPoly:
     return TrigPoly(coeffs)
 
 
+def _segment_rates(K: int, deg_tile: int, deg_payload: int) -> List[int]:
+    """Rates (K B^s) | 1, s = 1..K, with B = (2 deg_tile + deg_payload + 2) | 1:
+    each block follows the previous one, and odd rates keep full sampling
+    orbits on even grids."""
+    base = (2 * deg_tile + deg_payload + 2) | 1
+    rates = []
+    r = K
+    for _ in range(K):
+        r *= base
+        rates.append(r | 1)
+    return rates
+
+
+def _tiled_sum(tile: TrigPoly, payload: TrigPoly, rates: List[int],
+               layout: str) -> BlockSum:
+    """sum_s (tile translated by 2 pi s / K) * payload(N_s t), K = len(rates)."""
+    K = len(rates)
+    return BlockSum([BlockTerm(tp.translate(tile, 2.0 * math.pi * s / K),
+                               payload, r)
+                     for s, r in enumerate(rates, start=1)], layout=layout)
+
+
 def korner_polynomial(eps: float, delta: float,
                       grid: Optional[CircleGrid] = None,
                       n_tiles: Optional[int] = None,
-                      deg_dip: Optional[int] = None,
                       layout: str = "segments",
                       deg_budget: Optional[int] = None,
                       tile_l1_tol: Optional[float] = None,
-                      sstar_budget: float = 64.0,
+                      sstar_budget: float = SSTAR_CONSTANT,
                       strict: bool = True) -> ApproximantReport:
     """Zero-mean polynomial Q with Q ~ 1 off an eps-set and tame partial sums.
 
@@ -437,10 +461,9 @@ def korner_polynomial(eps: float, delta: float,
 
     dip_width = eps / 4.0
     amp = 1.0 / triangle_coeff(dip_width, 0)  # zero-mean normalization
-    if deg_dip is None:
-        # off-dip partial-sum residual ~ 24 A / (pi w^2 N^2) kept under delta/4
-        deg_dip = int(math.sqrt(96.0 * amp / (math.pi * dip_width ** 2 * delta))) + 1
-        deg_dip = max(64, deg_dip)
+    # off-dip partial-sum residual ~ 24 A / (pi w^2 N^2) kept under delta/4
+    deg_dip = max(64, int(math.sqrt(
+        96.0 * amp / (math.pi * dip_width ** 2 * delta))) + 1)
 
     deviations = [
         "dip amplitude normalized to 1/tau_hat(0) so that the zero-mean "
@@ -467,17 +490,8 @@ def korner_polynomial(eps: float, delta: float,
             )
     dip = _dip_payload(dip_width, deg_dip)
 
-    terms = []
     if layout == "segments":
-        base = 2 * deg_f + dip.degree() + 2
-        if base % 2 == 0:
-            base += 1
-        rates = []
-        r = K * base
-        for s in range(1, K + 1):
-            r_odd = r if r % 2 == 1 else r + 1
-            rates.append(r_odd)
-            r *= base
+        rates = _segment_rates(K, deg_f, dip.degree())
         deviations.append(
             "block rates follow the geometric growth K*(2 deg F + deg G + 2)^s "
             "rounded to odd values (full sampling orbits on even grids)"
@@ -509,10 +523,7 @@ def korner_polynomial(eps: float, delta: float,
                 {"needed_degree": float(est_deg), "budget": deg_budget,
                  "tiles": K, "deg_tile": deg_f, "deg_dip": dip.degree()},
             )
-    for s in range(1, K + 1):
-        carrier = tp.translate(tile, 2.0 * math.pi * s / K)
-        terms.append(BlockTerm(carrier, dip, rates[s - 1]))
-    q = BlockSum(terms, layout=layout)
+    q = _tiled_sum(tile, dip, rates, layout)
 
     report = ApproximantReport(q, deviations=tuple(deviations))
     report.add("qhat_zero", abs(q.coeff_zero()), 1e-15, strict_less=False)
@@ -543,7 +554,6 @@ def korner_polynomial(eps: float, delta: float,
 
 def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
                     unit_floor: float = 0.2, k_cap: int = 41,
-                    deg_tile_cap: int = 4096,
                     strict: bool = True) -> ApproximantReport:
     """Analytic Q and exceptional mask E with Q ~ 1 on E.
 
@@ -590,7 +600,8 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
         )
     tile_width = 2.0 * math.pi / K
     f_tol = eps / (10.0 * K * g_l1)
-    tile = _triangle_partial(tile_width, max(f_tol, 1e-4), max_degree=deg_tile_cap)
+    tile = _triangle_partial(tile_width, max(f_tol, 1e-4),
+                             max_degree=ANALYTIC_TILE_DEGREE_CAP)
     if triangle_coeff_tail(tile_width, tile.degree()) >= f_tol:
         deviations.append(
             f"tile l1 accuracy capped at degree {tile.degree()} "
@@ -598,17 +609,8 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
         )
     deg_f = tile.degree()
 
-    base = 2 * deg_f + g_poly.degree() + 2
-    if base % 2 == 0:
-        base += 1  # keep K * base^s odd * odd = odd when K odd
-    terms = []
-    rates = []
-    r = K * base
-    for s in range(1, K + 1):
-        rates.append(r)
-        terms.append(BlockTerm(tp.translate(tile, 2.0 * math.pi * s / K), g_poly, r))
-        r *= base
-    q = BlockSum(terms, layout="segments")
+    rates = _segment_rates(K, deg_f, g_poly.degree())
+    q = _tiled_sum(tile, g_poly, rates, "segments")
 
     # exceptional set: inside each tile interval, remove the pullback bad set
     t = grid.points
@@ -729,7 +731,6 @@ def _structural_containment(product, p1: TrigPoly, payload: TrigPoly,
 
 def block_approximant(f: SampledFunction, eps: float, delta: float,
                       s: int, a: int,
-                      sstar_constant: float = 64.0,
                       strict: bool = True) -> ApproximantReport:
     """Polynomial P with spec P inside the two-sided block family B(s, a).
 
@@ -741,7 +742,7 @@ def block_approximant(f: SampledFunction, eps: float, delta: float,
 
     Certified (measured): m{|P - f| > delta} < eps; spectrum containment
     (structural + sampled oracle); m{S**(P) > C/eps (|f| + delta)} < eps
-    with C = `sstar_constant` and S** replaced by its certified pointwise
+    with C = SSTAR_CONSTANT and S** replaced by its certified pointwise
     upper bound.
 
     Carrier degrees >= 1 force one-sided unit approximants at quality
@@ -831,8 +832,7 @@ def block_approximant(f: SampledFunction, eps: float, delta: float,
     q3 = q3_rep.poly
     # P = Q3(R t) * P2: the tiled dip's values sit near 1, so P tracks P2,
     # while every frequency k_q R + (k + k_v p(k)) lands inside the block.
-    poly = ScaledProduct(q3, _scale_rate(s, s + 2, a), p2,
-                         q_sstar_bound=q3.coeff_l1())
+    poly = ScaledProduct(q3, _scale_rate(s, s + 2, a), p2)
 
     report = ApproximantReport(
         poly, deviations=tuple(deviations) + tuple(q3_rep.deviations))
@@ -840,9 +840,9 @@ def block_approximant(f: SampledFunction, eps: float, delta: float,
     report.add("approximates_f",
                measure_fraction(np.abs(vals - f.values) > delta), eps)
     sup = poly.sstar_upper(grid)
-    thresh = (sstar_constant / eps) * (np.abs(f.values) + delta)
+    thresh = (SSTAR_CONSTANT / eps) * (np.abs(f.values) + delta)
     report.add("sstar_measure", measure_fraction(sup > thresh), eps)
-    report.extras["sstar_constant_budget"] = sstar_constant
+    report.extras["sstar_constant_budget"] = SSTAR_CONSTANT
     report.extras["carrier_degree"] = float(deg1)
     report.extras["payload_degree"] = float(payload.degree())
     report.extras["q3_degree_log2"] = float(math.log2(max(q3.degree(), 1)))
@@ -911,8 +911,7 @@ def analytic_block_approximant(f: SampledFunction, eps: float,
             f"analytic tiled stage degree exceeds s = {s}",
             {"step": "Q3", "required_order_exceeds": float(math.log2(q3.degree()))},
         )
-    poly = ScaledProduct(q3, _scale_rate(s, s + 2, a), p2,
-                         q_sstar_bound=q3.coeff_l1())
+    poly = ScaledProduct(q3, _scale_rate(s, s + 2, a), p2)
 
     report = ApproximantReport(
         poly, deviations=tuple(q2_rep.deviations) + tuple(q3_rep.deviations))

@@ -346,10 +346,10 @@ class BlockSum:
         return sum(len(t.carrier) * len(t.payload) for t in self.terms)
 
     def iter_coeffs(self, limit: Optional[int] = None) -> Iterator[Tuple[object, complex]]:
-        """Yield (frequency, coefficient); frequencies are exact only for
-        integer rates (structural tuples otherwise via iter_structure)."""
+        """Yield (frequency, coefficient); integer rates only, lazy rates
+        raise OverflowError."""
         if self.lazy:
-            raise OverflowError("lazy rates: use iter_structure() instead")
+            raise OverflowError("lazy rates: frequencies not materializable")
         count = 0
         for t in self.terms:
             for k, hk in t.payload.coeffs.items():
@@ -359,13 +359,6 @@ class BlockSum:
                     count += 1
                     if limit is not None and count >= limit:
                         return
-
-    def iter_structure(self) -> Iterator[Tuple[int, int, int, complex]]:
-        """Yield (term_index, payload_k, carrier_k, coefficient)."""
-        for i, t in enumerate(self.terms):
-            for k, hk in t.payload.coeffs.items():
-                for c, cc in t.carrier.coeffs.items():
-                    yield i, k, c, hk * cc
 
     def coeff_zero(self) -> complex:
         return 0j  # payloads exclude frequency 0 and rates exceed carriers
@@ -476,7 +469,7 @@ class ScaledProduct:
     of P.
     """
 
-    def __init__(self, q, rate: Rate, p, q_sstar_bound: Optional[float] = None):
+    def __init__(self, q, rate: Rate, p):
         self.q = q
         self.p = p
         self.rate = rate
@@ -486,8 +479,8 @@ class ScaledProduct:
             raise ValueError("rate must exceed 2 * deg(inner)")
         if q.coeff_zero() != 0:
             raise ValueError("outer factor must have zero mean coefficient")
-        #: scalar bound for sup_t sup_windows |S(Q)|: crude l1 by default
-        self.q_sstar_bound = q_sstar_bound if q_sstar_bound is not None else q.coeff_l1()
+        #: scalar bound for sup_t sup_windows |S(Q)|: the crude l1
+        self.q_sstar_bound = q.coeff_l1()
 
     @property
     def lazy(self) -> bool:

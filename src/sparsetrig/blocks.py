@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 DEFAULT_S_CAP = 6
+#: single-step growth steps the Hadamard walk takes before it stalls
+MAX_B_STEPS = 10 ** 6
 
 
 class BlockRangeError(ValueError):
@@ -348,14 +350,14 @@ def linearization_constant(s: int, s_cap: int = DEFAULT_S_CAP) -> int:
     return max(abs(e[1]) for e in cert.entries) + 1
 
 
-def _hadamard_walk(family: str, eps, n_target: int, lam1: int, s_cap: int,
-                   max_b_steps: int) -> Tuple[List[int], Tuple[ManifestEntry, ...]]:
+def _hadamard_walk(family: str, eps, n_target: int,
+                   s_cap: int) -> Tuple[List[int], Tuple[ManifestEntry, ...]]:
     """The increasing positive sequence of build_hadamard_spectrum and its
     manifest; family "B" inserts the positive part of B(s, a), "D" all of
     D(s, a)."""
     block = block_B if family == "B" else block_D
     evals = _eps_array(eps, n_target + 1)
-    out: List[int] = [int(lam1)]
+    out: List[int] = [2]  # lambda(1)
     manifest: List[ManifestEntry] = []
     last_s = 0
     b_steps = 0
@@ -390,7 +392,7 @@ def _hadamard_walk(family: str, eps, n_target: int, lam1: int, s_cap: int,
             last_s = s_pick
         else:
             b_steps += 1
-            if b_steps > max_b_steps:
+            if b_steps > MAX_B_STEPS:
                 raise RuntimeError(
                     "construction stalls: eps never becomes small enough for a block"
                 )
@@ -399,15 +401,14 @@ def _hadamard_walk(family: str, eps, n_target: int, lam1: int, s_cap: int,
     return out, tuple(manifest)
 
 
-def _squares_walk(family: str, w, n_blocks: int, s_start: int,
-                  s_cap: int) -> BuiltSpectrum:
+def _squares_walk(family: str, w, n_blocks: int, s_cap: int) -> BuiltSpectrum:
     """build_squares_spectrum over B(s, 2a, a^2) (family "B") or
     D(s, 2a, a^2) (family "D") blocks."""
     block_nu = block_B_nu if family == "B" else block_D_nu
     elements: set = set()
     manifest: List[ManifestEntry] = []
     prev_max = 0
-    for s in range(s_start, s_start + n_blocks):
+    for s in range(1, n_blocks + 1):
         if s > s_cap:
             raise BlockRangeError(f"s={s} exceeds cap {s_cap}")
         # labels of B(s, A) do not depend on A once A is large; probe once
@@ -430,9 +431,7 @@ def _squares_walk(family: str, w, n_blocks: int, s_start: int,
 def build_hadamard_spectrum(
     eps: Callable[[int], float] | Sequence[float],
     n_target: int,
-    lam1: int = 2,
     s_cap: int = DEFAULT_S_CAP,
-    max_b_steps: int = 10 ** 6,
 ) -> BuiltSpectrum:
     """Symmetric spectrum with lambda(n+1)/lambda(n) > 1 + eps(n).
 
@@ -441,7 +440,7 @@ def build_hadamard_spectrum(
     feasible s, each s used at most once so the embedded s_k increase),
     and single-step growth lambda(m+1) = ceil(lambda(m)(1+eps(m))) + 1.
     """
-    pos, manifest = _hadamard_walk("B", eps, n_target, lam1, s_cap, max_b_steps)
+    pos, manifest = _hadamard_walk("B", eps, n_target, s_cap)
     full = sorted({-x for x in pos} | set(pos))
     return BuiltSpectrum(SpectrumSet(tuple(full)), manifest)
 
@@ -449,7 +448,6 @@ def build_hadamard_spectrum(
 def build_squares_spectrum(
     w: Callable[[int], float],
     n_blocks: int,
-    s_start: int = 1,
     s_cap: int = DEFAULT_S_CAP,
 ) -> BuiltSpectrum:
     """Union of blocks B(s, 2a(s), a(s)^2): a symmetric near-squares spectrum.
@@ -458,26 +456,23 @@ def build_squares_spectrum(
     |tau(b)| <= C_lin + C_lin^2 where C_lin certifies the linearization of
     B(s, 2a); a(s) is the smallest value making that bound < sqrt(w(a - C_lin)).
     """
-    return _squares_walk("B", w, n_blocks, s_start, s_cap)
+    return _squares_walk("B", w, n_blocks, s_cap)
 
 
 def build_analytic_hadamard_spectrum(
     eps: Callable[[int], float] | Sequence[float],
     n_target: int,
-    lam1: int = 2,
     s_cap: int = DEFAULT_S_CAP,
-    max_b_steps: int = 10 ** 6,
 ) -> BuiltSpectrum:
     """Positive-only variant of build_hadamard_spectrum using D(s, a) blocks."""
-    pos, manifest = _hadamard_walk("D", eps, n_target, lam1, s_cap, max_b_steps)
+    pos, manifest = _hadamard_walk("D", eps, n_target, s_cap)
     return BuiltSpectrum(SpectrumSet(tuple(pos)), manifest)
 
 
 def build_analytic_squares_spectrum(
     w: Callable[[int], float],
     n_blocks: int,
-    s_start: int = 1,
     s_cap: int = DEFAULT_S_CAP,
 ) -> BuiltSpectrum:
     """Positive near-squares spectrum from D(s, 2a, a^2) blocks."""
-    return _squares_walk("D", w, n_blocks, s_start, s_cap)
+    return _squares_walk("D", w, n_blocks, s_cap)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .approximants import (ApproximantReport, ConstructionInfeasible,
                            block_approximant, fejer_until)
 from .blockpoly import (Freq, LazyRate, ScaledProduct, contracted_index_map,
                         log2_sum_upper, rate_log2)
-from .blocks import (BuiltSpectrum, ManifestEntry, SpectrumSet,
-                     divide_spectrum, shift_spectrum)
+from .blocks import (BuiltSpectrum, SpectrumSet, divide_spectrum,
+                     shift_spectrum)
 from .circle import (CircleGrid, SampledFunction, l0_of_abs, measure_fraction)
 from .riesz import default_ratio_rule
 from .trigpoly import TrigPoly
@@ -119,9 +119,12 @@ class RepresentationRun:
         return all(st.ok for st in self.stages)
 
     def residual_l0(self) -> float:
+        """L0 of the final residual over the points where it is defined:
+        the infinity mode leaves NaN at the target's infinite points."""
         if self.final_residual is None:
             return math.inf
-        return l0_of_abs(np.abs(self.final_residual))
+        r = self.final_residual
+        return l0_of_abs(np.abs(r[~np.isnan(r)]))
 
     def stage_polys(self):
         return [st.poly for st in self.stages if st.poly is not None]
@@ -157,8 +160,8 @@ class RepresentationRun:
 # a.e.-style engine over a built two-sided spectrum
 # ---------------------------------------------------------------------------
 
-def run_ae_engine(f: SampledFunction, built: BuiltSpectrum, n_stages: int,
-                  sstar_constant: float = 64.0) -> RepresentationRun:
+def run_ae_engine(f: SampledFunction, built: BuiltSpectrum,
+                  n_stages: int) -> RepresentationRun:
     """Stagewise representation over the blocks embedded in a spectrum.
 
     Stage n approximates the residual at tolerances (2^-n, 2^-2n) inside
@@ -188,8 +191,7 @@ def run_ae_engine(f: SampledFunction, built: BuiltSpectrum, n_stages: int,
             try:
                 rep = block_approximant(
                     SampledFunction(grid, residual), eps_n, delta_n,
-                    entry.s, entry.a, sstar_constant=sstar_constant,
-                    strict=False)
+                    entry.s, entry.a, strict=False)
             except ConstructionInfeasible as exc:
                 run.flags.setdefault("skipped_blocks", []).append(
                     {"n": n, "s": entry.s, "a": entry.a,
@@ -239,10 +241,7 @@ def auto_nu(prev_nu, ratio: float, min_log2: float) -> LazyRate:
 
 
 def run_squares_engine(f: SampledFunction, n_stages: int,
-                       s_budget: int = 200000, a: int = 3,
-                       manifest: Optional[Sequence[ManifestEntry]] = None,
-                       ratio_rule: Callable[[int], float] = default_ratio_rule,
-                       ) -> RepresentationRun:
+                       s_budget: int = 200000, a: int = 3) -> RepresentationRun:
     """Residual damping through cosine-modulated block approximants.
 
     Stage n: approximate the residual F_n at (n^-2, 4^-n) inside a block
@@ -258,47 +257,21 @@ def run_squares_engine(f: SampledFunction, n_stages: int,
     prev_deg_log2 = 0.0
     for n in range(1, n_stages + 1):
         eps_n, delta_n = 1.0 / n ** 2, 4.0 ** -n
-        if manifest is not None:
-            if n - 1 >= len(manifest):
-                run.flags["exhausted"] = True
-                break
-            entry = manifest[n - 1]
-            s_n, a_n = entry.s, entry.a
-            nu_n = entry.nu
-            if nu_n is None:
-                raise ValueError("squares manifest entries need nu")
-            if prev_nu is not None and not (
-                    rate_log2(nu_n) > rate_log2(prev_nu)
-                    + math.log2(ratio_rule(n))):
-                raise ValueError(f"nu ratio precondition violated at stage {n}")
-        else:
-            s_n, a_n = s_budget, a
-            nu_n = None  # chosen after the block approximant exists
         try:
             rep = block_approximant(SampledFunction(grid, residual),
-                                    eps_n, delta_n, s_n, a_n, strict=False)
+                                    eps_n, delta_n, s_budget, a, strict=False)
         except ConstructionInfeasible as exc:
             run.flags["infeasible"] = {"stage": n, "reason": str(exc),
                                        "diagnostics": exc.diagnostics}
             break
         inner = rep.poly
-        if inner.spectrum_size() == 0:
-            if nu_n is None:
-                nu_n = auto_nu(prev_nu, ratio_rule(n), prev_deg_log2 + 1.0)
-            poly = inner
-        else:
-            if nu_n is None:
-                # nu must clear both the current block and the previous stage
-                nu_n = auto_nu(prev_nu, ratio_rule(n),
-                               max(inner.degree_log2(), prev_deg_log2) + 1.0)
-            if not (rate_log2(nu_n) > inner.degree_log2()):
-                run.flags["infeasible"] = {
-                    "stage": n, "reason": "nu does not clear the block degree"}
-                break
-            poly = _Modulated(nu_n, inner, "cos")
-        stage = RunStage(n, {"kind": "B_nu", "s": s_n, "a": a_n,
-                             "nu_log2": rate_log2(nu_n) if nu_n else None},
-                         poly, rep)
+        # nu must clear both the current block and the previous stage
+        floor_log2 = max(inner.degree_log2(), prev_deg_log2) \
+            if inner.spectrum_size() else prev_deg_log2
+        nu_n = auto_nu(prev_nu, default_ratio_rule(n), floor_log2 + 1.0)
+        poly = _Modulated(nu_n, inner, "cos") if inner.spectrum_size() else inner
+        stage = RunStage(n, {"kind": "B_nu", "s": s_budget, "a": a,
+                             "nu_log2": rate_log2(nu_n)}, poly, rep)
         idx = contracted_index_map(nu_n, grid)
         cosv = np.cos(grid.points[idx])
         pv = poly.values(grid, allow_alias=True)
@@ -324,11 +297,19 @@ def run_squares_engine(f: SampledFunction, n_stages: int,
 # asymptotic-L2 analytic engine and the infinity mode
 # ---------------------------------------------------------------------------
 
+def _l2_on(sup: np.ndarray, mask: np.ndarray) -> float:
+    """L2 norm over `mask` of the window bound, capped at 1e15 (0 on an
+    empty mask)."""
+    return math.sqrt(float(np.mean(np.minimum(sup, 1e15)[mask] ** 2))) \
+        if mask.any() else 0.0
+
+
 def _analytic_stage(f_target: np.ndarray, n: int, grid: CircleGrid,
                     prev_deg: int, prev_e: Optional[np.ndarray],
-                    partial: np.ndarray, unit_floor: float):
+                    partial: np.ndarray, finite: Optional[np.ndarray]):
     """One stage of the positive-spectrum scheme; returns (stage, P values,
-    E_n, new degree)."""
+    E_n, new degree).  With a `finite` mask the L2 window norm is also
+    reported split over the finite and the infinite points."""
     tol = 2.0 ** -(n + 1)
     resid = f_target - partial
     g_n, gdiag = fejer_until(SampledFunction(grid, resid), tol, tol, 4096)
@@ -340,13 +321,10 @@ def _analytic_stage(f_target: np.ndarray, n: int, grid: CircleGrid,
     d_mask = np.abs(g_n.values(grid, allow_alias=True) - resid) <= tol
     g_l1 = g_n.coeff_l1()
     eps_n = tol / (g_l1 + 1.0)
-    q_rep = analytic_korner(eps_n, grid=grid, strict=False,
-                            unit_floor=unit_floor)
+    q_rep = analytic_korner(eps_n, grid=grid, strict=False)
     q = q_rep.poly
-    r_n = prev_deg + 2 * g_n.degree() + 1
-    if r_n % 2 == 0:
-        r_n += 1
-    poly = ScaledProduct(q, r_n, g_n, q_sstar_bound=q.coeff_l1())
+    r_n = (prev_deg + 2 * g_n.degree() + 1) | 1
+    poly = ScaledProduct(q, r_n, g_n)
     e_mask = q_rep.exceptional_set[contracted_index_map(r_n, grid)] & d_mask
     stage.block = {"kind": "analytic", "r_log2": math.log2(r_n),
                    "eps_n": eps_n, "korner_failures": q_rep.failures()}
@@ -361,16 +339,42 @@ def _analytic_stage(f_target: np.ndarray, n: int, grid: CircleGrid,
         stage.cert("analytic", 1.0, 0.5)
     sup = poly.sstar_upper(grid)
     both = e_mask & (prev_e if prev_e is not None else np.ones(grid.size, bool))
-    l2 = math.sqrt(float(np.mean(np.minimum(sup, 1e15)[both] ** 2))) if both.any() else 0.0
-    stage.certificates["l2_window_norm"] = {"measured": l2,
-                                            "bound": None, "pass": True}
+    windows = {"l2_window_norm": both}
+    if finite is not None:
+        windows["l2_window_norm_finite"] = both & finite
+        windows["l2_window_norm_infinite"] = both & ~finite
+    for name, mask in windows.items():
+        stage.certificates[name] = {"measured": _l2_on(sup, mask),
+                                    "bound": None, "pass": True}
     # exact integer degree: the analytic stage factors keep integer rates
     new_deg = r_n * q.degree() + g_n.degree()
     return stage, pv, e_mask, new_deg
 
 
-def run_asymptotic_l2_engine(f: SampledFunction, n_stages: int,
-                             unit_floor: float = 0.2) -> RepresentationRun:
+def _run_analytic(kind: str, f: SampledFunction, n_stages: int,
+                  target_at: Callable[[int], np.ndarray],
+                  finite: Optional[np.ndarray] = None):
+    """Drive the positive-spectrum stages toward target_at(n) at stage n;
+    returns the run and the final partial sum."""
+    grid = f.grid
+    run = RepresentationRun(kind, f, grid)
+    partial = np.zeros(grid.size, dtype=complex)
+    prev_deg = 0
+    prev_e = None
+    for n in range(1, n_stages + 1):
+        stage, pv, e_mask, prev_deg = _analytic_stage(
+            target_at(n), n, grid, prev_deg, prev_e, partial, finite)
+        run.stages.append(stage)
+        if pv is None:
+            run.flags["infeasible"] = {"stage": n, "reason": stage.note}
+            break
+        partial = partial + pv
+        prev_e = e_mask
+    return run, partial
+
+
+def run_asymptotic_l2_engine(f: SampledFunction,
+                             n_stages: int) -> RepresentationRun:
     """Positive-spectrum stagewise representation, L2-windowed certificates.
 
     Per stage: approximate the residual by G_n, multiply by a contracted
@@ -379,64 +383,30 @@ def run_asymptotic_l2_engine(f: SampledFunction, n_stages: int,
     spectra positive, and the L2(E_n cap E_{n-1}) window norms (reported,
     with the stage-to-stage decay as the acceptance handle).
     """
-    grid = f.grid
-    run = RepresentationRun("asymptotic_l2", f, grid)
-    partial = np.zeros(grid.size, dtype=complex)
-    prev_deg = 0
-    prev_e = None
-    for n in range(1, n_stages + 1):
-        stage, pv, e_mask, prev_deg = _analytic_stage(
-            f.values, n, grid, prev_deg, prev_e, partial, unit_floor)
-        run.stages.append(stage)
-        if pv is None:
-            run.flags["infeasible"] = {"stage": n, "reason": stage.note}
-            break
-        partial = partial + pv
-        prev_e = e_mask
+    run, partial = _run_analytic("asymptotic_l2", f, n_stages,
+                                 lambda n: f.values)
     run.final_residual = f.values - partial
-    norms = [st.certificates.get("l2_window_norm", {}).get("measured")
-             for st in run.stages]
-    run.flags["l2_window_norms"] = norms
+    run.flags["l2_window_norms"] = [
+        st.certificates.get("l2_window_norm", {}).get("measured")
+        for st in run.stages]
     return run
 
 
-def run_infinity_mode(f: SampledFunction, n_stages: int,
-                      unit_floor: float = 0.2) -> RepresentationRun:
+def run_infinity_mode(f: SampledFunction, n_stages: int) -> RepresentationRun:
     """Extended-target variant: clip +-infinity to +-n at stage n.
 
     The L2 window certificate splits over the finite part (must decay like
     C 2^-n) and the infinite part (bounded); convergence in measure toward
     the clipped targets is reported through the per-stage masks.
     """
-    grid = f.grid
-    run = RepresentationRun("infinity", f, grid)
     finite = f.extended_sign == 0
     f_base = np.where(finite, f.values, 0.0)
-    partial = np.zeros(grid.size, dtype=complex)
-    prev_deg = 0
-    prev_e = None
-    for n in range(1, n_stages + 1):
-        f_n = f_base + np.where(f.extended_sign > 0, float(n), 0.0) \
+
+    def clipped(n: int) -> np.ndarray:
+        return f_base + np.where(f.extended_sign > 0, float(n), 0.0) \
             + np.where(f.extended_sign < 0, float(-n), 0.0)
-        stage, pv, e_mask, prev_deg = _analytic_stage(
-            f_n, n, grid, prev_deg, prev_e, partial, unit_floor)
-        if pv is not None and stage.poly is not None:
-            sup = stage.poly.sstar_upper(grid)
-            both = e_mask & (prev_e if prev_e is not None else np.ones(grid.size, bool))
-            fin = both & finite
-            inf_part = both & ~finite
-            l2_fin = math.sqrt(float(np.mean(np.minimum(sup, 1e15)[fin] ** 2))) if fin.any() else 0.0
-            l2_inf = math.sqrt(float(np.mean(np.minimum(sup, 1e15)[inf_part] ** 2))) if inf_part.any() else 0.0
-            stage.certificates["l2_window_norm_finite"] = {
-                "measured": l2_fin, "bound": None, "pass": True}
-            stage.certificates["l2_window_norm_infinite"] = {
-                "measured": l2_inf, "bound": None, "pass": True}
-        run.stages.append(stage)
-        if pv is None:
-            run.flags["infeasible"] = {"stage": n, "reason": stage.note}
-            break
-        partial = partial + pv
-        prev_e = e_mask
+
+    run, partial = _run_analytic("infinity", f, n_stages, clipped, finite)
     run.final_residual = np.where(finite, f_base - partial, np.nan)
     run.flags["final_partial_real_quantiles"] = [
         float(np.quantile(partial.real[f.extended_sign > 0], q))
@@ -451,9 +421,7 @@ def run_infinity_mode(f: SampledFunction, n_stages: int,
 
 def run_stoptime_engine(f: SampledFunction, interval_mask: np.ndarray,
                         eps: float, s_budget: int = 200000, a: int = 3,
-                        max_stages: int = 40,
-                        ratio_rule: Callable[[int], float] = default_ratio_rule,
-                        ) -> RepresentationRun:
+                        max_stages: int = 40) -> RepresentationRun:
     """Freeze-on-success representation of a target supported on an interval.
 
     The working residual freezes to zero at any point whose history dipped
@@ -476,7 +444,7 @@ def run_stoptime_engine(f: SampledFunction, interval_mask: np.ndarray,
         if l0_of_abs(np.abs(t_vals)) < eps and k > 0:
             stopped = True
             break
-        nu_k = auto_nu(prev_nu, ratio_rule(k + 1), prev_deg_log2 + 1.0)
+        nu_k = auto_nu(prev_nu, default_ratio_rule(k + 1), prev_deg_log2 + 1.0)
         try:
             rep = analytic_block_approximant(
                 SampledFunction(grid, r_k), eps * 2.0 ** (-k - 2),

@@ -48,17 +48,17 @@ def legendre(a: int, p: int) -> int:
     return int(r)  # 0 or 1
 
 
-def find_nonresidue_run(r: int, p_start: int = 3, p_cap: int = PRIME_CAP) -> Tuple[int, int]:
-    """Smallest prime p >= p_start with x such that x+1..x+r are all non-residues.
+def find_nonresidue_run(r: int) -> Tuple[int, int]:
+    """Smallest prime p with x such that x+1..x+r are all non-residues.
 
     Brute-force search standing in for the Davenport-Weil existence theorem;
-    raises if no prime below p_cap works (does not happen for r <= 8).
+    raises if no prime below PRIME_CAP works (does not happen for r <= 8).
     """
     if r < 2:
         raise ValueError("r must be >= 2")
-    for p in primes_from(p_start):
-        if p > p_cap:
-            raise RuntimeError(f"no run of length {r} found below {p_cap}")
+    for p in primes_from(3):
+        if p > PRIME_CAP:
+            raise RuntimeError(f"no run of length {r} found below {PRIME_CAP}")
         if p <= r:
             continue
         flags = [legendre(a, p) == -1 for a in range(p)]
@@ -95,8 +95,7 @@ def square_classes(p: int) -> set:
     return sq | {(-x) % p for x in sq}
 
 
-def squares_gap_certificate(A: int, checked_range: int = 10 ** 4,
-                            p_cap: int = PRIME_CAP) -> GapCertificate:
+def squares_gap_certificate(A: int, checked_range: int = 10 ** 4) -> GapCertificate:
     """Find (p, m) with p = 1 (mod 4) whose square classes miss (m-A, m+A).
 
     Verified two ways: once on the residue classes and once by scanning all
@@ -105,8 +104,8 @@ def squares_gap_certificate(A: int, checked_range: int = 10 ** 4,
     if A < 1:
         raise ValueError("A must be >= 1")
     for p in primes_from(5):
-        if p > p_cap:
-            raise RuntimeError(f"no gap certificate found below {p_cap}")
+        if p > PRIME_CAP:
+            raise RuntimeError(f"no gap certificate found below {PRIME_CAP}")
         if p % 4 != 1:
             continue
         cls = square_classes(p)

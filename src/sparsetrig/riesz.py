@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .circle import CircleGrid, GridError
 
 LOG_SINGULARITY_FLOOR = 1e-30
 NEG_LOG_2 = -math.log(2.0)
+#: c of the upper bound prod_{k<=n} (1 - cos nu_k t) < c^n
+C_UPPER = 0.9
 #: L2 norm of log|1 - e^{it}| under normalized measure (= pi/sqrt(12))
 PHI_L2_NORM = math.pi / math.sqrt(12.0)
 
@@ -64,10 +66,9 @@ def default_ratio_rule(k: int) -> float:
 
 
 def make_schedule(n: int, nu1: int = 9,
-                  growth: Callable[[int], float] = default_ratio_rule,
                   force_odd: bool = True) -> RieszSchedule:
     """Build nu_1 < nu_2 < ... with nu_{k+1} the first admissible integer
-    at or above nu_k * L_k.
+    at or above nu_k * L_k, L_k = default_ratio_rule(k).
 
     With force_odd (the default) every frequency is rounded up to the next
     odd integer, keeping gcd(nu_k, M) = 1 on even grids so that sampled
@@ -81,7 +82,7 @@ def make_schedule(n: int, nu1: int = 9,
     freqs = [first]
     floors = [0.0]
     for k in range(1, n):
-        lk = float(growth(k))
+        lk = float(default_ratio_rule(k))
         # integer arithmetic: frequencies quickly exceed float range
         cand = freqs[-1] * max(1, math.ceil(lk))
         if force_odd and cand % 2 == 0:
@@ -121,8 +122,9 @@ class RieszDiagnostics:
 
 
 def cosine_product_bounds(sched: RieszSchedule, grid: CircleGrid, n_max: int,
-                          c_upper: float = 0.9, n_lo: int = 20) -> RieszDiagnostics:
-    """Evaluate prod_{k<=n}(1 - cos nu_k t) against 3^-n and c^n bounds.
+                          n_lo: int = 20) -> RieszDiagnostics:
+    """Evaluate prod_{k<=n}(1 - cos nu_k t) against 3^-n and c^n bounds,
+    c = C_UPPER.
 
     Reports the fraction of unmasked points obeying both bounds for every
     n in [n_lo, n_max], and the empirical mean of (1/n) sum log(1 - cos),
@@ -145,7 +147,7 @@ def cosine_product_bounds(sched: RieszSchedule, grid: CircleGrid, n_max: int,
     last_fail = np.zeros(m, dtype=np.int64)
     min_trace = np.full(m, np.inf)
     log3 = math.log(3.0)
-    logc = math.log(c_upper)
+    logc = math.log(C_UPPER)
     for n in range(1, n_max + 1):
         idx = contracted_angle_indices(sched.frequencies[n - 1], grid)
         masked |= sing[idx]
@@ -173,7 +175,7 @@ def cosine_product_bounds(sched: RieszSchedule, grid: CircleGrid, n_max: int,
         "mean_log_one_minus_cos": mean_log,
         "target_mean": NEG_LOG_2,
         "n_window": (n_lo, n_max),
-        "c_upper": c_upper,
+        "c_upper": C_UPPER,
         "masked_points": int(masked.sum()),
     }
     return diag
@@ -325,12 +327,13 @@ def almost_orthogonality(sched: RieszSchedule, grid: CircleGrid) -> np.ndarray:
     return out
 
 
-def export_diagnostics_csv(diag: RieszDiagnostics, path, stride: int = 64) -> None:
-    """Thin CSV export: columns t, first_ok_index, min_log_trace, masked."""
+def export_diagnostics_csv(diag: RieszDiagnostics, path) -> None:
+    """Thin CSV export of every 64th grid point: columns t, first_ok_index,
+    min_log_trace, masked."""
     t = diag.grid.points
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "first_ok_index", "min_log_trace", "masked"])
-        for j in range(0, diag.grid.size, stride):
+        for j in range(0, diag.grid.size, 64):
             w.writerow([repr(float(t[j])), int(diag.first_ok_index[j]),
                         repr(float(diag.min_trace[j])), int(diag.masked[j])])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict
+from typing import Dict
 
 import numpy as np
 

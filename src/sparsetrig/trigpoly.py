@@ -20,6 +20,8 @@ import numpy as np
 from .circle import CircleGrid, GridError, SampledFunction
 
 DENSE_EVAL_THRESHOLD = 512
+#: largest support the exact S** window sweep accepts
+S_STAR_STAR_SUPPORT_CAP = 4096
 
 
 class AliasingError(GridError):
@@ -152,11 +154,6 @@ class TrigPoly:
         out._coeffs = {k + n: v for k, v in self._coeffs.items()}
         return out
 
-    def conjugate(self) -> "TrigPoly":
-        out = TrigPoly()
-        out._coeffs = {-k: v.conjugate() for k, v in self._coeffs.items()}
-        return out
-
     # -- evaluation ------------------------------------------------------
 
     def values(self, grid: CircleGrid, allow_alias: bool = False) -> np.ndarray:
@@ -198,15 +195,6 @@ class TrigPoly:
     def evaluate(self, grid: CircleGrid) -> SampledFunction:
         """Evaluate as a SampledFunction (aliasing guarded)."""
         return SampledFunction(grid, self.values(grid))
-
-    def value_at(self, t: float) -> complex:
-        """Value at an arbitrary angle (frequencies must fit a double)."""
-        out = 0j
-        for k, c in self._coeffs.items():
-            if abs(k) > 2 ** 52:
-                raise OverflowError("value_at requires |k| <= 2**52; use grid sampling")
-            out += c * cmath.exp(1j * k * t)
-        return out
 
     # -- serialization ---------------------------------------------------
 
@@ -269,7 +257,7 @@ def s_star(p: TrigPoly, grid: CircleGrid) -> SampledFunction:
     return SampledFunction(grid, best.astype(complex))
 
 
-def s_star_star(p: TrigPoly, grid: CircleGrid, max_support: int = 4096) -> SampledFunction:
+def s_star_star(p: TrigPoly, grid: CircleGrid) -> SampledFunction:
     """Pointwise sup over all windows [m, n] of |S_{n,m}(p)|.
 
     Windows are delimited by support frequencies (sums are constant
@@ -277,10 +265,10 @@ def s_star_star(p: TrigPoly, grid: CircleGrid, max_support: int = 4096) -> Sampl
     """
     _guard(p, grid)
     spec = p.spectrum()
-    if len(spec) > max_support:
+    if len(spec) > S_STAR_STAR_SUPPORT_CAP:
         raise ValueError(
             f"support {len(spec)} too large for the exact window sweep "
-            f"(cap {max_support})"
+            f"(cap {S_STAR_STAR_SUPPORT_CAP})"
         )
     m = grid.size
     if not spec:

@@ -101,6 +101,22 @@ def test_represent_zero_engine(tmp_path):
     assert (out / "stages.csv").exists()
 
 
+def test_represent_infinity_manifest_is_strict_json(tmp_path):
+    # the residual is NaN at the infinite points; residual_l0 skips them
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"engine": "infinity",
+                               "target": "plus_infinity_arc", "stages": 0}))
+    out = tmp_path / "r"
+    assert run_cli(["represent", "--config", cfg, "--out", out,
+                    "--grid", "256"]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    manifest = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=reject)
+    assert manifest["run"]["residual_l0"] == 0.0
+
+
 @pytest.mark.parametrize("spectrum, word", [
     ({"kind": "squares", "eps": "bogus"}, "squares"),
     ({"kind": "hadamard", "eps": "bogus"}, "bogus"),

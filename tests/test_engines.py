@@ -75,6 +75,18 @@ def test_asymptotic_engine_reports():
     assert "exceptional_measure" in st.certificates
     assert "l2_window_norm" in st.certificates
     assert "l2_window_norms" in run.flags
+    # on a finite target the infinity mode runs the same stages: only the
+    # finite/infinite split of the L2 window norm is added
+    inf_run = run_infinity_mode(sign_t(GRID), 1)
+    inf_certs = inf_run.stages[0].certificates
+    assert inf_certs["l2_window_norm_finite"] == st.certificates["l2_window_norm"]
+    assert inf_certs["l2_window_norm_infinite"]["measured"] == 0.0
+    split = ("l2_window_norm_finite", "l2_window_norm_infinite")
+    inf_stages = [{**stage, "certificates": {
+        k: v for k, v in stage["certificates"].items() if k not in split}}
+        for stage in inf_run.manifest()["stages"]]
+    assert inf_stages == run.manifest()["stages"]
+    assert np.array_equal(inf_run.final_residual, run.final_residual)
 
 
 def test_infinity_mode_finite_matches_asymptotic_shape():
