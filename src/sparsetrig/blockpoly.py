@@ -40,7 +40,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .circle import CircleGrid
-from .trigpoly import TrigPoly, coeff_norms
+from .trigpoly import TrigPoly, coeff_norms, max_window_gap
 
 #: relative log2 margin required between lazily compared frequencies
 LOG_MARGIN = 1e-9
@@ -435,14 +435,7 @@ class BlockSum:
             raise ValueError("partial-sum brackets need the segments layout")
         segs = self._segment_values(grid)
         m = grid.size
-        prefixes = np.zeros((len(segs) + 1, m), dtype=complex)
-        for i, sv in enumerate(segs):
-            prefixes[i + 1] = prefixes[i] + sv
-        dmid = np.zeros(m)
-        for i in range(len(segs) + 1):
-            d = np.abs(prefixes[i + 1:] - prefixes[i])
-            if d.size:
-                np.maximum(dmid, d.max(axis=0), out=dmid)
+        dmid = max_window_gap(lambda i, cols: segs[i][cols], len(segs), m)
         cuts = self._cut_bounds(grid)
         top1 = np.zeros(m)
         top2 = np.zeros(m)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+import types
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .circle import CircleGrid, GridError, SampledFunction
 DENSE_EVAL_THRESHOLD = 512
 #: largest support the exact S** window sweep accepts
 S_STAR_STAR_SUPPORT_CAP = 4096
+#: grid columns per block of the streamed window sweep (`max_window_gap`)
+WINDOW_SWEEP_COLUMNS = 2048
 
 
 class AliasingError(GridError):
@@ -52,7 +55,8 @@ class TrigPoly:
 
     @property
     def coeffs(self) -> Mapping[int, complex]:
-        return dict(self._coeffs)
+        """Read-only view of the coefficient map (no copy)."""
+        return types.MappingProxyType(self._coeffs)
 
     def __getitem__(self, k: int) -> complex:
         return self._coeffs.get(k, 0j)
@@ -184,12 +188,9 @@ class TrigPoly:
 
     def _values_direct(self, m: int) -> np.ndarray:
         out = np.zeros(m, dtype=complex)
-        j = np.arange(m)
-        base = 2.0 * math.pi / m
+        roots, j = _roots(m), np.arange(m)
         for k, c in self._coeffs.items():
-            r = k % m
-            sign = 1.0 if (k % 2 == 0) else -1.0
-            out += (sign * c) * np.exp(1j * base * ((r * j) % m))
+            out += _term(roots, k, c, j)
         return out
 
     def evaluate(self, grid: CircleGrid) -> SampledFunction:
@@ -237,6 +238,50 @@ def _guard(p: TrigPoly, grid: CircleGrid):
         )
 
 
+def _roots(m: int) -> np.ndarray:
+    """exp(2 pi i j / m) for 0 <= j < m, built per call and never kept."""
+    return np.exp(1j * (2.0 * math.pi / m) * np.arange(m))
+
+
+def _term(roots: np.ndarray, k: int, c: complex, j: np.ndarray) -> np.ndarray:
+    """c e^{ik t_j} at grid indices j, from the table of the m-th roots.
+
+    e^{ik t_j} = (-1)^k omega^{(k mod m) j} for t_j = -pi + 2 pi j/m.
+    Values match `coef * np.exp(...)` over the whole grid bit for bit.
+    numpy evaluates that product in place as `row * coef` once the row
+    reaches 256 KiB (temporary elision), and under FMA a complex product
+    can change in its last bit when its operands swap, so the operand order
+    follows the full row size m.
+    """
+    m = roots.size
+    row = roots[((k % m) * j) % m]
+    coef = (1.0 if k % 2 == 0 else -1.0) * c
+    a, b = (row, coef) if m * 16 >= 256 * 1024 else (coef, row)
+    return np.multiply(a, b, out=row)
+
+
+def max_window_gap(rows: Callable[[int, slice], np.ndarray], count: int,
+                   m: int) -> np.ndarray:
+    """Pointwise max over 0 <= i < l <= count of |P_l - P_i| on m points.
+
+    P_i is the sum of the first i rows (P_0 = 0); `rows(i, cols)` gives row
+    i at the grid columns `cols`.  The sweep streams WINDOW_SWEEP_COLUMNS
+    columns at a time, so it holds O(count * WINDOW_SWEEP_COLUMNS) values
+    for any m, and each column's maximum is the one the full prefix matrix
+    gives.
+    """
+    best = np.zeros(m)
+    for lo in range(0, m, WINDOW_SWEEP_COLUMNS):
+        cols = slice(lo, min(lo + WINDOW_SWEEP_COLUMNS, m))
+        prefix = np.zeros((count + 1, cols.stop - lo), dtype=complex)
+        for i in range(count):
+            np.add(prefix[i], rows(i, cols), out=prefix[i + 1])
+        out = best[cols]
+        for i in range(count):
+            np.maximum(out, np.abs(prefix[i + 1:] - prefix[i]).max(axis=0), out=out)
+    return best
+
+
 def s_star(p: TrigPoly, grid: CircleGrid) -> SampledFunction:
     """Pointwise sup over n >= 0 of |S_n(p)| on the grid.
 
@@ -245,6 +290,7 @@ def s_star(p: TrigPoly, grid: CircleGrid) -> SampledFunction:
     """
     _guard(p, grid)
     m = grid.size
+    roots, j = _roots(m), np.arange(m)
     running = np.zeros(m, dtype=complex)
     best = np.zeros(m)
     levels: Dict[int, list] = {}
@@ -252,7 +298,7 @@ def s_star(p: TrigPoly, grid: CircleGrid) -> SampledFunction:
         levels.setdefault(abs(k), []).append((k, c))
     for lev in sorted(levels):
         for k, c in levels[lev]:
-            running += TrigPoly({k: c}).values(grid, allow_alias=True)
+            running += _term(roots, k, c, j)
         np.maximum(best, np.abs(running), out=best)
     return SampledFunction(grid, best.astype(complex))
 
@@ -271,19 +317,9 @@ def s_star_star(p: TrigPoly, grid: CircleGrid) -> SampledFunction:
             f"(cap {S_STAR_STAR_SUPPORT_CAP})"
         )
     m = grid.size
-    if not spec:
-        return SampledFunction(grid, np.zeros(m, dtype=complex))
-    # prefix[i] = value of sum over the first i support frequencies
-    prefixes = np.zeros((len(spec) + 1, m), dtype=complex)
-    running = np.zeros(m, dtype=complex)
-    for i, k in enumerate(spec):
-        running = running + TrigPoly({k: p[k]}).values(grid, allow_alias=True)
-        prefixes[i + 1] = running
-    best = np.zeros(m)
-    for i in range(len(spec) + 1):
-        diff = np.abs(prefixes[i + 1:] - prefixes[i])
-        if diff.size:
-            np.maximum(best, diff.max(axis=0), out=best)
+    roots, j = _roots(m), np.arange(m)
+    best = max_window_gap(lambda i, cols: _term(roots, spec[i], p[spec[i]], j[cols]),
+                          len(spec), m)
     return SampledFunction(grid, best.astype(complex))
 
 

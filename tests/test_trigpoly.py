@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sparsetrig import trigpoly as tp
+from sparsetrig.blockpoly import BlockSum, BlockTerm
 from sparsetrig.circle import CircleGrid
 from sparsetrig.trigpoly import AliasingError, TrigPoly
 
@@ -100,6 +102,105 @@ def test_s_star_star_brute_oracle():
             best = np.maximum(best, np.abs(w))
     ss = tp.s_star_star(p, g).values.real
     assert np.allclose(ss, best, atol=1e-12)
+
+
+# Reference: one np.exp over the grid per coefficient and the full
+# (S+1) x M prefix matrix, as evaluation and the window sweeps computed
+# them before the root-of-unity table and the streamed sweep.
+
+def ref_values_direct(p: TrigPoly, m: int) -> np.ndarray:
+    out = np.zeros(m, dtype=complex)
+    j = np.arange(m)
+    base = 2.0 * math.pi / m
+    for k, c in p.coeffs.items():
+        r = k % m
+        sign = 1.0 if (k % 2 == 0) else -1.0
+        out += (sign * c) * np.exp(1j * base * ((r * j) % m))
+    return out
+
+
+def ref_s_star(p: TrigPoly, m: int) -> np.ndarray:
+    running = np.zeros(m, dtype=complex)
+    best = np.zeros(m)
+    levels = {}
+    for k, c in p.coeffs.items():
+        levels.setdefault(abs(k), []).append((k, c))
+    for lev in sorted(levels):
+        for k, c in levels[lev]:
+            running += ref_values_direct(TrigPoly({k: c}), m)
+        np.maximum(best, np.abs(running), out=best)
+    return best
+
+
+def ref_window_gap(rows, m: int) -> np.ndarray:
+    prefixes = np.zeros((len(rows) + 1, m), dtype=complex)
+    for i, row in enumerate(rows):
+        prefixes[i + 1] = prefixes[i] + row
+    best = np.zeros(m)
+    for i in range(len(rows)):
+        np.maximum(best, np.abs(prefixes[i + 1:] - prefixes[i]).max(axis=0), out=best)
+    return best
+
+
+def random_support_poly(rng, size, deg):
+    keys = rng.choice(np.arange(-deg, deg + 1), size, replace=False)
+    return TrigPoly({int(k): complex(rng.normal(), rng.normal())
+                     * 10.0 ** int(rng.integers(-3, 4)) for k in keys})
+
+
+# 16382 and 16384 sit on either side of numpy's 256 KiB temporary elision
+@pytest.mark.parametrize("m", [1022, 16382, 16384, 32768])
+def test_table_evaluation_and_streamed_sweeps_bit_identical(m):
+    g = CircleGrid(m)
+    rng = np.random.default_rng(m)
+    p = random_support_poly(rng, 96, m // 5)
+    assert len(p) <= tp.DENSE_EVAL_THRESHOLD
+    assert np.array_equal(p.values(g), ref_values_direct(p, m))
+    huge = TrigPoly({2 ** 70 * k + k: c
+                     for k, c in random_support_poly(rng, 40, 1000).coeffs.items()})
+    assert np.array_equal(huge.values(g, allow_alias=True), ref_values_direct(huge, m))
+
+    q = random_support_poly(rng, 24, m // 5)
+    assert np.array_equal(tp.s_star(q, g).values, ref_s_star(q, m).astype(complex))
+    rows = [ref_values_direct(TrigPoly({k: q[k]}), m) for k in q.spectrum()]
+    assert np.array_equal(tp.s_star_star(q, g).values,
+                          ref_window_gap(rows, m).astype(complex))
+
+    def poly(ks):
+        return TrigPoly({k: complex(rng.normal(), rng.normal()) for k in ks})
+    w = BlockSum([BlockTerm(poly(range(-5, 6)), poly([-4, -3, -2, -1, 1, 2, 3, 4]), 11),
+                  BlockTerm(poly(range(-3, 4)), poly([-2, -1, 1, 2]), 101)],
+                 layout="segments")
+    lower, upper = w.sstar_star_bracket(g)
+    dmid = ref_window_gap(w._segment_values(g), m)
+    top1, top2 = np.zeros(m), np.zeros(m)
+    for c in w._cut_bounds(g):
+        swap = c > top1
+        top2 = np.where(swap, top1, np.maximum(top2, np.minimum(c, top1)))
+        top1 = np.where(swap, c, top1)
+    assert np.array_equal(lower, dmid)
+    assert np.array_equal(upper, dmid + top1 + top2)
+
+
+@pytest.mark.parametrize("m", [2 ** 13, 2 ** 15])
+def test_s_star_star_memory_does_not_grow_with_grid(m):
+    p = random_support_poly(np.random.default_rng(5), 64, m // 5)
+    g = CircleGrid(m)
+    tracemalloc.start()
+    try:
+        tp.s_star_star(p, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the full prefix matrix peaked at 24 and 96 MiB here
+    assert peak < 8 * 2 ** 20
+
+
+def test_coeffs_is_read_only_view():
+    p = TrigPoly({1: 2.0})
+    with pytest.raises(TypeError):
+        p.coeffs[1] = 3.0
+    assert dict(p.coeffs) == {1: 2 + 0j}
 
 
 def test_contract_translate():
