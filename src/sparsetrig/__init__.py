@@ -3,11 +3,11 @@ finite-stage representation engines on the discretized circle."""
 
 from .circle import (CircleGrid, SampledFunction, MeasureEstimate,
                      estimate_measure, l0_norm, triangle_function,
-                     triangle_coeff, default_grid)
+                     triangle_coeff)
 from .trigpoly import (TrigPoly, partial_sum, partial_sum_rect, s_star,
                        s_star_star, contract, translate, multiply,
                        special_product, coeff_norms, follows)
-from .blocks import (BlockParams, SpectrumSet, block_B1, block_B1_plus,
+from .blocks import (SpectrumSet, block_B1, block_B1_plus,
                      block_B2, block_B, block_B_nu, block_D, block_D_nu,
                      linearize, shift_spectrum, divide_spectrum,
                      build_hadamard_spectrum, build_squares_spectrum,

@@ -332,8 +332,8 @@ def _next_prime(n: int) -> int:
     return n
 
 
-def disjoint_prime_rates(count: int, payload_deg: int, carrier_spread: int,
-                         start: int = 0) -> List[int]:
+def disjoint_prime_rates(count: int, payload_deg: int,
+                         carrier_spread: int) -> List[int]:
     """Odd primes N_1 < ... < N_count whose dilates k*N_i stay separated.
 
     Ensures |k N_i - k' N_j| > 2*carrier_spread + 2 for all distinct pairs
@@ -343,7 +343,7 @@ def disjoint_prime_rates(count: int, payload_deg: int, carrier_spread: int,
     gap = 2 * carrier_spread + 2
     used: List[int] = []  # sorted multiples k * N_i
     rates: List[int] = []
-    cand = _next_prime(max(start, 2 * carrier_spread + 3,
+    cand = _next_prime(max(2 * carrier_spread + 3,
                            2 * payload_deg * (carrier_spread + 2)))
     while len(rates) < count:
         ok = True
@@ -430,20 +430,37 @@ def _tiled_sum(tile: TrigPoly, payload: TrigPoly, rates: List[int],
                      for s, r in enumerate(rates, start=1)], layout=layout)
 
 
+def _tiled_setup(eps: float, delta: float, K: int,
+                 tile_l1_tol: float) -> Tuple[TrigPoly, float, int, List[str]]:
+    """(tile, dip width, dip degree, deviations) shared by both tiled dips:
+    the K-tile triangle partial sum with l1 tail < tile_l1_tol and the
+    zero-mean dip's width eps/4 and degree for delta."""
+    if not (0 < eps < 1 and 0 < delta < 1):
+        raise ValueError("eps and delta must lie in (0, 1)")
+    tile = _triangle_partial(2.0 * math.pi / K, tile_l1_tol)
+    dip_width = eps / 4.0
+    amp = 1.0 / triangle_coeff(dip_width, 0)  # zero-mean normalization
+    # off-dip partial-sum residual ~ 24 A / (pi w^2 N^2) kept under delta/4
+    deg_dip = max(64, int(math.sqrt(
+        96.0 * amp / (math.pi * dip_width ** 2 * delta))) + 1)
+    deviations = [
+        "dip amplitude normalized to 1/tau_hat(0) so that the zero-mean "
+        "requirement holds exactly",
+        f"tile count K = {K} chosen from the exact coefficient bound "
+        "|Q^|_inf = |F^|_inf |G^|_inf rather than the crude l1 chain",
+    ]
+    return tile, dip_width, deg_dip, deviations
+
+
 def korner_polynomial(eps: float, delta: float,
                       grid: Optional[CircleGrid] = None,
-                      n_tiles: Optional[int] = None,
-                      layout: str = "segments",
-                      deg_budget: Optional[int] = None,
-                      tile_l1_tol: Optional[float] = None,
-                      sstar_budget: float = SSTAR_CONSTANT,
                       strict: bool = True) -> ApproximantReport:
     """Zero-mean polynomial Q with Q ~ 1 off an eps-set and tame partial sums.
 
     Q = sum_{s=1}^{K} (tile translated by 2 pi s / K) * (dip contracted by
     N_s): the tiles are triangle partial sums summing to 1, the dip is the
-    zero-mean 1 - A*tau_{eps/4} profile, and the N_s grow so the blocks
-    follow each other ("segments") or at least stay disjoint ("subblocks").
+    zero-mean 1 - A*tau_{eps/4} profile, and the geometric rates N_s make
+    each block follow the previous one.
 
     Certified: Q^(0) = 0 and |Q^|_inf < delta (exact, blockwise);
     m{|Q - 1| > delta} < eps (grid measure); a certified upper bound for
@@ -452,91 +469,27 @@ def korner_polynomial(eps: float, delta: float,
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ValueError("eps and delta must lie in (0, 1)")
     grid = grid or CircleGrid(2 ** 14)
-    K = n_tiles or max(8, 2 ** math.ceil(math.log2(4.0 / min(eps, delta))))
-    tile_width = 2.0 * math.pi / K
-    c_l1 = tile_l1_tol if tile_l1_tol is not None else min(1.0 / (2 * K),
-                                                           eps * delta / 16.0)
-    tile = _triangle_partial(tile_width, c_l1)
+    K = max(8, 2 ** math.ceil(math.log2(4.0 / min(eps, delta))))
+    tile, dip_width, deg_dip, deviations = _tiled_setup(
+        eps, delta, K, min(1.0 / (2 * K), eps * delta / 16.0))
     deg_f = tile.degree()
-
-    dip_width = eps / 4.0
-    amp = 1.0 / triangle_coeff(dip_width, 0)  # zero-mean normalization
-    # off-dip partial-sum residual ~ 24 A / (pi w^2 N^2) kept under delta/4
-    deg_dip = max(64, int(math.sqrt(
-        96.0 * amp / (math.pi * dip_width ** 2 * delta))) + 1)
-
-    deviations = [
-        "dip amplitude normalized to 1/tau_hat(0) so that the zero-mean "
-        "requirement holds exactly",
-        f"tile count K = {K} chosen from the exact coefficient bound "
-        "|Q^|_inf = |F^|_inf |G^|_inf rather than the crude l1 chain",
-    ]
-    if deg_budget is not None and layout == "subblocks":
-        # greedy prime rates start around 2 * deg_dip * (2 deg_f + 2), so the
-        # total degree grows like 2 (2 deg_f + 2) deg_dip^2; solve for the
-        # largest dip that fits and widen it so the dip stays resolvable
-        fit = int(math.sqrt(deg_budget / max(2.2 * (2 * deg_f + 2), 1.0)))
-        if fit < 8:
-            raise ConstructionInfeasible(
-                f"payload budget {deg_budget} below the minimal tiled-dip size",
-                {"budget": deg_budget, "deg_tile": deg_f},
-            )
-        if fit < deg_dip:
-            deg_dip = fit
-            dip_width = max(dip_width, min(2.0, 12.0 / deg_dip))
-            deviations.append(
-                f"dip degree capped at {deg_dip} (budget {deg_budget}); dip "
-                f"widened to {dip_width:.3g} to stay resolvable"
-            )
     dip = _dip_payload(dip_width, deg_dip)
-
-    if layout == "segments":
-        rates = _segment_rates(K, deg_f, dip.degree())
-        deviations.append(
-            "block rates follow the geometric growth K*(2 deg F + deg G + 2)^s "
-            "rounded to odd values (full sampling orbits on even grids)"
-        )
-    else:
-        while True:
-            rates = disjoint_prime_rates(K, dip.degree(), 2 * deg_f)
-            if deg_budget is None or dip.degree() * rates[-1] + deg_f <= deg_budget:
-                break
-            shrink = math.sqrt(deg_budget / (dip.degree() * rates[-1] + deg_f))
-            new_deg = max(8, min(int(dip.degree() * shrink), dip.degree() - 1))
-            if new_deg == dip.degree():
-                raise ConstructionInfeasible(
-                    f"tiled dip polynomial cannot fit budget {deg_budget}",
-                    {"budget": deg_budget, "tiles": K, "deg_tile": deg_f,
-                     "deg_dip": dip.degree(),
-                     "needed_degree": float(dip.degree() * rates[-1] + deg_f)},
-                )
-            dip = _dip_payload(max(dip_width, min(2.0, 12.0 / new_deg)), new_deg)
-        deviations.append(
-            "block rates are greedy primes with disjoint (interleaved) "
-            "blocks; partial-sum control falls back to the l1 bound"
-        )
-    if deg_budget is not None and layout == "segments":
-        est_deg = dip.degree() * rates[-1] + deg_f
-        if est_deg > deg_budget:
-            raise ConstructionInfeasible(
-                f"tiled dip polynomial needs degree ~{est_deg} > budget {deg_budget}",
-                {"needed_degree": float(est_deg), "budget": deg_budget,
-                 "tiles": K, "deg_tile": deg_f, "deg_dip": dip.degree()},
-            )
-    q = _tiled_sum(tile, dip, rates, layout)
+    rates = _segment_rates(K, deg_f, dip.degree())
+    deviations.append(
+        "block rates follow the geometric growth K*(2 deg F + deg G + 2)^s "
+        "rounded to odd values (full sampling orbits on even grids)"
+    )
+    q = _tiled_sum(tile, dip, rates, "segments")
 
     report = ApproximantReport(q, deviations=tuple(deviations))
     report.add("qhat_zero", abs(q.coeff_zero()), 1e-15, strict_less=False)
     report.add("qhat_linf", q.coeff_linf(), delta)
     vals = q.values(grid)
     report.add("close_to_one", measure_fraction(np.abs(vals - 1.0) > delta), eps)
-    if layout == "segments":
-        lower, upper = q.sstar_star_bracket(grid)
-        report.extras["sstar_star_lower_times_eps"] = float(lower.max()) * eps
-        c_meas = float(upper.max()) * eps
-    else:
-        c_meas = q.coeff_l1() * eps
-    report.add("sstar_star_constant", c_meas, sstar_budget)
+    lower, upper = q.sstar_star_bracket(grid)
+    report.extras["sstar_star_lower_times_eps"] = float(lower.max()) * eps
+    c_meas = float(upper.max()) * eps
+    report.add("sstar_star_constant", c_meas, SSTAR_CONSTANT)
     report.extras["sstar_star_constant"] = c_meas
     report.extras["tiles"] = float(K)
     report.extras["deg_tile"] = float(deg_f)
@@ -546,6 +499,55 @@ def korner_polynomial(eps: float, delta: float,
     if strict:
         report.raise_if_failed("korner_polynomial")
     return report
+
+
+def _budget_tiled_dip(eps: float, delta: float, tiles: int,
+                      budget: int) -> Tuple[BlockSum, Tuple[str, ...]]:
+    """The block approximant's tiled dip Q3, of total degree <= budget.
+
+    Same tiles-times-contracted-dip sum as `korner_polynomial`, with tile
+    l1 tail 0.02 and greedy prime rates (disjoint, interleaved blocks); the
+    dip is capped, then shrunk, until the sum fits the budget.  Nothing is
+    measured here: the block approximant certifies the product it builds.
+    """
+    tile, dip_width, deg_dip, deviations = _tiled_setup(eps, delta, tiles, 0.02)
+    deg_f = tile.degree()
+    # greedy prime rates start around 2 * deg_dip * (2 deg_f + 2), so the
+    # total degree grows like 2 (2 deg_f + 2) deg_dip^2; solve for the
+    # largest dip that fits and widen it so the dip stays resolvable
+    fit = int(math.sqrt(budget / max(2.2 * (2 * deg_f + 2), 1.0)))
+    if fit < 8:
+        raise ConstructionInfeasible(
+            f"payload budget {budget} below the minimal tiled-dip size",
+            {"budget": budget, "deg_tile": deg_f},
+        )
+    if fit < deg_dip:
+        deg_dip = fit
+        dip_width = max(dip_width, min(2.0, 12.0 / deg_dip))
+        deviations.append(
+            f"dip degree capped at {deg_dip} (budget {budget}); dip "
+            f"widened to {dip_width:.3g} to stay resolvable"
+        )
+    dip = _dip_payload(dip_width, deg_dip)
+    while True:
+        rates = disjoint_prime_rates(tiles, dip.degree(), 2 * deg_f)
+        needed = dip.degree() * rates[-1] + deg_f
+        if needed <= budget:
+            break
+        new_deg = max(8, min(int(dip.degree() * math.sqrt(budget / needed)),
+                             dip.degree() - 1))
+        if new_deg == dip.degree():
+            raise ConstructionInfeasible(
+                f"tiled dip polynomial cannot fit budget {budget}",
+                {"budget": budget, "tiles": tiles, "deg_tile": deg_f,
+                 "deg_dip": dip.degree(), "needed_degree": float(needed)},
+            )
+        dip = _dip_payload(max(dip_width, min(2.0, 12.0 / new_deg)), new_deg)
+    deviations.append(
+        "block rates are greedy primes with disjoint (interleaved) "
+        "blocks; partial-sum control falls back to the l1 bound"
+    )
+    return _tiled_sum(tile, dip, rates, "subblocks"), tuple(deviations)
 
 
 # ---------------------------------------------------------------------------
@@ -678,17 +680,6 @@ def _carrier_rate_terms(p1: TrigPoly, payload: TrigPoly, s: int, a: int):
     return terms
 
 
-def unit_quality_required(eps: float, delta: float, p1: TrigPoly) -> Tuple[float, float]:
-    """(eps2, delta2): unit-approximant quality the cascade needs.
-
-    eps2 divides the eps/3 budget among the 2 deg P1 + 1 pullback copies of
-    the bad set; delta2 divides delta/3 by the carrier l1 mass.
-    """
-    deg1 = p1.degree()
-    l1 = max(tp.coeff_norms(p1).l1, 1e-12)
-    return eps / (3.0 * (2 * deg1 + 1)), delta / (3.0 * l1)
-
-
 def _structural_containment(product, p1: TrigPoly, payload: TrigPoly,
                             q3, s: int, a: int, analytic: bool) -> dict:
     """Certify spec P inside the block family from the factored structure.
@@ -764,7 +755,11 @@ def block_approximant(f: SampledFunction, eps: float, delta: float,
         )
     deg1 = p1.degree()
     l1_p1 = max(tp.coeff_norms(p1).l1, 1e-12)
-    eps2, delta2 = unit_quality_required(eps, delta, p1)
+    # unit-approximant quality: eps2 divides the eps/3 budget among the
+    # 2 deg P1 + 1 pullback copies of the bad set; delta2 divides delta/3
+    # by the carrier l1 mass
+    eps2 = eps / (3.0 * (2 * deg1 + 1))
+    delta2 = delta / (3.0 * l1_p1)
     deviations = []
 
     if len(p1) == 0:
@@ -813,29 +808,24 @@ def block_approximant(f: SampledFunction, eps: float, delta: float,
 
     # step 3: tiled dip contracted onto the coarse carrier progression
     delta3 = delta / (6.0 * l1_p1 * unit_l1)
-    q3_rep = None
-    q3_exc = None
+    q3 = q3_exc = None
     for tiles in (4, 3):
         try:
-            q3_rep = korner_polynomial(
-                eps / 3.0, delta3, grid=grid, n_tiles=tiles,
-                layout="subblocks", deg_budget=s, tile_l1_tol=0.02,
-                sstar_budget=float("inf"), strict=False)
+            q3, q3_deviations = _budget_tiled_dip(eps / 3.0, delta3, tiles, s)
             break
         except ConstructionInfeasible as exc:
             q3_exc = exc
-    if q3_rep is None:
+    if q3 is None:
         raise ConstructionInfeasible(
             f"tiled-dip stage does not fit inside payload budget s = {s}",
             {"step": "Q3", "inner": q3_exc.diagnostics},
         ) from q3_exc
-    q3 = q3_rep.poly
     # P = Q3(R t) * P2: the tiled dip's values sit near 1, so P tracks P2,
     # while every frequency k_q R + (k + k_v p(k)) lands inside the block.
     poly = ScaledProduct(q3, _scale_rate(s, s + 2, a), p2)
 
     report = ApproximantReport(
-        poly, deviations=tuple(deviations) + tuple(q3_rep.deviations))
+        poly, deviations=tuple(deviations) + q3_deviations)
     vals = poly.values(grid)
     report.add("approximates_f",
                measure_fraction(np.abs(vals - f.values) > delta), eps)

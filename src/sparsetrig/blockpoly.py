@@ -399,21 +399,24 @@ class BlockSum:
     # -- partial-sum brackets ---------------------------------------------------
 
     def _segment_values(self, grid: CircleGrid) -> List[np.ndarray]:
-        vals = []
-        carrier_cache = {}
-        for seg in self._segments:
-            i = seg["term"]
+        """Values of each segment, in segment order.  They are built term by
+        term, so one carrier's values are held at a time."""
+        by_term = {}
+        for pos, seg in enumerate(self._segments):
+            by_term.setdefault(seg["term"], []).append(pos)
+        vals: List[Optional[np.ndarray]] = [None] * len(self._segments)
+        for i, positions in by_term.items():
             t = self.terms[i]
-            if i not in carrier_cache:
-                carrier_cache[i] = t.carrier.values(grid, allow_alias=True)
-            half = _half(t.payload, seg["sign"])
-            pv = half.values(grid, allow_alias=True)
-            vals.append(carrier_cache[i] * pv[contracted_index_map(t.rate, grid)])
+            cv = t.carrier.values(grid, allow_alias=True)
+            index = contracted_index_map(t.rate, grid)
+            for pos in positions:
+                half = _half(t.payload, self._segments[pos]["sign"])
+                vals[pos] = cv * half.values(grid, allow_alias=True)[index]
         return vals
 
-    def _cut_bounds(self, grid: CircleGrid) -> List[np.ndarray]:
-        """Pointwise bound on any rectangular cut inside each segment."""
-        out = []
+    def _cut_bounds(self, grid: CircleGrid) -> Iterator[np.ndarray]:
+        """Pointwise bound on any rectangular cut inside each segment, one
+        segment at a time."""
         for seg in self._segments:
             t = self.terms[seg["term"]]
             half = _half(t.payload, seg["sign"])
@@ -421,8 +424,7 @@ class BlockSum:
             h_linf = coeff_norms(t.payload).linf
             c_l1 = coeff_norms(t.carrier).l1
             cv = np.abs(t.carrier.values(grid, allow_alias=True))
-            out.append(cv * half_l1 + h_linf * c_l1)
-        return out
+            yield cv * half_l1 + h_linf * c_l1
 
     def sstar_star_bracket(self, grid: CircleGrid) -> Tuple[np.ndarray, np.ndarray]:
         """(lower, upper) pointwise brackets for sup over windows |S_{n,m}|.
@@ -436,10 +438,10 @@ class BlockSum:
         segs = self._segment_values(grid)
         m = grid.size
         dmid = max_window_gap(lambda i, cols: segs[i][cols], len(segs), m)
-        cuts = self._cut_bounds(grid)
+        del segs  # release the segment values before the cut bounds
         top1 = np.zeros(m)
         top2 = np.zeros(m)
-        for c in cuts:
+        for c in self._cut_bounds(grid):
             swap = c > top1
             top2 = np.where(swap, top1, np.maximum(top2, np.minimum(c, top1)))
             top1 = np.where(swap, c, top1)

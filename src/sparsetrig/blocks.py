@@ -30,21 +30,6 @@ class LinearizationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BlockParams:
-    """(s, a) block parameters with optional translation nu."""
-
-    s: int
-    a: int
-    nu: Optional[int] = None
-
-    def __post_init__(self):
-        if self.s < 1 or self.a < 1:
-            raise BlockRangeError("s and a must be positive integers")
-        if self.nu is not None and self.nu < 1:
-            raise BlockRangeError("nu must be a positive integer when present")
-
-
-@dataclass(frozen=True)
 class SpectrumSet:
     """Finite ordered set of integers (a candidate or partial spectrum)."""
 

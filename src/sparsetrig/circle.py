@@ -15,8 +15,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-DEFAULT_GRID_SIZE = 2 ** 14
-
 #: callable applied to the complex value array, or an explicit boolean mask
 Predicate = Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
 
@@ -60,10 +58,6 @@ class CircleGrid:
         m = self.size
         base = 0 if odd else m // 2
         return (base + residue * np.arange(m, dtype=np.int64)) % m
-
-
-def default_grid() -> CircleGrid:
-    return CircleGrid(DEFAULT_GRID_SIZE)
 
 
 @dataclass(frozen=True)
@@ -142,11 +136,6 @@ def from_csv(path) -> SampledFunction:
     vals = np.array([complex(float(r[1]), float(r[2])) for r in body])
     ext = np.array([int(r[3]) for r in body], dtype=np.int8)
     return SampledFunction(CircleGrid(len(body)), vals, ext)
-
-
-def sample(grid: CircleGrid, fn: Callable[[np.ndarray], np.ndarray]) -> SampledFunction:
-    """Sample a vectorized callable on the grid."""
-    return SampledFunction(grid, np.asarray(fn(grid.points), dtype=complex))
 
 
 def constant(grid: CircleGrid, c: complex) -> SampledFunction:

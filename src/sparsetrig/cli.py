@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,10 @@ from .approximants import (ApproximantReport, ConstructionInfeasible,
                            analytic_korner, analytic_unit, block_approximant,
                            analytic_block_approximant, korner_polynomial)
 from .circle import CircleGrid
-from .engines import (run_ae_engine, run_asymptotic_l2_engine,
-                      run_infinity_mode, run_measure_engine,
-                      run_squares_engine, run_stoptime_engine)
+from .engines import (ENGINE_GRID_SIZE, run_ae_engine,
+                      run_asymptotic_l2_engine, run_infinity_mode,
+                      run_measure_engine, run_squares_engine,
+                      run_stoptime_engine)
 from .targets import make_target
 
 STREAM_COEFF_CAP = 200000
@@ -46,24 +48,36 @@ def _write_json(path: Path, payload) -> None:
                     + "\n")
 
 
-def _write_spectrum(path: Path, spec) -> None:
-    with open(path, "w") as fh:
-        for x in spec:
-            fh.write(f"{x}\n")
-
-
 def _coeff_rows(poly):
-    """The first STREAM_COEFF_CAP (k, c) pairs of poly, or None when its
-    frequencies cannot be written: lazy rates, or integers with more
-    decimal digits than int-to-str conversion allows.  The digit check
-    runs on the degree before any row is collected."""
+    """The first STREAM_COEFF_CAP coefficients of poly as (ks, real, imag):
+    the frequencies and two float arrays, so a row costs one int and 16
+    bytes instead of a tuple and a complex.  None when the frequencies
+    cannot be written: lazy rates, or integers with more decimal digits
+    than int-to-str conversion allows.  The digit check runs on the degree
+    before any row is collected."""
     max_digits = sys.get_int_max_str_digits()
     if max_digits and poly.degree_log2() * math.log10(2.0) + 1.0 > max_digits:
         return None
+    ks, real, imag = [], array("d"), array("d")
     try:
-        return list(poly.iter_coeffs(STREAM_COEFF_CAP))
+        for k, c in poly.iter_coeffs(STREAM_COEFF_CAP):
+            ks.append(k)
+            real.append(c.real)
+            imag.append(c.imag)
     except OverflowError:
         return None
+    return ks, real, imag
+
+
+def _sorted_rows(rows, key=None):
+    """(k, repr(re), repr(im)) of `_coeff_rows` output in the stable order
+    of key(k), or of k when key is None."""
+    ks, real, imag = rows
+    order = np.array(ks, dtype=object)
+    if key is not None:
+        order = key(order)
+    for i in np.argsort(order, kind="stable"):
+        yield ks[i], repr(real[i]), repr(imag[i])
 
 
 def _write_poly_csv(path: Path, poly) -> None:
@@ -72,8 +86,8 @@ def _write_poly_csv(path: Path, poly) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "re", "im"])
-        for k, c in sorted(rows or (), key=lambda kc: kc[0]):
-            w.writerow([k, repr(float(c.real)), repr(float(c.imag))])
+        if rows is not None:
+            w.writerows(_sorted_rows(rows))
 
 
 def _eps_rule(name):
@@ -112,7 +126,7 @@ def cmd_build_spectrum(cfg: dict, out: Path, grid_size: int, seed: int) -> int:
         built = build(w, n_blocks, s_cap=s_cap)
     else:
         raise ConfigError(f"unknown spectrum kind {kind!r}")
-    _write_spectrum(out / "spectrum.txt", built.spectrum)
+    built.spectrum.to_file(out / "spectrum.txt")
     _write_json(out / "manifest.json", {
         "command": "build-spectrum", "kind": kind, "seed": seed,
         "size": len(built.spectrum),
@@ -237,9 +251,8 @@ def _write_merged_stream(path: Path, run) -> None:
             rows = None if st.poly is None else _coeff_rows(st.poly)
             if rows is None:
                 continue  # lazy or unprintable frequencies: structural record only
-            for k, cval in sorted(rows, key=lambda kc: abs(kc[0])):
-                w.writerow([order, k, repr(float(cval.real)),
-                            repr(float(cval.imag))])
+            for row in _sorted_rows(rows, key=np.abs):
+                w.writerow([order, *row])
                 order += 1
 
 
@@ -305,10 +318,13 @@ def main(argv=None) -> int:
                         help="JSON config file")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory")
-    parser.add_argument("--grid", type=int, default=2 ** 14,
-                        help="grid size M (even, >= 8)")
+    parser.add_argument("--grid", type=int, default=None,
+                        help="grid size M (even, >= 8); default 2*8191 for "
+                             "represent, 2^14 otherwise")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.grid is None:
+        args.grid = ENGINE_GRID_SIZE if args.command == "represent" else 2 ** 14
 
     cfg = {}
     if args.config is not None:

@@ -81,14 +81,6 @@ def test_korner_small_grid():
         rep.extras["sstar_star_constant"] + 1e-9
 
 
-def test_korner_strict_raises_on_failure():
-    # delta far below what the toy tile count can reach
-    with pytest.raises(CertificateError):
-        korner_polynomial(0.3, 0.001, grid=CircleGrid(2 ** 12), n_tiles=4,
-                          layout="subblocks", deg_budget=20000,
-                          tile_l1_tol=0.02, strict=True)
-
-
 def test_block_approximant_zero_target():
     rep = block_approximant(zero(CASCADE_GRID), 0.25, 0.25, s=100, a=3)
     assert isinstance(rep.poly, tp.TrigPoly) and len(rep.poly) == 0
@@ -110,6 +102,27 @@ def test_block_approximant_small_s_exact_rates_oracle():
     rep = block_approximant(f, 0.4, 0.4, s=8000, a=3, strict=False)
     chk = rep.measured["spectrum_in_block"]
     assert chk["checked"] > 0 and chk["pass"]
+    # four tiles cannot fit the budget; three fit with a capped dip
+    assert rep.deviations == (
+        "constant carrier served by a two-sided Jackson dip on the mirrored "
+        "halves of the block (zero mean exactly)",
+        "dip amplitude normalized to 1/tau_hat(0) so that the zero-mean "
+        "requirement holds exactly",
+        "tile count K = 3 chosen from the exact coefficient bound "
+        "|Q^|_inf = |F^|_inf |G^|_inf rather than the crude l1 chain",
+        "dip degree capped at 10 (budget 8000); dip widened to 1.2 to stay "
+        "resolvable",
+        "block rates are greedy primes with disjoint (interleaved) blocks; "
+        "partial-sum control falls back to the l1 bound",
+    )
+    assert rep.extras["q3_degree_log2"] == pytest.approx(12.623881490013458,
+                                                         rel=1e-12)
+    with pytest.raises(ConstructionInfeasible) as exc:
+        block_approximant(f, 0.4, 0.4, s=4000, a=3, strict=False)
+    assert str(exc.value) == \
+        "tiled-dip stage does not fit inside payload budget s = 4000"
+    assert exc.value.diagnostics == {
+        "step": "Q3", "inner": {"budget": 4000, "deg_tile": 16}}
 
 
 def test_block_approximant_jump_target_infeasible():
@@ -122,7 +135,11 @@ def test_block_approximant_jump_target_infeasible():
 
 
 def test_analytic_korner_report_shape():
-    rep = analytic_korner(0.2, grid=CircleGrid(2 ** 13), strict=False)
+    # strict mode raises on the documented float barrier and carries the
+    # full report
+    with pytest.raises(CertificateError) as exc:
+        analytic_korner(0.2, grid=CircleGrid(2 ** 13), strict=True)
+    rep = exc.value.report
     # construction is honest about which requirements fail at this scale
     assert rep.poly.is_analytic()
     assert rep.exceptional_set is not None

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import sparsetrig
@@ -101,6 +102,22 @@ def test_represent_zero_engine(tmp_path):
     assert (out / "stages.csv").exists()
 
 
+def test_represent_defaults_to_engine_grid(tmp_path):
+    # the README's squares example, run without --grid: on 2^14 the lazy
+    # rates a(2s)^(k+s) share every factor of two with M and the stage-1
+    # S** certificate reads 1.0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"engine": "squares", "target": "const",
+                               "stages": 4}))
+    out = tmp_path / "r"
+    run_cli(["represent", "--config", cfg, "--out", out])
+    assert np.load(out / "final_residual.npy").size == 2 * 8191
+    manifest = json.loads((out / "manifest.json").read_text())
+    stage1 = manifest["run"]["stages"][0]
+    assert stage1["n"] == 1 and stage1["certificates"]
+    assert all(c["pass"] for c in stage1["certificates"].values())
+
+
 def test_represent_infinity_manifest_is_strict_json(tmp_path):
     # the residual is NaN at the infinite points; residual_l0 skips them
     cfg = tmp_path / "c.json"
@@ -143,6 +160,18 @@ def test_console_entrypoint():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "build-spectrum" in proc.stdout
+
+
+def test_coefficient_rows_match_sorted_reference():
+    # ties in |k| (the merged stream's order) and integers beyond int64
+    p = TrigPoly({3: 1.5, -3: 0.5j, 10 ** 30: 2.0, -(2 ** 70): 1e-300,
+                  7: -0.25, -7: 0.125, 1: 1.0 / 3.0})
+    for key, ref_key in ((None, lambda kc: kc[0]),
+                         (np.abs, lambda kc: abs(kc[0]))):
+        ref = sorted(p.iter_coeffs(), key=ref_key)
+        rows = cli._sorted_rows(cli._coeff_rows(p), key=key)
+        assert list(rows) == [(k, repr(c.real), repr(c.imag))
+                              for k, c in ref]
 
 
 def test_unprintable_exact_frequencies_write_headers_only(tmp_path):
