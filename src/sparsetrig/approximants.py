@@ -195,8 +195,9 @@ def analytic_unit(eps: float, grid: Optional[CircleGrid] = None,
             {"eps": eps, "best_l0": l0_meas, "degree": n_used,
              "degree_cap": DEGREE_CAP},
         )
-    coeffs = {k: complex(-fhat[k]) for k in range(1, n_used + 1) if fhat[k] != 0}
-    r_poly = TrigPoly(coeffs)
+    coeffs = -fhat[1:n_used + 1]
+    keep = coeffs != 0
+    r_poly = TrigPoly._of_arrays(np.arange(1, n_used + 1)[keep], coeffs[keep])
 
     report = ApproximantReport(r_poly, deviations=(
         "dip arc widened to measure ~0.7*eps with depth log(eps/3) to keep "
@@ -674,10 +675,8 @@ def _scale_rate(s: int, k: int, a: int):
 
 def _carrier_rate_terms(p1: TrigPoly, payload: TrigPoly, s: int, a: int):
     """One BlockTerm per carrier frequency k, contracted at rate a(2s)^(k+s)."""
-    terms = []
-    for k in sorted(p1.coeffs):
-        terms.append(BlockTerm(TrigPoly({k: p1[k]}), payload, _scale_rate(s, k, a)))
-    return terms
+    return [BlockTerm(TrigPoly({k: c}), payload, _scale_rate(s, k, a))
+            for k, c in p1.iter_coeffs()]
 
 
 def _structural_containment(product, p1: TrigPoly, payload: TrigPoly,

@@ -32,6 +32,7 @@ the orbit fraction is recorded so reports can flag degenerate sampling.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import total_ordering
@@ -40,7 +41,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .circle import CircleGrid
-from .trigpoly import TrigPoly, coeff_norms, max_window_gap
+from .trigpoly import TrigPoly, coeff_norms, max_window_gap, partial_sum_rect
 
 #: relative log2 margin required between lazily compared frequencies
 LOG_MARGIN = 1e-9
@@ -184,9 +185,9 @@ def orbit_fraction(rate: Rate, grid: CircleGrid) -> float:
 
 
 def _half(p: TrigPoly, sign: int) -> TrigPoly:
-    if sign > 0:
-        return TrigPoly({k: c for k, c in p.coeffs.items() if k > 0})
-    return TrigPoly({k: c for k, c in p.coeffs.items() if k < 0})
+    """The coefficients of p with positive (sign > 0) or negative frequency."""
+    d = max(p.degree(), 1)
+    return partial_sum_rect(p, 1, d) if sign > 0 else partial_sum_rect(p, -d, -1)
 
 
 @dataclass(frozen=True)
@@ -238,13 +239,13 @@ class BlockTerm:
         """Frequency intervals of the two payload halves."""
         out = []
         lo_c, hi_c = self.carrier_span()
-        ks = list(self.payload.spectrum())
-        for sign, group in ((-1, [k for k in ks if k < 0]),
-                            (+1, [k for k in ks if k > 0])):
+        ks = self.payload.spectrum()
+        split = bisect.bisect_left(ks, 0)  # the payload has no frequency 0
+        for sign, group in ((-1, ks[:split]), (+1, ks[split:])):
             if group:
                 out.append({"sign": sign,
-                            "lo": self._corner(min(group), lo_c),
-                            "hi": self._corner(max(group), hi_c)})
+                            "lo": self._corner(group[0], lo_c),
+                            "hi": self._corner(group[-1], hi_c)})
         return out
 
 
@@ -265,6 +266,9 @@ class BlockSum:
             raise ValueError(f"unknown layout {layout!r}")
         self.terms = list(terms)
         self.layout = layout
+        #: distinct payloads by identity: terms usually share one payload,
+        #: whose values and norms are then computed once per call
+        self._payloads = {id(t.payload): t.payload for t in self.terms}
         self.lazy = any(t.lazy for t in self.terms)
         self._segments = self._collect_segments()
         if layout == "segments":
@@ -351,10 +355,12 @@ class BlockSum:
         if self.lazy:
             raise OverflowError("lazy rates: frequencies not materializable")
         count = 0
+        payload_items = {i: list(h.coeffs.items()) for i, h in self._payloads.items()}
         for t in self.terms:
-            for k, hk in t.payload.coeffs.items():
+            carrier = list(t.carrier.coeffs.items())
+            for k, hk in payload_items[id(t.payload)]:
                 base = k * t.rate
-                for c, cc in t.carrier.coeffs.items():
+                for c, cc in carrier:
                     yield base + c, hk * cc
                     count += 1
                     if limit is not None and count >= limit:
@@ -363,19 +369,24 @@ class BlockSum:
     def coeff_zero(self) -> complex:
         return 0j  # payloads exclude frequency 0 and rates exceed carriers
 
+    def _payload_norms(self, ps: Sequence[float] = ()) -> dict:
+        return {i: coeff_norms(h, ps) for i, h in self._payloads.items()}
+
     def coeff_linf(self) -> float:
-        return max(coeff_norms(t.carrier).linf * coeff_norms(t.payload).linf
+        h = self._payload_norms()
+        return max(coeff_norms(t.carrier).linf * h[id(t.payload)].linf
                    for t in self.terms)
 
     def coeff_l1(self) -> float:
-        return sum(coeff_norms(t.carrier).l1 * coeff_norms(t.payload).l1
+        h = self._payload_norms()
+        return sum(coeff_norms(t.carrier).l1 * h[id(t.payload)].l1
                    for t in self.terms)
 
     def coeff_lp(self, p: float) -> float:
+        h = self._payload_norms([p])
         tot = 0.0
         for t in self.terms:
-            tot += (coeff_norms(t.carrier, [p]).lp[p]
-                    * coeff_norms(t.payload, [p]).lp[p]) ** p
+            tot += (coeff_norms(t.carrier, [p]).lp[p] * h[id(t.payload)].lp[p]) ** p
         return tot ** (1.0 / p)
 
     def is_analytic(self) -> bool:
@@ -390,41 +401,55 @@ class BlockSum:
 
     def values(self, grid: CircleGrid, allow_alias: bool = True) -> np.ndarray:
         out = np.zeros(grid.size, dtype=complex)
+        pv = {i: h.values(grid, allow_alias=True) for i, h in self._payloads.items()}
         for t in self.terms:
             cv = t.carrier.values(grid, allow_alias=True)
-            pv = t.payload.values(grid, allow_alias=True)
-            out += cv * pv[contracted_index_map(t.rate, grid)]
+            out += cv * pv[id(t.payload)][contracted_index_map(t.rate, grid)]
         return out
 
     # -- partial-sum brackets ---------------------------------------------------
 
-    def _segment_values(self, grid: CircleGrid) -> List[np.ndarray]:
-        """Values of each segment, in segment order.  They are built term by
-        term, so one carrier's values are held at a time."""
+    def _term_segments(self) -> dict:
+        """term index -> positions of its segments in segment order."""
         by_term = {}
         for pos, seg in enumerate(self._segments):
             by_term.setdefault(seg["term"], []).append(pos)
-        vals: List[Optional[np.ndarray]] = [None] * len(self._segments)
-        for i, positions in by_term.items():
+        return by_term
+
+    def _segment_values(self, grid: CircleGrid) -> np.ndarray:
+        """Values of each segment, one row per segment in segment order.
+        They are built term by term, so one carrier's values are held at a
+        time, into one array: one allocation, not one per segment."""
+        halves = {(i, sign): _half(h, sign).values(grid, allow_alias=True)
+                  for i, h in self._payloads.items() for sign in (-1, 1)}
+        vals = np.empty((len(self._segments), grid.size), dtype=complex)
+        for i, positions in self._term_segments().items():
             t = self.terms[i]
             cv = t.carrier.values(grid, allow_alias=True)
             index = contracted_index_map(t.rate, grid)
             for pos in positions:
-                half = _half(t.payload, self._segments[pos]["sign"])
-                vals[pos] = cv * half.values(grid, allow_alias=True)[index]
+                half = halves[id(t.payload), self._segments[pos]["sign"]]
+                # one expression: numpy computes it in place on the
+                # temporary `half[index]` once the row reaches 256 KiB, and
+                # under FMA that operand order decides the last bit (see
+                # trigpoly._term)
+                vals[pos] = cv * half[index]
         return vals
 
     def _cut_bounds(self, grid: CircleGrid) -> Iterator[np.ndarray]:
-        """Pointwise bound on any rectangular cut inside each segment, one
-        segment at a time."""
-        for seg in self._segments:
-            t = self.terms[seg["term"]]
-            half = _half(t.payload, seg["sign"])
-            half_l1 = coeff_norms(half).l1
-            h_linf = coeff_norms(t.payload).linf
-            c_l1 = coeff_norms(t.carrier).l1
+        """Pointwise bound on any rectangular cut inside each segment, term
+        by term (one carrier's values at a time).  The bracket keeps the two
+        largest bounds, which does not depend on their order."""
+        h_linf = {i: coeff_norms(h).linf for i, h in self._payloads.items()}
+        half_l1 = {(i, sign): coeff_norms(_half(h, sign)).l1
+                   for i, h in self._payloads.items() for sign in (-1, 1)}
+        for i, positions in self._term_segments().items():
+            t = self.terms[i]
             cv = np.abs(t.carrier.values(grid, allow_alias=True))
-            yield cv * half_l1 + h_linf * c_l1
+            c_l1 = coeff_norms(t.carrier).l1
+            for pos in positions:
+                half = (id(t.payload), self._segments[pos]["sign"])
+                yield cv * half_l1[half] + h_linf[id(t.payload)] * c_l1
 
     def sstar_star_bracket(self, grid: CircleGrid) -> Tuple[np.ndarray, np.ndarray]:
         """(lower, upper) pointwise brackets for sup over windows |S_{n,m}|.
@@ -525,9 +550,11 @@ class ScaledProduct:
         if self.lazy:
             raise OverflowError("lazy rates: frequencies not materializable")
         count = 0
+        # no q coefficient pairs with more than `limit` of p's
+        p_items = list(self.p.iter_coeffs(limit))
         for kq, cq in self.q.iter_coeffs():
             base = kq * self.rate
-            for kp, cp in self.p.iter_coeffs():
+            for kp, cp in p_items:
                 yield base + kp, cq * cp
                 count += 1
                 if limit is not None and count >= limit:

@@ -82,7 +82,11 @@ def _sorted_rows(rows, key=None):
 
 def _write_poly_csv(path: Path, poly) -> None:
     """Coefficient CSV; header only when the frequencies cannot be written."""
-    rows = _coeff_rows(poly)
+    _write_rows_csv(path, _coeff_rows(poly))
+
+
+def _write_rows_csv(path: Path, rows) -> None:
+    """Coefficient CSV of `_coeff_rows` output, in frequency order."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "re", "im"])
@@ -232,23 +236,25 @@ def cmd_represent(cfg: dict, out: Path, grid_size: int, seed: int) -> int:
         w.writerow(["n", "ok", "note"])
         for st in run.stages:
             w.writerow([st.index, int(st.ok), st.note])
-    _write_merged_stream(out / "merged_stream.csv", run)
-    for st in run.stages:
-        if st.poly is not None:
-            _write_poly_csv(out / f"stage_{st.index}.csv", st.poly)
+    _write_stage_csvs(out, run)
     if run.final_residual is not None:
         np.save(out / "final_residual.npy", run.final_residual)
     return 0 if run.all_certificates_passed() else 1
 
 
-def _write_merged_stream(path: Path, run) -> None:
-    """Merged coefficient stream in the engine's partial-sum order."""
-    with open(path, "w", newline="") as fh:
+def _write_stage_csvs(out: Path, run) -> None:
+    """`stage_<n>.csv` for each stage with a polynomial, and the merged
+    coefficient stream `merged_stream.csv` in the engine's partial-sum
+    order.  Each stage's rows are collected once and serve both files."""
+    with open(out / "merged_stream.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["order_index", "k", "re", "im"])
         order = 0
         for st in run.stages:
-            rows = None if st.poly is None else _coeff_rows(st.poly)
+            if st.poly is None:
+                continue
+            rows = _coeff_rows(st.poly)
+            _write_rows_csv(out / f"stage_{st.index}.csv", rows)
             if rows is None:
                 continue  # lazy or unprintable frequencies: structural record only
             for row in _sorted_rows(rows, key=np.abs):

@@ -6,6 +6,14 @@ so contractions by huge factors never overflow.  Evaluation on a grid is
 exact at the grid points for any degree (e^{ikt_j} is reduced modulo the
 grid), but operations whose *meaning* depends on resolving the polynomial
 (norm and measure estimates, partial-sum sweeps) enforce M > 4*deg.
+
+Storage is two arrays in the order coefficients were first inserted: the
+frequencies (int64, or Python ints in an object array once some |k| reaches
+FREQ_INT64_LIMIT) and the coefficients (complex128).  Array arithmetic
+rounds exactly as a Python loop over the items would: moduli go through
+np.hypot (Python's abs; np.abs differs in the last bit), and complex
+products are written out in real arithmetic, because numpy's complex
+multiply may fuse them into FMA instructions.
 """
 
 from __future__ import annotations
@@ -25,16 +33,43 @@ DENSE_EVAL_THRESHOLD = 512
 S_STAR_STAR_SUPPORT_CAP = 4096
 #: grid columns per block of the streamed window sweep (`max_window_gap`)
 WINDOW_SWEEP_COLUMNS = 2048
+#: frequencies of this magnitude or more are stored as Python ints; below
+#: it, sums of two frequencies and negation cannot overflow int64
+FREQ_INT64_LIMIT = 2 ** 62
 
 
 class AliasingError(GridError):
     """Grid too small to resolve the polynomial (needs M > 4*deg)."""
 
 
+def _freq_array(ks) -> np.ndarray:
+    """Frequencies as int64 when every |k| < FREQ_INT64_LIMIT, else as an
+    object array of Python ints; `ks` is a list or an object array."""
+    if not len(ks):
+        return np.zeros(0, dtype=np.int64)
+    lo, hi = (min(ks), max(ks)) if isinstance(ks, list) else (ks.min(), ks.max())
+    small = -FREQ_INT64_LIMIT < lo and hi < FREQ_INT64_LIMIT
+    return np.array(ks, dtype=np.int64 if small else object)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _cmul(z: np.ndarray, wr, wi) -> np.ndarray:
+    """z * (wr + i wi) elementwise, rounded as CPython's complex product:
+    (a wr - b wi) + i (a wi + b wr), each product rounded on its own."""
+    a, b = z.real, z.imag
+    return _complex(a * wr - b * wi, a * wi + b * wr)
+
+
 class TrigPoly:
     """Immutable sparse trigonometric polynomial sum c_k e^{ikt}."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_k", "_c")
 
     def __init__(self, coeffs: Mapping[int, complex] | Iterable[Tuple[int, complex]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -49,51 +84,73 @@ class TrigPoly:
                         del d[kk]
                         continue
                 d[kk] = c
-        self._coeffs = d
+        self._k = _freq_array(list(d))
+        self._c = np.fromiter(d.values(), dtype=complex, count=len(d))
+
+    @classmethod
+    def _of_arrays(cls, ks: np.ndarray, cs: np.ndarray) -> "TrigPoly":
+        """The polynomial with distinct frequencies `ks` and nonzero
+        coefficients `cs`, kept in that order; nothing is checked.  `ks` is
+        int64 with every |k| < FREQ_INT64_LIMIT, or an object array.  The
+        arrays may be shared, so no polynomial writes into its own."""
+        out = cls.__new__(cls)
+        out._k = ks if ks.dtype != object else _freq_array(ks)
+        out._c = cs
+        return out
+
+    @classmethod
+    def _of_dict(cls, d: Dict[int, complex]) -> "TrigPoly":
+        """The polynomial of an int -> complex map, taken as it is."""
+        return cls._of_arrays(_freq_array(list(d)),
+                              np.fromiter(d.values(), dtype=complex, count=len(d)))
+
+    def _items(self) -> Iterator[Tuple[int, complex]]:
+        """(frequency, coefficient) as Python numbers, in storage order."""
+        return zip(self._k.tolist(), self._c.tolist())
+
+    def _restrict(self, mask: np.ndarray) -> "TrigPoly":
+        return TrigPoly._of_arrays(self._k[mask], self._c[mask])
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def coeffs(self) -> Mapping[int, complex]:
-        """Read-only view of the coefficient map (no copy)."""
-        return types.MappingProxyType(self._coeffs)
+        """Read-only coefficient map in insertion order, built per call."""
+        return types.MappingProxyType(dict(self._items()))
 
     def __getitem__(self, k: int) -> complex:
-        return self._coeffs.get(k, 0j)
+        hit = np.flatnonzero(self._k == k)
+        return complex(self._c[hit[0]]) if hit.size else 0j
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return self._k.size
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TrigPoly) and self._coeffs == other._coeffs
+        return isinstance(other, TrigPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        return hash(frozenset(self._items()))
 
     def __repr__(self) -> str:
-        n = len(self._coeffs)
+        n = len(self)
         if n <= 6:
-            return f"TrigPoly({self._coeffs!r})"
+            return f"TrigPoly({dict(self._items())!r})"
         return f"TrigPoly(<{n} coefficients, degree {self.degree()}>)"
 
     def spectrum(self) -> Tuple[int, ...]:
         """Sorted support of the coefficient map."""
-        return tuple(sorted(self._coeffs))
+        return tuple(np.sort(self._k).tolist())
 
     def degree(self) -> int:
         """max |k| over the spectrum; 0 for the zero polynomial."""
-        if not self._coeffs:
-            return 0
-        return max(abs(k) for k in self._coeffs)
+        return int(np.abs(self._k).max()) if len(self) else 0
 
     def min_abs_freq(self) -> int:
-        if not self._coeffs:
-            return 0
-        return min(abs(k) for k in self._coeffs)
+        return int(np.abs(self._k).min()) if len(self) else 0
 
     def is_analytic(self) -> bool:
         """True iff the spectrum lies in Z+ = {1, 2, ...}."""
-        return all(k > 0 for k in self._coeffs)
+        return bool((self._k > 0).all())
 
     # -- polynomial protocol (shared with the lazy types in blockpoly) ----
 
@@ -104,7 +161,7 @@ class TrigPoly:
         return math.log2(max(self.degree(), 1))
 
     def spectrum_size(self) -> int:
-        return len(self._coeffs)
+        return len(self)
 
     def coeff_zero(self) -> complex:
         return self[0]
@@ -121,8 +178,10 @@ class TrigPoly:
 
     def iter_coeffs(self, limit: Optional[int] = None) -> Iterator[Tuple[int, complex]]:
         """(frequency, coefficient) in frequency order, the first `limit`."""
-        items = sorted(self._coeffs.items())
-        return iter(items[:limit] if limit else items)
+        order = np.argsort(self._k, kind="stable")
+        if limit:
+            order = order[:limit]
+        return zip(self._k[order].tolist(), self._c[order].tolist())
 
     def min_orbit_fraction(self, grid: CircleGrid) -> float:
         return 1.0
@@ -130,16 +189,14 @@ class TrigPoly:
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        d = dict(self._coeffs)
-        for k, c in other._coeffs.items():
+        d = dict(self._items())
+        for k, c in other._items():
             v = d.get(k, 0j) + c
             if v == 0:
                 d.pop(k, None)
             else:
                 d[k] = v
-        out = TrigPoly()
-        out._coeffs = d
-        return out
+        return TrigPoly._of_dict(d)
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         return self + other.scale(-1)
@@ -148,15 +205,16 @@ class TrigPoly:
         c = complex(c)
         if c == 0:
             return TrigPoly()
-        out = TrigPoly()
-        out._coeffs = {k: v * c for k, v in self._coeffs.items()}
-        return out
+        v = _cmul(self._c, c.real, c.imag)
+        keep = v != 0  # products that underflow to zero leave the map
+        return TrigPoly._of_arrays(self._k[keep], v[keep])
 
     def shift_freq(self, n: int) -> "TrigPoly":
         """Multiply by e^{int}: moves coefficient k to k + n."""
-        out = TrigPoly()
-        out._coeffs = {k + n: v for k, v in self._coeffs.items()}
-        return out
+        k = self._k
+        if self.degree() + abs(n) >= FREQ_INT64_LIMIT:
+            k = k.astype(object)
+        return TrigPoly._of_arrays(k + n, self._c)
 
     # -- evaluation ------------------------------------------------------
 
@@ -172,24 +230,25 @@ class TrigPoly:
             raise AliasingError(
                 f"grid size {m} too small for degree {self.degree()} (need M > 4*deg)"
             )
-        if not self._coeffs:
+        if not len(self):
             return np.zeros(m, dtype=complex)
-        if len(self._coeffs) > DENSE_EVAL_THRESHOLD:
+        if len(self) > DENSE_EVAL_THRESHOLD:
             return self._values_fft(m)
         return self._values_direct(m)
 
     def _values_fft(self, m: int) -> np.ndarray:
-        folded = np.zeros(m, dtype=complex)
-        for k, c in self._coeffs.items():
-            r = k % m
-            # e^{ik t_j} = (-1)^k * omega^{k j}, t_j = -pi + 2*pi*j/m
-            folded[r] += c if (k % 2 == 0) else -c
+        # e^{ik t_j} = (-1)^k * omega^{k j}, t_j = -pi + 2*pi*j/m; bincount
+        # adds each residue's terms in storage order, starting from 0.0
+        r = (self._k % m).astype(np.intp)
+        signed = np.where((self._k % 2).astype(bool), -self._c, self._c)
+        folded = _complex(np.bincount(r, weights=signed.real, minlength=m),
+                          np.bincount(r, weights=signed.imag, minlength=m))
         return m * np.fft.ifft(folded)
 
     def _values_direct(self, m: int) -> np.ndarray:
         out = np.zeros(m, dtype=complex)
         roots, j = _roots(m), np.arange(m)
-        for k, c in self._coeffs.items():
+        for k, c in self._items():
             out += _term(roots, k, c, j)
         return out
 
@@ -204,8 +263,7 @@ class TrigPoly:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["k", "re", "im"])
-            for k in self.spectrum():
-                c = self._coeffs[k]
+            for k, c in self.iter_coeffs():
                 w.writerow([k, repr(float(c.real)), repr(float(c.imag))])
 
 
@@ -221,14 +279,14 @@ def partial_sum(p: TrigPoly, n: int) -> TrigPoly:
     """Symmetric partial sum S_n: restriction of coefficients to [-n, n]."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return TrigPoly({k: c for k, c in p.coeffs.items() if -n <= k <= n})
+    return p._restrict((-n <= p._k) & (p._k <= n))
 
 
 def partial_sum_rect(p: TrigPoly, m: int, n: int) -> TrigPoly:
     """Rectangular partial sum S_{n,m}: coefficients with m <= k <= n."""
     if m > n:
         raise ValueError(f"need m <= n, got m={m} n={n}")
-    return TrigPoly({k: c for k, c in p.coeffs.items() if m <= k <= n})
+    return p._restrict((m <= p._k) & (p._k <= n))
 
 
 def _guard(p: TrigPoly, grid: CircleGrid):
@@ -294,7 +352,7 @@ def s_star(p: TrigPoly, grid: CircleGrid) -> SampledFunction:
     running = np.zeros(m, dtype=complex)
     best = np.zeros(m)
     levels: Dict[int, list] = {}
-    for k, c in p.coeffs.items():
+    for k, c in p._items():
         levels.setdefault(abs(k), []).append((k, c))
     for lev in sorted(levels):
         for k, c in levels[lev]:
@@ -310,16 +368,16 @@ def s_star_star(p: TrigPoly, grid: CircleGrid) -> SampledFunction:
     between them), giving an O(|supp|^2 * M) sweep over prefix values.
     """
     _guard(p, grid)
-    spec = p.spectrum()
-    if len(spec) > S_STAR_STAR_SUPPORT_CAP:
+    if len(p) > S_STAR_STAR_SUPPORT_CAP:
         raise ValueError(
-            f"support {len(spec)} too large for the exact window sweep "
+            f"support {len(p)} too large for the exact window sweep "
             f"(cap {S_STAR_STAR_SUPPORT_CAP})"
         )
+    items = list(p.iter_coeffs())
     m = grid.size
     roots, j = _roots(m), np.arange(m)
-    best = max_window_gap(lambda i, cols: _term(roots, spec[i], p[spec[i]], j[cols]),
-                          len(spec), m)
+    best = max_window_gap(lambda i, cols: _term(roots, *items[i], j[cols]),
+                          len(items), m)
     return SampledFunction(grid, best.astype(complex))
 
 
@@ -329,12 +387,21 @@ def contract(p: TrigPoly, r: int) -> TrigPoly:
     """Frequency dilation t -> r t: coefficient at k moves to k*r."""
     if r < 1:
         raise ValueError("contraction factor must be a positive integer")
-    return TrigPoly({k * r: c for k, c in p.coeffs.items()})
+    k = p._k
+    if max(p.degree(), 1) * r >= FREQ_INT64_LIMIT:
+        k = k.astype(object)
+    return TrigPoly._of_arrays(k * r, p._c)
 
 
 def translate(p: TrigPoly, shift: float) -> TrigPoly:
     """Translation by `shift`: c_k -> c_k * e^{ik shift}."""
-    return TrigPoly({k: c * cmath.exp(1j * k * shift) for k, c in p.coeffs.items()})
+    if p._k.dtype == object:
+        return TrigPoly({k: c * cmath.exp(1j * k * shift) for k, c in p._items()})
+    # np.exp agrees with cmath.exp here; the product is CPython's
+    phase = np.exp(1j * p._k * shift)
+    c = _cmul(p._c, phase.real, phase.imag)
+    keep = c != 0
+    return TrigPoly._of_arrays(p._k[keep], c[keep])
 
 
 def multiply(p: TrigPoly, q: TrigPoly) -> TrigPoly:
@@ -342,15 +409,16 @@ def multiply(p: TrigPoly, q: TrigPoly) -> TrigPoly:
     if len(p) > len(q):
         p, q = q, p
     out: Dict[int, complex] = {}
-    for k1, c1 in p.coeffs.items():
-        for k2, c2 in q.coeffs.items():
+    q_items = list(q._items())
+    for k1, c1 in p._items():
+        for k2, c2 in q_items:
             k = k1 + k2
             v = out.get(k, 0j) + c1 * c2
             if v == 0:
                 out.pop(k, None)
             else:
                 out[k] = v
-    return TrigPoly(out)
+    return TrigPoly._of_dict(out)
 
 
 def follows(p: TrigPoly, q: TrigPoly) -> bool:
@@ -395,7 +463,7 @@ def special_product_window(p: TrigPoly, q: TrigPoly, r: int, n: int) -> TrigPoly
     """
     if n >= 0:
         s, l = split_index(n, r)
-        complete = TrigPoly({k: c for k, c in q.coeffs.items() if 1 <= k <= s - 1})
+        complete = q._restrict((1 <= q._k) & (q._k <= s - 1))
         out = multiply(p, contract(complete, r))
         hi = min(l, p.degree())
         if q[s] != 0 and s >= 1 and hi >= -p.degree():
@@ -403,7 +471,7 @@ def special_product_window(p: TrigPoly, q: TrigPoly, r: int, n: int) -> TrigPoly
             out = out + part.scale(q[s]).shift_freq(s * r)
         return out
     s, l = split_index(n, r)
-    complete = TrigPoly({k: c for k, c in q.coeffs.items() if s + 1 <= k <= -1})
+    complete = q._restrict((s + 1 <= q._k) & (q._k <= -1))
     out = multiply(p, contract(complete, r))
     lo = max(l, -p.degree())
     if q[s] != 0 and s <= -1 and lo <= p.degree():
@@ -418,7 +486,8 @@ class CoeffNorms:
     """l_inf, l_1 and requested l_p norms of the coefficient sequence."""
 
     def __init__(self, p: TrigPoly, ps: Sequence[float] = ()):
-        a = np.array([abs(c) for c in p.coeffs.values()]) if len(p) else np.zeros(1)
+        # np.hypot is Python's abs(complex) bit for bit; np.abs is not
+        a = np.hypot(p._c.real, p._c.imag) if len(p) else np.zeros(1)
         self.linf = float(a.max(initial=0.0))
         self.l1 = float(a.sum())
         self.lp = {}

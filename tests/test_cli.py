@@ -179,8 +179,9 @@ def test_unprintable_exact_frequencies_write_headers_only(tmp_path):
     huge = BlockSum([BlockTerm(TrigPoly({0: 1.0}), TrigPoly({-1: 0.5, 1: 0.5}),
                                10 ** 5000)])
     cli._write_poly_csv(tmp_path / "poly.csv", huge)
-    run = SimpleNamespace(stages=[SimpleNamespace(poly=huge)])
-    cli._write_merged_stream(tmp_path / "merged.csv", run)
+    run = SimpleNamespace(stages=[SimpleNamespace(index=1, poly=huge)])
+    cli._write_stage_csvs(tmp_path, run)
     assert (tmp_path / "poly.csv").read_text().splitlines() == ["k,re,im"]
-    assert (tmp_path / "merged.csv").read_text().splitlines() == \
+    assert (tmp_path / "stage_1.csv").read_text().splitlines() == ["k,re,im"]
+    assert (tmp_path / "merged_stream.csv").read_text().splitlines() == \
         ["order_index,k,re,im"]

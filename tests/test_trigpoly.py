@@ -1,11 +1,14 @@
+import cmath
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsetrig import trigpoly as tp
-from sparsetrig.blockpoly import BlockSum, BlockTerm
+from sparsetrig.blockpoly import BlockSum, BlockTerm, _half, contracted_index_map
 from sparsetrig.circle import CircleGrid
 from sparsetrig.trigpoly import AliasingError, TrigPoly
 
@@ -172,7 +175,17 @@ def test_table_evaluation_and_streamed_sweeps_bit_identical(m):
                   BlockTerm(poly(range(-3, 4)), poly([-2, -1, 1, 2]), 101)],
                  layout="segments")
     lower, upper = w.sstar_star_bracket(g)
-    dmid = ref_window_gap(w._segment_values(g), m)
+    segs = w._segment_values(g)
+    for row, seg in zip(segs, w._segments):
+        t = w.terms[seg["term"]]
+        cv = t.carrier.values(g, allow_alias=True)
+        half = _half(t.payload, seg["sign"]).values(g, allow_alias=True)
+        # one expression outside the assert (which names its temporaries),
+        # so numpy evaluates it in place on the indexed temporary once rows
+        # reach 256 KiB, as the segment values do
+        expected = cv * half[contracted_index_map(t.rate, g)]
+        assert np.array_equal(row, expected)
+    dmid = ref_window_gap(segs, m)
     top1, top2 = np.zeros(m), np.zeros(m)
     for c in w._cut_bounds(g):
         swap = c > top1
@@ -342,3 +355,143 @@ def test_csv_roundtrip(tmp_path):
     path = tmp_path / "p.csv"
     p.to_csv(path)
     assert tp.from_csv(path) == p
+
+
+# Reference: the dict-backed storage the arrays replaced, frozen as the
+# bit-identity oracle for the constructor, the FFT fold, the norms and
+# translate.
+
+class DictPoly:
+    def __init__(self, items):
+        d = {}
+        for k, c in items:
+            c = complex(c)
+            if c != 0:
+                kk = int(k)
+                if kk in d:
+                    c = d[kk] + c
+                    if c == 0:
+                        del d[kk]
+                        continue
+                d[kk] = c
+        self.coeffs = d
+
+    def values(self, m: int) -> np.ndarray:
+        if len(self.coeffs) <= tp.DENSE_EVAL_THRESHOLD:
+            return ref_values_direct(self, m)
+        folded = np.zeros(m, dtype=complex)
+        for k, c in self.coeffs.items():
+            folded[k % m] += c if (k % 2 == 0) else -c
+        return m * np.fft.ifft(folded)
+
+    def norms(self, ps):
+        a = np.array([abs(c) for c in self.coeffs.values()]) if self.coeffs \
+            else np.zeros(1)
+        return (float(a.max(initial=0.0)), float(a.sum()),
+                {q: float(np.power(np.power(a, q).sum(), 1.0 / q)) for q in ps})
+
+    def translate(self, shift: float) -> "DictPoly":
+        return DictPoly((k, c * cmath.exp(1j * k * shift))
+                        for k, c in self.coeffs.items())
+
+
+def bits(items):
+    """(k, re, im) with the floats spelled exactly, signed zeros included."""
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in items]
+
+
+def assert_same_storage(p: TrigPoly, ref: DictPoly):
+    assert bits(p.coeffs.items()) == bits(ref.coeffs.items())
+    assert p.spectrum() == tuple(sorted(ref.coeffs))
+    assert bits(p.iter_coeffs()) == bits(sorted(ref.coeffs.items()))
+    assert p.degree() == max(map(abs, ref.coeffs), default=0)
+    assert p.min_abs_freq() == min(map(abs, ref.coeffs), default=0)
+    assert p.is_analytic() == all(k > 0 for k in ref.coeffs)
+    n = tp.coeff_norms(p, [2.0, 3.0])
+    assert (n.linf, n.l1, n.lp) == ref.norms([2.0, 3.0])
+
+
+coefs = st.builds(complex, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+small_freqs = st.integers(-3000, 3000)
+huge_freqs = st.one_of(st.integers(-2 ** 70, -2 ** 62), st.integers(2 ** 62, 2 ** 70))
+
+
+@st.composite
+def poly_items(draw, freqs):
+    """Constructor input with duplicates and one frequency that cancels to
+    zero and comes back."""
+    pairs = draw(st.lists(st.tuples(freqs, coefs), max_size=40))
+    k = draw(freqs.filter(lambda k: all(k != kk for kk, _ in pairs)))
+    c, c2 = draw(coefs), draw(coefs)
+    i, j = sorted(draw(st.integers(0, len(pairs))) for _ in range(2))
+    return pairs[:i] + [(k, c)] + pairs[i:j] + [(k, -c)] + pairs[j:] + [(k, c2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_items(st.one_of(small_freqs, small_freqs, huge_freqs)),
+       st.floats(-10.0, 10.0), coefs, st.integers(-2 ** 63, 2 ** 63),
+       st.sampled_from([1022, 4096, 16382]))
+def test_array_storage_bit_identical_to_dict(items, shift, c, n, m):
+    p, ref = TrigPoly(items), DictPoly(items)
+    assert_same_storage(p, ref)
+    assert np.array_equal(p.values(CircleGrid(m), allow_alias=True), ref.values(m))
+    # complex coefficients times complex phases: the FMA trap
+    assert_same_storage(tp.translate(p, shift), ref.translate(shift))
+    assert bits(p.scale(c).coeffs.items()) == \
+        bits((k, v * c) for k, v in ref.coeffs.items() if v * c != 0)
+    assert p.shift_freq(n).spectrum() == tuple(sorted(k + n for k in ref.coeffs))
+    q = TrigPoly(items[::-1])
+    total = dict(ref.coeffs)
+    for k, v in DictPoly(items[::-1]).coeffs.items():
+        s = total.get(k, 0j) + v
+        if s == 0:
+            total.pop(k, None)
+        else:
+            total[k] = s
+    assert bits((p + q).coeffs.items()) == bits(total.items())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(tp.DENSE_EVAL_THRESHOLD + 2, 3000),
+       st.sampled_from([1022, 4096, 16382]), st.booleans())
+def test_dense_fold_bit_identical_to_dict(seed, size, m, huge):
+    # degrees up to 3M, so residues collide in the fold
+    rng = np.random.default_rng(seed)
+    ks = rng.choice(np.arange(-3 * m, 3 * m), size, replace=False).tolist()
+    if huge:
+        ks[::7] = [k * 2 ** 64 + 1 for k in ks[::7]]
+    cs = (rng.normal(size=size) + 1j * rng.normal(size=size)).tolist()
+    items = list(zip(ks, cs)) + [(ks[0], -cs[0]), (ks[1], 2.5 - 1j)]
+    p, ref = TrigPoly(items), DictPoly(items)
+    assert len(p) > tp.DENSE_EVAL_THRESHOLD
+    assert_same_storage(p, ref)
+    assert np.array_equal(p.values(CircleGrid(m), allow_alias=True), ref.values(m))
+    lo, hi = sorted(rng.integers(-3 * m, 3 * m, 2).tolist())
+    assert bits(tp.partial_sum_rect(p, lo, hi).coeffs.items()) == \
+        bits((k, v) for k, v in ref.coeffs.items() if lo <= k <= hi)
+    assert bits(tp.partial_sum(p, hi - lo).coeffs.items()) == \
+        bits((k, v) for k, v in ref.coeffs.items() if abs(k) <= hi - lo)
+
+
+def test_blocksum_evaluates_shared_payload_once(monkeypatch):
+    carriers = [TrigPoly({-1: 0.5, 0: 1.0, 1: 0.5}),
+                TrigPoly({k: 1.0 + 0.5j * k for k in range(-2, 3)})]
+    payload = TrigPoly({-2: 0.5, -1: 1.0, 1: 1.0, 2: 0.5})
+    w = BlockSum([BlockTerm(c, payload, r) for c, r in zip(carriers, (11, 101))])
+    g = CircleGrid(256)
+    expected = sum(c.values(g) * payload.values(g, allow_alias=True)[
+        g.contracted_indices(r % g.size, r % 2 == 1)] for c, r in zip(carriers, (11, 101)))
+    calls = []
+    values = TrigPoly.values
+
+    def counting(self, grid, allow_alias=False):
+        calls.append(len(self))
+        return values(self, grid, allow_alias)
+    monkeypatch.setattr(TrigPoly, "values", counting)
+    assert np.array_equal(w.values(g), expected)
+    assert calls.count(len(payload)) == 1
+    calls.clear()
+    w.sstar_star_bracket(g)
+    # the two payload halves (2 coefficients each) once; the carriers
+    # once for the segment values and once for the cut bounds
+    assert calls.count(2) == 2 and calls.count(3) == 2 and calls.count(5) == 2
