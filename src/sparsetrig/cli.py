@@ -29,8 +29,10 @@ from .engines import (ENGINE_GRID_SIZE, run_ae_engine,
                       run_measure_engine, run_squares_engine,
                       run_stoptime_engine)
 from .targets import make_target
+from .trigpoly import _freq_array
 
 STREAM_COEFF_CAP = 200000
+CSV_CHUNK_ROWS = 16384
 
 
 class ConfigError(ValueError):
@@ -49,12 +51,13 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _coeff_rows(poly):
-    """The first STREAM_COEFF_CAP coefficients of poly as (ks, real, imag):
-    the frequencies and two float arrays, so a row costs one int and 16
-    bytes instead of a tuple and a complex.  None when the frequencies
-    cannot be written: lazy rates, or integers with more decimal digits
-    than int-to-str conversion allows.  The digit check runs on the degree
-    before any row is collected."""
+    """The first STREAM_COEFF_CAP coefficients of poly as three arrays in
+    `iter_coeffs` order: the frequencies (int64, or Python ints in an object
+    array once some |k| >= FREQ_INT64_LIMIT) and the float64 real and
+    imaginary parts.  None when the frequencies cannot be written: lazy
+    rates, or integers with more decimal digits than int-to-str conversion
+    allows.  The digit check runs on the degree before any row is
+    collected."""
     max_digits = sys.get_int_max_str_digits()
     if max_digits and poly.degree_log2() * math.log10(2.0) + 1.0 > max_digits:
         return None
@@ -66,18 +69,24 @@ def _coeff_rows(poly):
             imag.append(c.imag)
     except OverflowError:
         return None
-    return ks, real, imag
+    return (_freq_array(ks), np.frombuffer(real, dtype=np.float64),
+            np.frombuffer(imag, dtype=np.float64))
 
 
-def _sorted_rows(rows, key=None):
-    """(k, repr(re), repr(im)) of `_coeff_rows` output in the stable order
-    of key(k), or of k when key is None."""
-    ks, real, imag = rows
-    order = np.array(ks, dtype=object)
-    if key is not None:
-        order = key(order)
-    for i in np.argsort(order, kind="stable"):
-        yield ks[i], repr(real[i]), repr(imag[i])
+def _write_sorted_rows(fh, rows, order, start=None) -> None:
+    """Write the `_coeff_rows` rows taken in `order` as lines k,re,im, each
+    after its running index start, start + 1, ... when start is given,
+    CSV_CHUNK_ROWS rows at a time.  These are the lines csv.writer's
+    default dialect writes for these fields: "\\r\\n" line ends, and no
+    quoting, since neither str of an int nor repr of a float contains a
+    delimiter, a quote or a line break."""
+    line = "%d,%r,%r\r\n" if start is None else "%d,%d,%r,%r\r\n"
+    for lo in range(0, len(order), CSV_CHUNK_ROWS):
+        idx = order[lo:lo + CSV_CHUNK_ROWS]
+        fields = [col[idx].tolist() for col in rows]
+        if start is not None:
+            fields.insert(0, range(start + lo, start + lo + len(idx)))
+        fh.write("".join(map(line.__mod__, zip(*fields))))
 
 
 def _write_poly_csv(path: Path, poly) -> None:
@@ -88,10 +97,9 @@ def _write_poly_csv(path: Path, poly) -> None:
 def _write_rows_csv(path: Path, rows) -> None:
     """Coefficient CSV of `_coeff_rows` output, in frequency order."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "re", "im"])
+        fh.write("k,re,im\r\n")
         if rows is not None:
-            w.writerows(_sorted_rows(rows))
+            _write_sorted_rows(fh, rows, np.argsort(rows[0], kind="stable"))
 
 
 def _eps_rule(name):
@@ -245,11 +253,11 @@ def cmd_represent(cfg: dict, out: Path, grid_size: int, seed: int) -> int:
 def _write_stage_csvs(out: Path, run) -> None:
     """`stage_<n>.csv` for each stage with a polynomial, and the merged
     coefficient stream `merged_stream.csv` in the engine's partial-sum
-    order.  Each stage's rows are collected once and serve both files."""
+    order (stages in turn, each by |k|, ties in `iter_coeffs` order).
+    Each stage's rows are collected once and serve both files."""
     with open(out / "merged_stream.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["order_index", "k", "re", "im"])
-        order = 0
+        fh.write("order_index,k,re,im\r\n")
+        start = 0
         for st in run.stages:
             if st.poly is None:
                 continue
@@ -257,9 +265,9 @@ def _write_stage_csvs(out: Path, run) -> None:
             _write_rows_csv(out / f"stage_{st.index}.csv", rows)
             if rows is None:
                 continue  # lazy or unprintable frequencies: structural record only
-            for row in _sorted_rows(rows, key=np.abs):
-                w.writerow([order, *row])
-                order += 1
+            _write_sorted_rows(fh, rows, np.argsort(np.abs(rows[0]), kind="stable"),
+                               start)
+            start += len(rows[0])
 
 
 def cmd_riesz(cfg: dict, out: Path, grid_size: int, seed: int) -> int:

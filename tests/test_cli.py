@@ -1,16 +1,22 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from array import array
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsetrig
 from sparsetrig import cli
-from sparsetrig.blockpoly import BlockSum, BlockTerm
+from sparsetrig.blockpoly import BlockSum, BlockTerm, LazyRate, ScaledProduct
 from sparsetrig.cli import main
 from sparsetrig.trigpoly import TrigPoly
 
@@ -162,16 +168,141 @@ def test_console_entrypoint():
     assert "build-spectrum" in proc.stdout
 
 
-def test_coefficient_rows_match_sorted_reference():
-    # ties in |k| (the merged stream's order) and integers beyond int64
-    p = TrigPoly({3: 1.5, -3: 0.5j, 10 ** 30: 2.0, -(2 ** 70): 1e-300,
-                  7: -0.25, -7: 0.125, 1: 1.0 / 3.0})
-    for key, ref_key in ((None, lambda kc: kc[0]),
-                         (np.abs, lambda kc: abs(kc[0]))):
-        ref = sorted(p.iter_coeffs(), key=ref_key)
-        rows = cli._sorted_rows(cli._coeff_rows(p), key=key)
-        assert list(rows) == [(k, repr(c.real), repr(c.imag))
-                              for k, c in ref]
+# The coefficient-CSV writer as it stood before rows were rendered from
+# arrays in chunks: csv.writer over rows sorted as Python objects.  It is
+# the oracle for the chunked writer, which must write the same bytes.
+
+def _oracle_coeff_rows(poly):
+    max_digits = sys.get_int_max_str_digits()
+    if max_digits and poly.degree_log2() * math.log10(2.0) + 1.0 > max_digits:
+        return None
+    ks, real, imag = [], array("d"), array("d")
+    try:
+        for k, c in poly.iter_coeffs(cli.STREAM_COEFF_CAP):
+            ks.append(k)
+            real.append(c.real)
+            imag.append(c.imag)
+    except OverflowError:
+        return None
+    return ks, real, imag
+
+
+def _oracle_sorted_rows(rows, key=None):
+    ks, real, imag = rows
+    order = np.array(ks, dtype=object)
+    if key is not None:
+        order = key(order)
+    for i in np.argsort(order, kind="stable"):
+        yield ks[i], repr(real[i]), repr(imag[i])
+
+
+def _oracle_write_rows_csv(path, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k", "re", "im"])
+        if rows is not None:
+            w.writerows(_oracle_sorted_rows(rows))
+
+
+def _oracle_write_stage_csvs(out, run):
+    with open(out / "merged_stream.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["order_index", "k", "re", "im"])
+        order = 0
+        for st in run.stages:
+            if st.poly is None:
+                continue
+            rows = _oracle_coeff_rows(st.poly)
+            _oracle_write_rows_csv(out / f"stage_{st.index}.csv", rows)
+            if rows is None:
+                continue
+            for row in _oracle_sorted_rows(rows, key=np.abs):
+                w.writerow([order, *row])
+                order += 1
+
+
+def assert_csvs_match_oracle(polys):
+    """poly.csv of the first polynomial, and the stage files of a run with
+    one stage per polynomial (plus a stage without one), byte for byte as
+    the oracle writes them."""
+    run = SimpleNamespace(stages=[SimpleNamespace(index=i + 1, poly=p)
+                                  for i, p in enumerate(polys)]
+                          + [SimpleNamespace(index=len(polys) + 1, poly=None)])
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp, "new"), Path(tmp, "old")
+        new.mkdir()
+        old.mkdir()
+        cli._write_poly_csv(new / "poly.csv", polys[0])
+        _oracle_write_rows_csv(old / "poly.csv", _oracle_coeff_rows(polys[0]))
+        cli._write_stage_csvs(new, run)
+        _oracle_write_stage_csvs(old, run)
+        names = sorted(f.name for f in old.iterdir())
+        assert sorted(f.name for f in new.iterdir()) == names
+        for name in names:
+            assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
+# -0.0 and 5e-324 (a subnormal), and values on both sides of repr's switch
+# to exponent notation (1e-5 and 1e16)
+csv_floats = st.sampled_from([-0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5, 1e-4,
+                              9999999999999998.0, 1.0 / 3.0])
+csv_freqs = st.one_of(st.integers(-40, 40), st.integers(-40, 40),
+                      st.integers(2 ** 62, 2 ** 70), st.integers(-2 ** 70, -2 ** 62))
+
+
+@st.composite
+def csv_polys(draw):
+    """A TrigPoly in random storage order, with ties in |k| from mirrored
+    frequencies."""
+    items = draw(st.lists(st.tuples(csv_freqs, csv_floats, csv_floats),
+                          max_size=30))
+    mirrored = draw(st.integers(0, len(items)))
+    items += [(-k, im, re) for k, re, im in items[:mirrored]]
+    return TrigPoly({k: complex(re, im) for k, re, im in items})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(csv_polys(), min_size=2, max_size=3), st.integers(1, 7),
+       st.integers(1, 40))
+def test_coefficient_csvs_match_oracle(polys, chunk_rows, cap):
+    # small chunks and a small row cap, so order_index runs on across
+    # chunks and stages and the cap truncates before sorting
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        mp.setattr(cli, "STREAM_COEFF_CAP", cap)
+        assert_csvs_match_oracle(polys)
+
+
+def _large_unsorted_poly():
+    rng = np.random.default_rng(5)
+    ks = rng.permutation(np.arange(-20000, 20000))[:cli.CSV_CHUNK_ROWS + 100]
+    return TrigPoly(dict(zip(ks.tolist(), (rng.standard_normal(ks.size)
+                                           + 1j * rng.standard_normal(ks.size)).tolist())))
+
+
+def _block_sum(rate2=101):
+    # rows come term by term, payload frequency by carrier frequency
+    payload = TrigPoly({2: 0.5, -1: 1.0, 1: 1.0, -2: 0.5})
+    return BlockSum([BlockTerm(TrigPoly({1: 0.5, 0: 1.0, -1: 0.5}), payload, 11),
+                     BlockTerm(TrigPoly({-1: 0.25j, 1: -0.25j}), payload, rate2)])
+
+
+def _scaled_product():
+    return ScaledProduct(TrigPoly({2: 0.25j, -1: 0.5}), 409, _block_sum())
+
+
+CSV_ORACLE_CASES = {
+    "blocksum": lambda: [_block_sum(), _scaled_product()],
+    "scaled_product": lambda: [_scaled_product(), _block_sum()],
+    "several_chunks": lambda: [_large_unsorted_poly(), _large_unsorted_poly()],
+    "lazy": lambda: [_block_sum(LazyRate(1, 3, 40)), _scaled_product()],
+    "unprintable": lambda: [_block_sum(10 ** 5000), _scaled_product()],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_ORACLE_CASES))
+def test_coefficient_csvs_match_oracle_for_block_polys(name):
+    assert_csvs_match_oracle(CSV_ORACLE_CASES[name]())
 
 
 def test_unprintable_exact_frequencies_write_headers_only(tmp_path):
