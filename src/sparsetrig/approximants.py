@@ -153,7 +153,9 @@ def analytic_unit(eps: float, grid: Optional[CircleGrid] = None,
              "reason": "double precision cannot cancel the outer peak"},
         )
 
-    m_work = max(grid.size, 2 ** 12)
+    # G is built on power-of-two grids whatever the evaluation grid, so
+    # every FFT below has a smooth length and the refinement stops at 2^18
+    m_work = 1 << (max(grid.size, 2 ** 12) - 1).bit_length()
     while True:
         t = -math.pi + 2.0 * math.pi * np.arange(m_work) / m_work
         # plateau at `depth` off the arc, smooth bump inside; bump height

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,23 @@ def test_analytic_unit_passes():
         assert rep.poly.is_analytic()
         assert rep.measured["l0_R_minus_1"]["measured"] < eps
         assert rep.measured["mean_F_near_1"]["pass"]
+
+
+def test_analytic_unit_work_grid_is_a_power_of_two():
+    # on 2*8191 G is built on the power-of-two grids of 2^14, so R is the
+    # same polynomial, and no work grid overshoots 2^18
+    for eps in (0.2, 0.35):
+        r_engine = analytic_unit(eps, grid=CASCADE_GRID).poly
+        r_pow2 = analytic_unit(eps, grid=CircleGrid(2 ** 14)).poly
+        assert np.array_equal(r_engine._k, r_pow2._k)
+        assert np.array_equal(r_engine._c, r_pow2._c)
+    tracemalloc.start()
+    try:
+        analytic_unit(0.2, grid=CASCADE_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_analytic_unit_infeasible_below_float_floor():
