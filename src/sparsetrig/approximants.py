@@ -763,9 +763,10 @@ def block_approximant(f: SampledFunction, eps: float, delta: float,
     delta2 = delta / (3.0 * l1_p1)
     deviations = []
 
-    if len(p1) == 0:
+    if len(p1) == 0:  # P = 0: the certificates measure f itself
         report = ApproximantReport(TrigPoly(), deviations=("zero target",))
-        report.add("approximates_f", 0.0, eps)
+        report.add("approximates_f",
+                   measure_fraction(np.abs(f.values) > delta), eps)
         report.add("spectrum_in_block", 0.0, 0.5)
         report.add("sstar_measure", 0.0, eps)
         return report
@@ -859,12 +860,6 @@ def analytic_block_approximant(f: SampledFunction, eps: float,
     grid = f.grid
     if s < 1 or a < 1:
         raise ValueError("s and a must be positive integers")
-    if not np.any(f.values):
-        report = ApproximantReport(TrigPoly(), deviations=("zero target",))
-        report.add("l0_f_minus_P", 0.0, eps)
-        report.add("spectrum_in_block", 0.0, 0.5)
-        report.add("sn_measure", 0.0, eps)
-        return report
 
     p1, diag1 = fejer_until(f, eps / 3.0, eps / 3.0, min(s, P1_DEGREE_CAP))
     if p1 is None:
@@ -872,6 +867,12 @@ def analytic_block_approximant(f: SampledFunction, eps: float,
             "no carrier-degree approximant reaches the eps/3 bound",
             {"step": "P1", "best": diag1},
         )
+    if len(p1) == 0:  # P = 0: the certificates measure f itself
+        report = ApproximantReport(TrigPoly(), deviations=("zero target",))
+        report.add("l0_f_minus_P", l0_of_abs(np.abs(f.values)), eps)
+        report.add("spectrum_in_block", 0.0, 0.5)
+        report.add("sn_measure", 0.0, eps)
+        return report
     deg1 = p1.degree()
     l1_p1 = max(tp.coeff_norms(p1).l1, 1e-12)
 

@@ -8,14 +8,16 @@ contracted factors as quasi-independent.
 Frequencies grow far beyond any storable grid, so factors are sampled
 exactly at grid points through modular index arithmetic; this requires
 gcd(nu_k, M) = 1 (full sampling orbit), which the default schedule
-guarantees by keeping every frequency odd.
+guarantees by keeping every frequency odd.  A full orbit per factor does
+not keep distinct factors apart mod M: congruent frequencies sample one
+function, so on 2^14 criterion 7's 200-term sums repeat a few of them.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -113,12 +115,85 @@ class RieszDiagnostics:
     grid: CircleGrid
     n_max: int
     #: first index from which the lower bound holds onward (n_max+1 => never)
-    first_ok_index: np.ndarray = field(default=None)  # type: ignore[assignment]
+    first_ok_index: np.ndarray
     #: per-point minimum of |q_n| (analytic) or product (cosine) over n <= n_max
-    min_trace: np.ndarray = field(default=None)  # type: ignore[assignment]
+    min_trace: np.ndarray
     #: mask of points excluded because a factor hit the log singularity
-    masked: np.ndarray = field(default=None)  # type: ignore[assignment]
-    summary: dict = field(default_factory=dict)
+    masked: np.ndarray
+    summary: dict
+
+
+def _masked_log(vals: np.ndarray, floor: float):
+    """log(vals) with the points below floor zeroed out, and their mask."""
+    sing = vals < floor
+    return np.where(sing, 0.0, np.log(np.maximum(vals, floor))), sing
+
+
+def _log_one_minus_cos(theta: np.ndarray):
+    """log(1 - cos theta) with the singular points zeroed out, and their mask."""
+    return _masked_log(1.0 - np.cos(theta), LOG_SINGULARITY_FLOOR)
+
+
+def log_abs_one_minus_exp(theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """log |1 - e^{i theta}| with the dyadic singular points zeroed out, and
+    the mask of those points."""
+    return _masked_log(2.0 * np.abs(np.sin(theta / 2.0)),
+                       math.sqrt(LOG_SINGULARITY_FLOOR))
+
+
+def _factor_terms(sched: RieszSchedule, grid: CircleGrid, n: int, tables):
+    """Yield k and each table sampled at nu_k t, for k = 1..n."""
+    if n > len(sched):
+        raise ValueError("n_max exceeds schedule length")
+    if n < 1:
+        raise ValueError(f"factor count must be at least 1, got {n}")
+    for k in range(1, n + 1):
+        idx = contracted_angle_indices(sched.frequencies[k - 1], grid)
+        yield k, [tab[idx] for tab in tables]
+
+
+def _factor_sums(sched: RieszSchedule, grid: CircleGrid, n: int, tables,
+                 sing: np.ndarray):
+    """Yield k, the sums over j <= k of each table at nu_j t (one array per
+    table, updated in place), and the points where some factor so far fell
+    on `sing`."""
+    sums = [np.zeros(grid.size) for _ in tables]
+    masked = np.zeros(grid.size, dtype=bool)
+    for k, (hit, *terms) in _factor_terms(sched, grid, n, [sing, *tables]):
+        masked |= hit
+        for total, term in zip(sums, terms):
+            total += term
+        yield k, sums, masked
+
+
+def _bound_traces(sched, grid, n_max, table, sing, n_lo, log_lo, log_hi=None):
+    """Track the partial sums of one log-factor table against n log_lo < sum
+    (and sum < n log_hi when given).
+
+    Returns the last sum, the mask, the per-point minimum, the first index
+    from which the bounds hold onward, and the points where both bounds
+    (and the lower one alone) hold for every n in [n_lo, n_max].
+    """
+    m = grid.size
+    ok_all = np.ones(m, dtype=bool)
+    ok_lower = np.ones(m, dtype=bool)
+    last_fail = np.zeros(m, dtype=np.int64)
+    min_trace = np.full(m, np.inf)
+    for n, (log_sum,), masked in _factor_sums(sched, grid, n_max, [table], sing):
+        np.minimum(min_trace, log_sum, out=min_trace)
+        lo_ok = log_sum > n * log_lo
+        both = lo_ok if log_hi is None else lo_ok & (log_sum < n * log_hi)
+        last_fail[~both] = n
+        if n_lo <= n:
+            ok_all &= both
+            ok_lower &= lo_ok
+    return log_sum, masked, min_trace, last_fail + 1, ok_all, ok_lower
+
+
+def _fraction(sel: np.ndarray, masked: np.ndarray) -> float:
+    """Share of the unmasked points that lie in sel."""
+    valid = ~masked
+    return float(np.count_nonzero(sel & valid)) / max(1, int(valid.sum()))
 
 
 def cosine_product_bounds(sched: RieszSchedule, grid: CircleGrid, n_max: int,
@@ -130,65 +205,18 @@ def cosine_product_bounds(sched: RieszSchedule, grid: CircleGrid, n_max: int,
     n in [n_lo, n_max], and the empirical mean of (1/n) sum log(1 - cos),
     whose limit is -log 2.
     """
-    if n_max > len(sched):
-        raise ValueError("n_max exceeds schedule length")
-    m = grid.size
-    theta = grid.points
-    log_one_minus_cos = np.empty(m)
-    base_vals = 1.0 - np.cos(theta)
-    sing = base_vals < LOG_SINGULARITY_FLOOR
-    log_one_minus_cos[~sing] = np.log(base_vals[~sing])
-    log_one_minus_cos[sing] = 0.0
-
-    log_sum = np.zeros(m)
-    masked = np.zeros(m, dtype=bool)
-    ok_all = np.ones(m, dtype=bool)
-    ok_lower = np.ones(m, dtype=bool)
-    last_fail = np.zeros(m, dtype=np.int64)
-    min_trace = np.full(m, np.inf)
-    log3 = math.log(3.0)
-    logc = math.log(C_UPPER)
-    for n in range(1, n_max + 1):
-        idx = contracted_angle_indices(sched.frequencies[n - 1], grid)
-        masked |= sing[idx]
-        log_sum += log_one_minus_cos[idx]
-        np.minimum(min_trace, log_sum, out=min_trace)
-        lo_ok = log_sum > -n * log3
-        hi_ok = log_sum < n * logc
-        both = lo_ok & hi_ok
-        last_fail[~both] = n
-        if n_lo <= n:
-            ok_all &= both
-            ok_lower &= lo_ok
-    valid = ~masked
-    nvalid = max(1, int(valid.sum()))
-    frac = float(np.count_nonzero(ok_all & valid)) / nvalid
-    frac_lower = float(np.count_nonzero(ok_lower & valid)) / nvalid
-    mean_log = float(log_sum[valid].mean()) / n_max
-    diag = RieszDiagnostics(grid, n_max)
-    diag.first_ok_index = last_fail + 1
-    diag.min_trace = min_trace
-    diag.masked = masked
-    diag.summary = {
-        "fraction_both_bounds": frac,
-        "fraction_lower_bound": frac_lower,
-        "mean_log_one_minus_cos": mean_log,
+    table, sing = _log_one_minus_cos(grid.points)
+    log_sum, masked, min_trace, first_ok, ok_all, ok_lower = _bound_traces(
+        sched, grid, n_max, table, sing, n_lo, -math.log(3.0), math.log(C_UPPER))
+    return RieszDiagnostics(grid, n_max, first_ok, min_trace, masked, {
+        "fraction_both_bounds": _fraction(ok_all, masked),
+        "fraction_lower_bound": _fraction(ok_lower, masked),
+        "mean_log_one_minus_cos": float(log_sum[~masked].mean()) / n_max,
         "target_mean": NEG_LOG_2,
         "n_window": (n_lo, n_max),
         "c_upper": C_UPPER,
         "masked_points": int(masked.sum()),
-    }
-    return diag
-
-
-def log_abs_one_minus_exp(theta: np.ndarray) -> np.ndarray:
-    """log |1 - e^{i theta}| with the dyadic singular points zeroed out."""
-    vals = 2.0 * np.abs(np.sin(theta / 2.0))
-    out = np.empty_like(vals)
-    sing = vals < math.sqrt(LOG_SINGULARITY_FLOOR)
-    out[~sing] = np.log(vals[~sing])
-    out[sing] = 0.0
-    return out
+    })
 
 
 def analytic_product_diagnostics(sched: RieszSchedule, grid: CircleGrid, n_max: int,
@@ -201,44 +229,16 @@ def analytic_product_diagnostics(sched: RieszSchedule, grid: CircleGrid, n_max: 
     where the (3/4)^n lower bound holds for all n in [n_lo, n_max], and
     (iii) the per-point index from which that bound holds onward.
     """
-    if n_max > len(sched):
-        raise ValueError("n_max exceeds schedule length")
-    m = grid.size
-    theta = grid.points
-    log_factor = log_abs_one_minus_exp(theta)
-    sing = 2.0 * np.abs(np.sin(theta / 2.0)) < math.sqrt(LOG_SINGULARITY_FLOOR)
-
-    log_abs = np.zeros(m)
-    masked = np.zeros(m, dtype=bool)
-    min_trace = np.full(m, np.inf)
-    ok_all = np.ones(m, dtype=bool)
-    last_fail = np.zeros(m, dtype=np.int64)
-    log34 = math.log(0.75)
-    for n in range(1, n_max + 1):
-        idx = contracted_angle_indices(sched.frequencies[n - 1], grid)
-        masked |= sing[idx]
-        log_abs += log_factor[idx]
-        np.minimum(min_trace, log_abs, out=min_trace)
-        lo_ok = log_abs > n * log34
-        last_fail[~lo_ok] = n
-        if n_lo <= n:
-            ok_all &= lo_ok
-    valid = ~masked
-    nvalid = max(1, int(valid.sum()))
-    liminf_frac = float(np.count_nonzero((min_trace < math.log(threshold)) & valid)) / nvalid
-    lower_frac = float(np.count_nonzero(ok_all & valid)) / nvalid
-    diag = RieszDiagnostics(grid, n_max)
-    diag.first_ok_index = last_fail + 1
-    diag.min_trace = min_trace
-    diag.masked = masked
-    diag.summary = {
-        "liminf_proxy_fraction": liminf_frac,
-        "lower_bound_fraction": lower_frac,
+    table, sing = log_abs_one_minus_exp(grid.points)
+    _, masked, min_trace, first_ok, ok_all, _ = _bound_traces(
+        sched, grid, n_max, table, sing, n_lo, math.log(0.75))
+    return RieszDiagnostics(grid, n_max, first_ok, min_trace, masked, {
+        "liminf_proxy_fraction": _fraction(min_trace < math.log(threshold), masked),
+        "lower_bound_fraction": _fraction(ok_all, masked),
         "threshold": threshold,
         "n_window": (n_lo, n_max),
         "masked_points": int(masked.sum()),
-    }
-    return diag
+    })
 
 
 def cross_identity_max_error(sched: RieszSchedule, grid: CircleGrid, n_max: int) -> float:
@@ -246,24 +246,12 @@ def cross_identity_max_error(sched: RieszSchedule, grid: CircleGrid, n_max: int)
 
     The two sides are accumulated from independently computed factor tables.
     """
-    m = grid.size
-    theta = grid.points
-    cos_tab = 1.0 - np.cos(theta)
-    qn_tab = 2.0 * np.abs(np.sin(theta / 2.0))
-    keep = (cos_tab >= LOG_SINGULARITY_FLOOR)
-    log_cos = np.where(keep, np.log(np.maximum(cos_tab, LOG_SINGULARITY_FLOOR)), 0.0)
-    log_q = np.where(keep, np.log(np.maximum(qn_tab, math.sqrt(LOG_SINGULARITY_FLOOR))), 0.0)
-    s_cos = np.zeros(m)
-    s_q = np.zeros(m)
-    masked = np.zeros(m, dtype=bool)
+    log_cos, sing = _log_one_minus_cos(grid.points)
+    log_q, _ = log_abs_one_minus_exp(grid.points)  # its mask lies inside sing
     worst = 0.0
-    for n in range(1, n_max + 1):
-        idx = contracted_angle_indices(sched.frequencies[n - 1], grid)
-        masked |= ~keep[idx]
-        s_cos += log_cos[idx]
-        s_q += log_q[idx]
-        rhs = n * NEG_LOG_2 + 2.0 * s_q
-        err = np.abs(s_cos - rhs)[~masked]
+    for n, (s_cos, s_q), masked in _factor_sums(sched, grid, n_max,
+                                                [log_cos, log_q], sing):
+        err = np.abs(s_cos - (n * NEG_LOG_2 + 2.0 * s_q))[~masked]
         if err.size:
             worst = max(worst, float(err.max()))
     # error in log space == relative error of the products to first order
@@ -286,18 +274,10 @@ def clt_check(sched: RieszSchedule, grid: CircleGrid, n_terms: int) -> dict:
     phi is log|1 - e^{it}| normalized to zero mean and unit L2 norm (the
     mean is exactly zero analytically; the norm is pi/sqrt(12)).
     """
-    if n_terms > len(sched):
-        raise ValueError("n_terms exceeds schedule length")
-    m = grid.size
-    theta = grid.points
-    phi = log_abs_one_minus_exp(theta) / PHI_L2_NORM
-    sing = 2.0 * np.abs(np.sin(theta / 2.0)) < math.sqrt(LOG_SINGULARITY_FLOOR)
-    total = np.zeros(m)
-    masked = np.zeros(m, dtype=bool)
-    for k in range(n_terms):
-        idx = contracted_angle_indices(sched.frequencies[k], grid)
-        masked |= sing[idx]
-        total += phi[idx]
+    log_q, sing = log_abs_one_minus_exp(grid.points)
+    # the last step holds the sum over all n_terms factors
+    *_, (_, (total,), masked) = _factor_sums(sched, grid, n_terms,
+                                             [log_q / PHI_L2_NORM], sing)
     total /= math.sqrt(n_terms)
     dist = ks_distance_to_normal(total[~masked])
     return {"ks_distance": dist, "n_terms": n_terms,
@@ -311,19 +291,13 @@ def almost_orthogonality(sched: RieszSchedule, grid: CircleGrid) -> np.ndarray:
     singular points are clipped to zero (a null set of dyadic angles).
     """
     n = len(sched)
-    m = grid.size
-    theta = grid.points
-    base_vals = 1.0 - np.cos(theta)
-    sing = base_vals < LOG_SINGULARITY_FLOOR
-    f_tab = np.where(sing, 0.0, np.log(np.maximum(base_vals, LOG_SINGULARITY_FLOOR)) - NEG_LOG_2)
-    rows = []
-    for k in range(n):
-        idx = contracted_angle_indices(sched.frequencies[k], grid)
-        rows.append(f_tab[idx])
+    table, sing = _log_one_minus_cos(grid.points)
+    rows = [row for _, (row,) in _factor_terms(
+        sched, grid, n, [np.where(sing, 0.0, table - NEG_LOG_2)])]
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
-            out[i, j] = abs(float(np.dot(rows[i], rows[j])) / m)
+            out[i, j] = abs(float(np.dot(rows[i], rows[j])) / grid.size)
     return out
 
 

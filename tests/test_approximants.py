@@ -173,6 +173,22 @@ def test_analytic_block_approximant_zero():
     assert rep.all_passed()
 
 
+def test_block_approximants_measure_f_when_the_carrier_fit_is_zero():
+    # a dipole whose mean is zero: the degree-0 Fejer mean meets the P1
+    # bound, so P = 0 and both certificates read the measure of f itself
+    g = CircleGrid(4096)
+    vals = np.zeros(g.size)
+    vals[100], vals[101] = 1.0, -1.0
+    f = SampledFunction(g, vals)
+    rep = analytic_block_approximant(f, 0.9, s=150000, a=3)
+    assert len(rep.poly) == 0 and rep.deviations == ("zero target",)
+    assert rep.measured["l0_f_minus_P"]["measured"] == l0_norm(f)
+    assert 2 / 4096 <= l0_norm(f) < 3 / 4096
+    rep = block_approximant(f, 0.3, 0.3, s=150000, a=3)
+    assert len(rep.poly) == 0
+    assert rep.measured["approximates_f"]["measured"] == 2 / 4096
+
+
 def test_analytic_block_approximant_infeasible_nonzero():
     f = constant(CASCADE_GRID, 1.0)
     with pytest.raises(ConstructionInfeasible):

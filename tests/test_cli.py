@@ -21,8 +21,17 @@ from sparsetrig.cli import main
 from sparsetrig.trigpoly import TrigPoly
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def run_cli(args):
-    return main([str(a) for a in args])
+    """Run the CLI; every JSON file in --out must then parse as strict JSON."""
+    args = [str(a) for a in args]
+    rc = main(args)
+    for path in Path(args[args.index("--out") + 1]).glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+    return rc
 
 
 def test_usage_error_empty(tmp_path, capsys):
@@ -71,6 +80,20 @@ def test_riesz_command(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert rc == 0 and manifest["certificates_passed"]
     assert (out / "cosine_diag.csv").exists()
+
+
+@pytest.mark.parametrize("cfg, text", [
+    ({"n": 60, "n_max": 0}, "at least 1"),
+    ({"n": 60, "clt_terms": 0}, "at least 1"),
+    ({"n": 10, "n_max": 11}, "n_max exceeds schedule length"),
+], ids=["n_max-0", "clt_terms-0", "n_max-past-n"])
+def test_riesz_rejects_factor_count_out_of_range(tmp_path, cfg, text):
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    out = tmp_path / "r"
+    assert run_cli(["riesz", "--config", tmp_path / "c.json", "--out", out,
+                    "--grid", "1024"]) == 2
+    assert text in json.loads((out / "failure.json").read_text())["error"]
+    assert not (out / "manifest.json").exists()
 
 
 def test_approximate_korner(tmp_path):
@@ -132,11 +155,7 @@ def test_represent_infinity_manifest_is_strict_json(tmp_path):
     out = tmp_path / "r"
     assert run_cli(["represent", "--config", cfg, "--out", out,
                     "--grid", "256"]) == 0
-
-    def reject(name):
-        raise ValueError(f"non-standard JSON constant {name}")
-    manifest = json.loads((out / "manifest.json").read_text(),
-                          parse_constant=reject)
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["run"]["residual_l0"] == 0.0
 
 
