@@ -25,10 +25,10 @@ import numpy as np
 from . import trigpoly as tp
 from .blockpoly import (BlockSum, BlockTerm, LazyRate, ScaledProduct,
                         contracted_index_map)
-from .blocks import block_member_B, block_member_D
+from .blocks import block_member_B, block_member_D, scale_factor
 from .circle import (CircleGrid, SampledFunction, l0_of_abs, measure_fraction,
                      triangle_coeff, triangle_coeff_array, triangle_coeff_tail)
-from .numbertheory import is_prime
+from .numbertheory import primes_from
 from .trigpoly import TrigPoly
 
 DEGREE_CAP = 2 ** 16
@@ -328,13 +328,6 @@ def fejer_until(f: SampledFunction, delta: float, eps: float,
 # payload rate selection (disjoint layouts)
 # ---------------------------------------------------------------------------
 
-def _next_prime(n: int) -> int:
-    n = max(2, n)
-    while not is_prime(n):
-        n += 1
-    return n
-
-
 def disjoint_prime_rates(count: int, payload_deg: int,
                          carrier_spread: int) -> List[int]:
     """Odd primes N_1 < ... < N_count whose dilates k*N_i stay separated.
@@ -346,8 +339,8 @@ def disjoint_prime_rates(count: int, payload_deg: int,
     gap = 2 * carrier_spread + 2
     used: List[int] = []  # sorted multiples k * N_i
     rates: List[int] = []
-    cand = _next_prime(max(2 * carrier_spread + 3,
-                           2 * payload_deg * (carrier_spread + 2)))
+    cand = next(primes_from(max(2 * carrier_spread + 3,
+                                2 * payload_deg * (carrier_spread + 2))))
     while len(rates) < count:
         ok = True
         mults = [k * cand for k in range(1, payload_deg + 1)]
@@ -363,7 +356,7 @@ def disjoint_prime_rates(count: int, payload_deg: int,
             rates.append(cand)
             for v in mults:
                 bisect.insort(used, v)
-        cand = _next_prime(cand + 2)
+        cand = next(primes_from(cand + 2))
     return rates
 
 
@@ -671,8 +664,26 @@ EXACT_RATE_S_CAP = 10000
 
 def _scale_rate(s: int, k: int, a: int):
     if s <= EXACT_RATE_S_CAP:
-        return a * (2 * s) ** (k + s)
+        return scale_factor(s, k, a)
     return LazyRate(a, 2 * s, k + s)
+
+
+def _unit_payload(quality: float, s: int, grid: CircleGrid, message: str,
+                  diagnostics: dict) -> ApproximantReport:
+    """The one-sided unit approximant at `quality`, as a block payload of
+    degree <= s; its infeasibility is raised again as `message`, with
+    `diagnostics` and the inner diagnostics under "inner"."""
+    try:
+        rep = analytic_unit(quality, grid=grid, strict=False)
+    except ConstructionInfeasible as exc:
+        raise ConstructionInfeasible(
+            message, {**diagnostics, "inner": exc.diagnostics}) from exc
+    if rep.poly.degree() > s:
+        raise ConstructionInfeasible(
+            f"unit approximant degree {rep.poly.degree()} exceeds s = {s}",
+            {"step": "unit", "required_order_exceeds": rep.poly.degree()},
+        )
+    return rep
 
 
 def _carrier_rate_terms(p1: TrigPoly, payload: TrigPoly, s: int, a: int):
@@ -789,21 +800,12 @@ def block_approximant(f: SampledFunction, eps: float, delta: float,
         )
     else:
         target = min(eps2, delta2)
-        try:
-            q2_rep = analytic_unit(target, grid=grid, strict=False)
-        except ConstructionInfeasible as exc:
-            raise ConstructionInfeasible(
-                f"one-sided unit approximant infeasible at quality {target:.3g} "
-                f"(needed for carrier degree {deg1})",
-                {"step": "unit", "carrier_degree": deg1,
-                 "required_quality": target, "inner": exc.diagnostics},
-            ) from exc
-        payload = q2_rep.poly
-        if payload.degree() > s:
-            raise ConstructionInfeasible(
-                f"unit approximant degree {payload.degree()} exceeds s = {s}",
-                {"step": "unit", "required_order_exceeds": payload.degree()},
-            )
+        payload = _unit_payload(
+            target, s, grid,
+            f"one-sided unit approximant infeasible at quality {target:.3g} "
+            f"(needed for carrier degree {deg1})",
+            {"step": "unit", "carrier_degree": deg1,
+             "required_quality": target}).poly
     unit_l1 = tp.coeff_norms(payload).l1 + 1.0
 
     p2 = BlockSum(_carrier_rate_terms(p1, payload, s, a), layout="segments")
@@ -877,20 +879,11 @@ def analytic_block_approximant(f: SampledFunction, eps: float,
     l1_p1 = max(tp.coeff_norms(p1).l1, 1e-12)
 
     eps2 = eps / (6.0 * max(l1_p1, deg1) + 3.0)
-    try:
-        q2_rep = analytic_unit(eps2, grid=grid, strict=False)
-    except ConstructionInfeasible as exc:
-        raise ConstructionInfeasible(
-            f"one-sided unit approximant infeasible at quality {eps2:.3g}",
-            {"step": "unit", "required_quality": eps2,
-             "carrier_degree": deg1, "inner": exc.diagnostics},
-        ) from exc
+    q2_rep = _unit_payload(
+        eps2, s, grid,
+        f"one-sided unit approximant infeasible at quality {eps2:.3g}",
+        {"step": "unit", "required_quality": eps2, "carrier_degree": deg1})
     payload = q2_rep.poly
-    if payload.degree() > s:
-        raise ConstructionInfeasible(
-            f"unit approximant degree {payload.degree()} exceeds s = {s}",
-            {"step": "unit", "required_order_exceeds": payload.degree()},
-        )
     unit_l1 = tp.coeff_norms(payload).l1
 
     p2 = BlockSum(_carrier_rate_terms(p1, payload, s, a), layout="segments")

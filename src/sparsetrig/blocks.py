@@ -82,7 +82,8 @@ def _check_s(s: int, s_cap: int):
 
 
 def scale_factor(s: int, k: int, a: int) -> int:
-    """The progression step a*(2s)^(k+s) used at translate k."""
+    """The progression step a*(2s)^(k+s) used at translate k; k = s + 2
+    gives a*(2s)^(2s+2), the carrier step inside B(s, a) and D(s, a)."""
     return a * (2 * s) ** (k + s)
 
 
@@ -115,17 +116,12 @@ def block_B2(s: int, a: int, s_cap: int = DEFAULT_S_CAP) -> SpectrumSet:
     return SpectrumSet(tuple(sorted(out)))
 
 
-def big_scale(s: int, a: int) -> int:
-    """(2s)^(2s+2) * a, the B1-carrier step inside B(s, a)."""
-    return a * (2 * s) ** (2 * s + 2)
-
-
 def block_B(s: int, a: int, s_cap: int = DEFAULT_S_CAP) -> SpectrumSet:
     """B(s,a) = B1(s, (2s)^(2s+2) a) + (B2(s,a) u -B2(s,a))."""
     _check_s(s, s_cap)
     b2 = set(block_B2(s, a, s_cap).elements)
     b2 |= {-x for x in b2}
-    carrier = block_B1(s, big_scale(s, a), s_cap).elements
+    carrier = block_B1(s, scale_factor(s, s + 2, a), s_cap).elements
     return SpectrumSet(tuple(sorted({x + y for x in carrier for y in b2})))
 
 
@@ -143,7 +139,7 @@ def block_D(s: int, a: int, s_cap: int = DEFAULT_S_CAP) -> SpectrumSet:
     """D(s,a) = B1+(s, (2s)^(2s+2) a) + B2(s,a), a subset of Z+."""
     _check_s(s, s_cap)
     b2 = block_B2(s, a, s_cap).elements
-    carrier = block_B1_plus(s, big_scale(s, a), s_cap).elements
+    carrier = block_B1_plus(s, scale_factor(s, s + 2, a), s_cap).elements
     out = sorted({x + y for x in carrier for y in b2})
     if out[0] <= 0:
         raise AssertionError("D(s,a) must be strictly positive")
@@ -194,7 +190,7 @@ def linearize(s: int, a: int, s_cap: int = DEFAULT_S_CAP) -> LinearizationCertif
     |b - l(b) a| < C_s and injectivity, with C_s = (max residual) + 1.
     """
     _check_s(s, s_cap)
-    big = big_scale(s, a) // a  # (2s)^(2s+2)
+    big = scale_factor(s, s + 2, 1)  # (2s)^(2s+2)
     labelled = {}
     for l1 in list(range(-s, 0)) + list(range(1, s + 1)):
         for sign in (1, -1):
@@ -259,7 +255,7 @@ def block_member_B(b: int, s: int, a: int) -> bool:
     index l1 and translate k are pinned by magnitude, so the test runs in
     O(1) integer operations even for enormous blocks.
     """
-    big = big_scale(s, a)
+    big = scale_factor(s, s + 2, a)
     l1 = _round_half_away(b, big)
     if not (1 <= abs(l1) <= s):
         return False
@@ -268,7 +264,7 @@ def block_member_B(b: int, s: int, a: int) -> bool:
 
 
 def block_member_D(b: int, s: int, a: int) -> bool:
-    big = big_scale(s, a)
+    big = scale_factor(s, s + 2, a)
     l1 = _round_half_away(b, big)
     if not (1 <= l1 <= s):
         return False

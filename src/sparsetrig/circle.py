@@ -103,20 +103,6 @@ class SampledFunction:
         out[self.extended_sign < 0] = complex(-np.inf, 0.0)
         return out
 
-    def __add__(self, other: "SampledFunction") -> "SampledFunction":
-        self._check_compatible(other)
-        return SampledFunction(self.grid, self.values + other.values,
-                               np.sign(self.extended_sign + other.extended_sign))
-
-    def __sub__(self, other: "SampledFunction") -> "SampledFunction":
-        self._check_compatible(other)
-        return SampledFunction(self.grid, self.values - other.values,
-                               np.sign(self.extended_sign - other.extended_sign))
-
-    def _check_compatible(self, other: "SampledFunction"):
-        if self.grid.size != other.grid.size:
-            raise GridError("grid sizes differ")
-
     def to_csv(self, path) -> None:
         """Write columns t, re, im, extended_sign."""
         t = self.grid.points

@@ -172,7 +172,8 @@ def _bound_traces(sched, grid, n_max, table, sing, n_lo, log_lo, log_hi=None):
 
     Returns the last sum, the mask, the per-point minimum, the first index
     from which the bounds hold onward, and the points where both bounds
-    (and the lower one alone) hold for every n in [n_lo, n_max].
+    (and the lower one alone) hold for every n in [n_lo, n_max].  An empty
+    window raises ValueError, after the sweep has checked the factor count.
     """
     m = grid.size
     ok_all = np.ones(m, dtype=bool)
@@ -187,6 +188,9 @@ def _bound_traces(sched, grid, n_max, table, sing, n_lo, log_lo, log_hi=None):
         if n_lo <= n:
             ok_all &= both
             ok_lower &= lo_ok
+    if n_lo > n_max:
+        raise ValueError(f"bound window [{n_lo}, {n_max}] is empty: "
+                         f"n_max must be at least n_lo = {n_lo}")
     return log_sum, masked, min_trace, last_fail + 1, ok_all, ok_lower
 
 

@@ -19,7 +19,6 @@ multiply may fuse them into FMA instructions.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 import types
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
@@ -255,22 +254,6 @@ class TrigPoly:
     def evaluate(self, grid: CircleGrid) -> SampledFunction:
         """Evaluate as a SampledFunction (aliasing guarded)."""
         return SampledFunction(grid, self.values(grid))
-
-    # -- serialization ---------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        """Write columns k, re, im sorted by frequency."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "re", "im"])
-            for k, c in self.iter_coeffs():
-                w.writerow([k, repr(float(c.real)), repr(float(c.imag))])
-
-
-def from_csv(path) -> TrigPoly:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return TrigPoly({int(r[0]): complex(float(r[1]), float(r[2])) for r in rows[1:]})
 
 
 # -- partial sums and maxima ----------------------------------------------

@@ -193,3 +193,17 @@ def test_analytic_block_approximant_infeasible_nonzero():
     f = constant(CASCADE_GRID, 1.0)
     with pytest.raises(ConstructionInfeasible):
         analytic_block_approximant(f, 0.25, s=150000, a=3)
+
+
+def test_analytic_block_approximant_nonzero_path():
+    # eps 1.9 is the first budget the one-sided unit step meets (at 1.5 it
+    # needs quality 0.167), and s must exceed the analytic tiled stage's
+    # degree of about 2^684
+    f = constant(CircleGrid(4096), 1.0)
+    rep = analytic_block_approximant(f, 1.9, s=10 ** 210, a=3)
+    assert rep.failures() == []
+    assert list(rep.measured) == ["l0_f_minus_P", "sn_measure", "analytic",
+                                  "spectrum_in_block"]
+    assert len(rep.deviations) == 5
+    chk = rep.measured["spectrum_in_block"]
+    assert chk["pass"] and chk["checked"] == 0  # lazy rates: no oracle sample

@@ -86,7 +86,8 @@ def test_riesz_command(tmp_path):
     ({"n": 60, "n_max": 0}, "at least 1"),
     ({"n": 60, "clt_terms": 0}, "at least 1"),
     ({"n": 10, "n_max": 11}, "n_max exceeds schedule length"),
-], ids=["n_max-0", "clt_terms-0", "n_max-past-n"])
+    ({"n": 10}, "bound window [20, 10] is empty"),
+], ids=["n_max-0", "clt_terms-0", "n_max-past-n", "empty-window"])
 def test_riesz_rejects_factor_count_out_of_range(tmp_path, cfg, text):
     (tmp_path / "c.json").write_text(json.dumps(cfg))
     out = tmp_path / "r"

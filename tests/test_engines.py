@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sparsetrig import trigpoly as tp
-from sparsetrig.blocks import build_hadamard_spectrum
+from sparsetrig.blocks import (BuiltSpectrum, ManifestEntry, SpectrumSet,
+                               build_hadamard_spectrum)
 from sparsetrig.circle import CircleGrid, SampledFunction
 from sparsetrig.engines import (RepresentationRun, RunStage, engine_grid,
                                 run_ae_engine, run_asymptotic_l2_engine,
@@ -12,7 +13,8 @@ from sparsetrig.engines import (RepresentationRun, RunStage, engine_grid,
                                 run_squares_engine, run_stoptime_engine,
                                 transform_series_divide,
                                 transform_series_shift)
-from sparsetrig.targets import const, plus_infinity_arc, sign_t, step, zero
+from sparsetrig.targets import (const, cosk, plus_infinity_arc, sign_t, step,
+                               zero)
 from sparsetrig.trigpoly import TrigPoly
 
 GRID = engine_grid()
@@ -34,6 +36,33 @@ def test_ae_engine_step_flags_honestly():
     # at stage tolerances; the run must say so rather than pretend
     assert run.flags.get("exhausted") or run.flags.get("infeasible")
     assert not run.all_certificates_passed()
+
+
+def test_ae_engine_builds_a_stage_then_skips():
+    # two blocks large enough for a payload: const needs only the two-sided
+    # dip, so stage 1 fits the first block, while cosk's carrier degree 1
+    # needs a one-sided unit approximant no quality budget allows
+    built = BuiltSpectrum(SpectrumSet((1, 2)),
+                          (ManifestEntry("B", 150000, 3),
+                           ManifestEntry("B", 200000, 3)))
+    run = run_ae_engine(const(GRID, 1.0), built, 3)
+    [stage] = run.stages
+    assert stage.block == {"kind": "B", "s": 150000, "a": 3, "nu": None}
+    assert list(stage.certificates) == ["residual_measure", "sstar_measure"]
+    assert stage.ok and all(c["pass"] for c in stage.certificates.values())
+    assert run.flags == {
+        "skipped_blocks": [{"n": 2, "s": 200000, "a": 3, "reason":
+                            "no carrier-degree approximant reaches the "
+                            "(delta/3, eps/3) bound; required order exceeds "
+                            "4096"}],
+        "exhausted": True, "notes": ["manifest exhausted before stage 2"]}
+    run = run_ae_engine(cosk(GRID, 1), built, 3)
+    assert run.stages == []
+    reason = ("one-sided unit approximant infeasible at quality 0.0556 "
+              "(needed for carrier degree 1)")
+    assert run.flags["skipped_blocks"] == [
+        {"n": 1, "s": s, "a": 3, "reason": reason} for s in (150000, 200000)]
+    assert run.flags["notes"] == ["manifest exhausted before stage 1"]
 
 
 def test_squares_engine_stage1_honest():

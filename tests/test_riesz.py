@@ -346,18 +346,34 @@ def test_diagnostics_match_oracle(m, n, nu1, data):
             riesz.almost_orthogonality(sched, grid)
         return
     assert np.array_equal(riesz.almost_orthogonality(sched, grid), old_orth)
-    pairs = [(riesz.cosine_product_bounds(sched, grid, n_max, n_lo=n_lo),
-              _old_cosine_product_bounds(sched, grid, n_max, n_lo=n_lo)),
-             (riesz.analytic_product_diagnostics(sched, grid, n_max, threshold, n_lo),
-              _old_analytic_product_diagnostics(sched, grid, n_max, threshold, n_lo))]
-    for new, old in pairs:
-        assert (new.grid, new.n_max) == (old.grid, old.n_max)
-        for name in ("first_ok_index", "min_trace", "masked"):
-            assert np.array_equal(getattr(new, name), getattr(old, name)), name
-        assert new.summary == old.summary
+    if n_lo > n_max:  # the oracle reported fractions over an empty window
+        for run in (riesz.cosine_product_bounds,
+                    riesz.analytic_product_diagnostics):
+            with pytest.raises(ValueError, match="is empty"):
+                run(sched, grid, n_max, n_lo=n_lo)
+    else:
+        pairs = [(riesz.cosine_product_bounds(sched, grid, n_max, n_lo=n_lo),
+                  _old_cosine_product_bounds(sched, grid, n_max, n_lo=n_lo)),
+                 (riesz.analytic_product_diagnostics(sched, grid, n_max,
+                                                     threshold, n_lo),
+                  _old_analytic_product_diagnostics(sched, grid, n_max,
+                                                    threshold, n_lo))]
+        for new, old in pairs:
+            assert (new.grid, new.n_max) == (old.grid, old.n_max)
+            for name in ("first_ok_index", "min_trace", "masked"):
+                assert np.array_equal(getattr(new, name), getattr(old, name)), name
+            assert new.summary == old.summary
     assert (riesz.cross_identity_max_error(sched, grid, n_max)
             == _old_cross_identity_max_error(sched, grid, n_max))
     assert riesz.clt_check(sched, grid, n_max) == _old_clt_check(sched, grid, n_max)
+
+
+def test_empty_bound_window_raises():
+    sched, grid = riesz.make_schedule(30), CircleGrid(1024)
+    for run in (riesz.cosine_product_bounds, riesz.analytic_product_diagnostics):
+        with pytest.raises(ValueError, match=r"bound window \[20, 10\] is empty"):
+            run(sched, grid, 10)
+        assert run(sched, grid, 20).summary["n_window"] == (20, 20)
 
 
 @pytest.mark.parametrize("count, text", [(0, "at least 1"), (4, "exceeds")])

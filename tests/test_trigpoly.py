@@ -350,13 +350,6 @@ def test_coeff_norm_product_law():
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_csv_roundtrip(tmp_path):
-    p = TrigPoly({-(10 ** 30): 1.5 + 2j, 3: -1.0})
-    path = tmp_path / "p.csv"
-    p.to_csv(path)
-    assert tp.from_csv(path) == p
-
-
 # Reference: the dict-backed storage the arrays replaced, frozen as the
 # bit-identity oracle for the constructor, the FFT fold, the norms and
 # translate.
