@@ -25,7 +25,7 @@ import numpy as np
 from . import trigpoly as tp
 from .blockpoly import (BlockSum, BlockTerm, LazyRate, ScaledProduct,
                         contracted_index_map)
-from .blocks import block_member_B, block_member_D, scale_factor
+from .blocks import BlockRates, block_member_B, block_member_D
 from .circle import (CircleGrid, SampledFunction, l0_of_abs, measure_fraction,
                      triangle_coeff, triangle_coeff_array, triangle_coeff_tail)
 from .numbertheory import primes_from
@@ -662,10 +662,13 @@ P1_DEGREE_CAP = 2 ** 12
 EXACT_RATE_S_CAP = 10000
 
 
-def _scale_rate(s: int, k: int, a: int):
+def _scale_rate(rates: BlockRates, k: int):
+    """a(2s)^(k+s) from the construction's rate table, or a lazy handle
+    above EXACT_RATE_S_CAP."""
+    s = rates.s
     if s <= EXACT_RATE_S_CAP:
-        return scale_factor(s, k, a)
-    return LazyRate(a, 2 * s, k + s)
+        return rates[k]
+    return LazyRate(rates.a, 2 * s, k + s)
 
 
 def _unit_payload(quality: float, s: int, grid: CircleGrid, message: str,
@@ -686,22 +689,26 @@ def _unit_payload(quality: float, s: int, grid: CircleGrid, message: str,
     return rep
 
 
-def _carrier_rate_terms(p1: TrigPoly, payload: TrigPoly, s: int, a: int):
+def _carrier_rate_terms(p1: TrigPoly, payload: TrigPoly, rates: BlockRates):
     """One BlockTerm per carrier frequency k, contracted at rate a(2s)^(k+s)."""
-    return [BlockTerm(TrigPoly({k: c}), payload, _scale_rate(s, k, a))
+    return [BlockTerm(TrigPoly({k: c}), payload, _scale_rate(rates, k))
             for k, c in p1.iter_coeffs()]
 
 
 def _structural_containment(product, p1: TrigPoly, payload: TrigPoly,
-                            q3, s: int, a: int, analytic: bool) -> dict:
+                            q3, rates: BlockRates, analytic: bool) -> dict:
     """Certify spec P inside the block family from the factored structure.
 
     Elements of the assembled product are k_q * a(2s)^(2s+2) + k + k_v *
     a(2s)^(k+s); membership in the sumset family amounts to range checks
     on the component indices, which this verifies exactly.  For exact
-    integer rates a sample of reconstructed frequencies is additionally
-    re-checked against the standalone membership oracle.
+    integer rates a sample of 96 reconstructed frequencies is additionally
+    re-checked against the standalone membership oracle.  The oracle reads
+    its rates from `rates`, the table the construction built its terms
+    from, so the sample costs no new power for a translate the carrier
+    already uses and one power for each other translate it tries.
     """
+    s = rates.s
     ok = True
     reasons = []
     if p1.degree() > s:
@@ -722,7 +729,7 @@ def _structural_containment(product, p1: TrigPoly, payload: TrigPoly,
         member = block_member_D if analytic else block_member_B
         for k, _ in product.iter_coeffs(limit=96):
             sampled += 1
-            if not member(k, s, a):
+            if not member(k, rates):
                 bad += 1
         if bad:
             ok = False
@@ -808,7 +815,8 @@ def block_approximant(f: SampledFunction, eps: float, delta: float,
              "required_quality": target}).poly
     unit_l1 = tp.coeff_norms(payload).l1 + 1.0
 
-    p2 = BlockSum(_carrier_rate_terms(p1, payload, s, a), layout="segments")
+    rates = BlockRates(s, a)
+    p2 = BlockSum(_carrier_rate_terms(p1, payload, rates), layout="segments")
 
     # step 3: tiled dip contracted onto the coarse carrier progression
     delta3 = delta / (6.0 * l1_p1 * unit_l1)
@@ -826,7 +834,7 @@ def block_approximant(f: SampledFunction, eps: float, delta: float,
         ) from q3_exc
     # P = Q3(R t) * P2: the tiled dip's values sit near 1, so P tracks P2,
     # while every frequency k_q R + (k + k_v p(k)) lands inside the block.
-    poly = ScaledProduct(q3, _scale_rate(s, s + 2, a), p2)
+    poly = ScaledProduct(q3, _scale_rate(rates, s + 2), p2)
 
     report = ApproximantReport(
         poly, deviations=tuple(deviations) + q3_deviations)
@@ -843,7 +851,7 @@ def block_approximant(f: SampledFunction, eps: float, delta: float,
     report.extras["spectrum_size"] = float(poly.spectrum_size())
     report.extras["min_orbit_fraction"] = poly.min_orbit_fraction(grid)
     report.measured["spectrum_in_block"] = _structural_containment(
-        poly, p1, payload, q3, s, a, analytic=False)
+        poly, p1, payload, q3, rates, analytic=False)
     if strict:
         report.raise_if_failed("block_approximant")
     return report
@@ -886,7 +894,8 @@ def analytic_block_approximant(f: SampledFunction, eps: float,
     payload = q2_rep.poly
     unit_l1 = tp.coeff_norms(payload).l1
 
-    p2 = BlockSum(_carrier_rate_terms(p1, payload, s, a), layout="segments")
+    rates = BlockRates(s, a)
+    p2 = BlockSum(_carrier_rate_terms(p1, payload, rates), layout="segments")
 
     eps3 = eps / (6.0 * l1_p1 * unit_l1 + 3.0)
     q3_rep = analytic_korner(eps3, grid=grid, strict=False)
@@ -896,7 +905,7 @@ def analytic_block_approximant(f: SampledFunction, eps: float,
             f"analytic tiled stage degree exceeds s = {s}",
             {"step": "Q3", "required_order_exceeds": float(math.log2(q3.degree()))},
         )
-    poly = ScaledProduct(q3, _scale_rate(s, s + 2, a), p2)
+    poly = ScaledProduct(q3, _scale_rate(rates, s + 2), p2)
 
     report = ApproximantReport(
         poly, deviations=tuple(q2_rep.deviations) + tuple(q3_rep.deviations))
@@ -907,7 +916,7 @@ def analytic_block_approximant(f: SampledFunction, eps: float,
                measure_fraction(sup > 2.0 * np.abs(f.values) + eps), eps)
     report.add("analytic", 0.0 if poly.is_analytic() else 1.0, 0.5)
     report.measured["spectrum_in_block"] = _structural_containment(
-        poly, p1, payload, q3, s, a, analytic=True)
+        poly, p1, payload, q3, rates, analytic=True)
     report.extras["carrier_degree"] = float(deg1)
     if strict:
         report.raise_if_failed("analytic_block_approximant")

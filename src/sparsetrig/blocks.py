@@ -87,6 +87,26 @@ def scale_factor(s: int, k: int, a: int) -> int:
     return a * (2 * s) ** (k + s)
 
 
+class BlockRates(dict):
+    """The rates a*(2s)^(k+s) of one block, keyed by k and computed by
+    `scale_factor` on first use.
+
+    One table serves every rate lookup of one construction: its carrier
+    terms, its outer rate (k = s + 2) and repeated membership tests.  Only
+    the k asked for are filled: for s > 12 one membership test asks for at
+    most 8 (k = s + 2 and one run of translates), not all 2s + 1.
+    """
+
+    def __init__(self, s: int, a: int):
+        super().__init__()
+        self.s = s
+        self.a = a
+
+    def __missing__(self, k: int) -> int:
+        rate = self[k] = scale_factor(self.s, k, self.a)
+        return rate
+
+
 def block_B1(s: int, a: int, s_cap: int = DEFAULT_S_CAP) -> SpectrumSet:
     """{-sa, ..., -a, a, ..., sa}."""
     _check_s(s, s_cap)
@@ -228,47 +248,55 @@ def _b2_candidate_ks(x: int, s: int, a: int):
     """Translate indices k worth testing for x in B2(s, a).
 
     |x - k| = j * a * (2s)^(k+s) pins k + s near log(|x|/a)/log(2s); for
-    small s just scan everything.
+    small s just scan everything.  For |x| <= s + 1, 0 < x - k <= 2s + 1
+    < (2s)^2 leaves only k + s in {0, 1}.
     """
     if s <= 12:
         return range(-s, s + 1)
     if abs(x) <= s + 1:
-        return range(-s, s + 1)
+        return range(-s, -s + 2)
     est = (abs(x).bit_length() - a.bit_length()) / math.log2(2 * s) - s
     k0 = int(est)
     return range(max(-s, k0 - 3), min(s, k0 + 3) + 1)
 
 
-def _b2_member(x: int, s: int, a: int) -> bool:
-    for k in _b2_candidate_ks(x, s, a):
-        step = scale_factor(s, k, a)
-        j, r = divmod(x - k, step)
-        if r == 0 and 1 <= j <= s:
+def _b2_member(x: int, rates: BlockRates) -> bool:
+    for k in _b2_candidate_ks(x, rates.s, rates.a):
+        j, r = divmod(x - k, rates[k])
+        if r == 0 and 1 <= j <= rates.s:
             return True
     return False
 
 
-def block_member_B(b: int, s: int, a: int) -> bool:
-    """Membership oracle for B(s,a) without materializing the set.
+def block_member_B(b: int, rates: BlockRates) -> bool:
+    """Membership oracle for B(s,a), with s and a those of `rates`, without
+    materializing the set.
 
-    Decomposes b = l1 * big + (sign) * (k + j * a (2s)^(k+s)); the carrier
-    index l1 and translate k are pinned by magnitude, so the test runs in
-    O(1) integer operations even for enormous blocks.
+    Decomposes b = l1 * big + (sign) * (k + j * a (2s)^(k+s)) with
+    big = a (2s)^(2s+2); the carrier index l1 and translate k are pinned by
+    magnitude, so a test tries at most 2 (|rem| <= s + 1), 7 or, for
+    s <= 12, 2s + 1 translates per sign.  Each try divides by a rate
+    a (2s)^(k+s) of up to (2s + 2) log2(2s) bits, and a rate not yet in
+    `rates` costs one such power first, so repeated tests of one block
+    compute one power per distinct k and then cost a few big-integer
+    divisions each.
     """
-    big = scale_factor(s, s + 2, a)
+    big = rates[rates.s + 2]
     l1 = _round_half_away(b, big)
-    if not (1 <= abs(l1) <= s):
+    if not (1 <= abs(l1) <= rates.s):
         return False
     rem = b - l1 * big
-    return _b2_member(rem, s, a) or _b2_member(-rem, s, a)
+    return _b2_member(rem, rates) or _b2_member(-rem, rates)
 
 
-def block_member_D(b: int, s: int, a: int) -> bool:
-    big = scale_factor(s, s + 2, a)
+def block_member_D(b: int, rates: BlockRates) -> bool:
+    """Membership oracle for D(s,a); same decomposition and cost as
+    `block_member_B` with l1 >= 1 and a plus sign only."""
+    big = rates[rates.s + 2]
     l1 = _round_half_away(b, big)
-    if not (1 <= l1 <= s):
+    if not (1 <= l1 <= rates.s):
         return False
-    return _b2_member(b - l1 * big, s, a)
+    return _b2_member(b - l1 * big, rates)
 
 
 # -- spectrum transforms ------------------------------------------------------

@@ -4,8 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sparsetrig import approximants as ap
+from sparsetrig import blocks as bl
 from sparsetrig import trigpoly as tp
 from sparsetrig.approximants import (CertificateError, ConstructionInfeasible,
+                                     _structural_containment,
                                      analytic_block_approximant,
                                      analytic_korner, analytic_unit,
                                      block_approximant, fejer_poly,
@@ -141,6 +144,42 @@ def test_block_approximant_small_s_exact_rates_oracle():
         "tiled-dip stage does not fit inside payload budget s = 4000"
     assert exc.value.diagnostics == {
         "step": "Q3", "inner": {"budget": 4000, "deg_tile": 16}}
+
+
+def test_block_approximant_computes_each_exact_rate_once(monkeypatch):
+    # the carrier terms, the outer rate and the 96-frequency oracle sample
+    # share one rate table: each a(2s)^(k+s), some 28 KB at s = 8000, is
+    # computed once per construction
+    calls = []
+    real = bl.scale_factor
+
+    def counting(s, k, a):
+        calls.append((s, k, a))
+        return real(s, k, a)
+
+    monkeypatch.setattr(bl, "scale_factor", counting)
+    # approximants does not import it; a direct call there would count too
+    monkeypatch.setattr(ap, "scale_factor", counting, raising=False)
+    f = constant(CircleGrid(2 * 509), 1.0)
+    rep = block_approximant(f, 0.4, 0.4, s=8000, a=3, strict=False)
+    assert rep.measured["spectrum_in_block"]["checked"] > 0
+    assert (8000, 8002, 3) in calls
+    assert len(calls) == len(set(calls)), sorted(calls)
+
+
+def test_structural_containment_rejects_another_block():
+    # the s = 8000, a = 3 product checked against the block of a = 5
+    f = constant(CircleGrid(2 * 509), 1.0)
+    poly = block_approximant(f, 0.4, 0.4, s=8000, a=3, strict=False).poly
+    p1 = tp.TrigPoly({k: c for term in poly.p.terms
+                      for k, c in term.carrier.iter_coeffs()})
+    payload = poly.p.terms[0].payload
+    chk = _structural_containment(poly, p1, payload, poly.q,
+                                  bl.BlockRates(8000, 5), analytic=False)
+    assert chk["measured"] > 0
+    assert chk["pass"] is False
+    assert chk["reasons"] == [
+        f"{int(chk['measured'])} sampled frequencies outside the block"]
 
 
 def test_block_approximant_jump_target_infeasible():

@@ -2,6 +2,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsetrig import blocks as bl
 
@@ -62,17 +64,125 @@ def test_lattice_properties():
             assert all(x > 0 for x in d.elements)
 
 
+# The membership oracle as it stood before the rate table, kept as the
+# reference: it recomputes every power a*(2s)^(k+s) through `power`.  Its
+# one departure is the `break`: for |x| <= s + 1 the old oracle scanned
+# all 2s + 1 translates (some 16000 powers of up to 223,000 bits per probe
+# at s = 8000), and since the steps grow with k while a match needs
+# step <= x - k <= |x| + s, no translate after the first larger step can
+# match.
+def _ref_b2_candidate_ks(x, s, a):
+    if s <= 12:
+        return range(-s, s + 1)
+    if abs(x) <= s + 1:
+        return range(-s, s + 1)
+    est = (abs(x).bit_length() - a.bit_length()) / math.log2(2 * s) - s
+    k0 = int(est)
+    return range(max(-s, k0 - 3), min(s, k0 + 3) + 1)
+
+
+def _ref_b2_member(x, s, a, power):
+    for k in _ref_b2_candidate_ks(x, s, a):
+        step = power(s, k, a)
+        if step > abs(x) + s:
+            break
+        j, r = divmod(x - k, step)
+        if r == 0 and 1 <= j <= s:
+            return True
+    return False
+
+
+def _ref_member_B(b, s, a, power):
+    big = power(s, s + 2, a)
+    l1 = bl._round_half_away(b, big)
+    if not (1 <= abs(l1) <= s):
+        return False
+    rem = b - l1 * big
+    return _ref_b2_member(rem, s, a, power) or _ref_b2_member(-rem, s, a, power)
+
+
+def _ref_member_D(b, s, a, power):
+    big = power(s, s + 2, a)
+    l1 = bl._round_half_away(b, big)
+    if not (1 <= l1 <= s):
+        return False
+    return _ref_b2_member(b - l1 * big, s, a, power)
+
+
+def _check_large_s_against_reference(a):
+    # s of the block approximant's exact-rate configs; one table serves
+    # every probe and both families, so it must carry no state from one
+    # test to the next
+    s = 8000
+    powers = {}
+
+    def power(s_, k, a_):
+        if (s_, k, a_) not in powers:
+            powers[s_, k, a_] = a_ * (2 * s_) ** (k + s_)
+        return powers[s_, k, a_]
+
+    def elem(l1, sign, k, j, aa=a):
+        return l1 * power(s, s + 2, aa) + sign * (k + j * power(s, k, aa))
+
+    edges = [(l1, sign, k, j) for l1 in (1, -1, s, -s) for sign in (1, -1)
+             for k in (-s, 0, s) for j in (1, s)]
+    members = [elem(*e) for e in edges]
+    misses = [x + e for x in members for e in (-1, 1)]
+    misses += [elem(l1, sign, k, j) for l1, sign, k, _ in edges
+               for j in (0, s + 1)]
+    misses += [elem(l1 + (1 if l1 > 0 else -1), sign, k, j)
+               for l1, sign, k, j in edges if abs(l1) == s]
+    misses += [elem(*e, aa=8 - a) for e in edges]
+    rates = bl.BlockRates(s, a)
+    for x in members:
+        assert bl.block_member_B(x, rates), x
+    for x in members + misses:
+        assert bl.block_member_B(x, rates) == _ref_member_B(x, s, a, power)
+        assert bl.block_member_D(x, rates) == _ref_member_D(x, s, a, power)
+    d_members = [elem(*e) for e in edges if e[0] > 0 and e[1] == 1]
+    assert all(bl.block_member_D(x, rates) for x in d_members)
+    # some misses land on another part of the block (the k = -s translate
+    # has step a), most do not
+    assert sum(bl.block_member_B(x, rates) for x in misses) < len(misses) / 4
+    # only the translates the probes reach are ever computed
+    assert len(rates) <= 32
+
+
 def test_membership_oracle_matches_sets():
-    for s in (1, 2):
-        for a in (1, 7, 20):
-            b = set(bl.block_B(s, a).elements)
-            d = set(bl.block_D(s, a).elements)
+    # s = 13 is the smallest s whose oracle pins the translate instead of
+    # scanning all 2s + 1 (at a = 1, x = s + 1 sits on translate -s + 1);
+    # the +-1 neighbours probe the near misses
+    for s, avals in ((1, (1, 7, 20)), (2, (1, 7, 20)), (13, (1, 3))):
+        for a in avals:
+            b = set(bl.block_B(s, a, s_cap=s).elements)
+            d = set(bl.block_D(s, a, s_cap=s).elements)
             lo = min(b) - 3
             hi = max(b) + 3
             probe = set(range(lo, hi + 1, max((hi - lo) // 500, 1))) | b | d
+            probe |= {x + e for x in b | d for e in (-1, 1)}
+            rates = bl.BlockRates(s, a)
             for x in probe:
-                assert bl.block_member_B(x, s, a) == (x in b), (s, a, x)
-                assert bl.block_member_D(x, s, a) == (x in d), (s, a, x)
+                assert bl.block_member_B(x, rates) == (x in b), (s, a, x)
+                assert bl.block_member_D(x, rates) == (x in d), (s, a, x)
+    for a in (3, 5):
+        _check_large_s_against_reference(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.integers(1, 3), a=st.integers(1, 40), data=st.data())
+def test_membership_oracle_matches_sets_small_s(s, a, data):
+    b = bl.block_B(s, a)
+    d = bl.block_D(s, a)
+    near = st.builds(lambda x, e: x + e,
+                     st.sampled_from(b.elements + d.elements),
+                     st.integers(-2, 2))
+    anywhere = st.integers(min(b.elements) - 3, max(b.elements) + 3)
+    xs = data.draw(st.lists(st.one_of(near, anywhere), min_size=1,
+                            max_size=30))
+    rates = bl.BlockRates(s, a)
+    for x in xs:
+        assert bl.block_member_B(x, rates) == (x in b), x
+        assert bl.block_member_D(x, rates) == (x in d), x
 
 
 def test_shift_divide():
