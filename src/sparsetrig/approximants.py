@@ -241,16 +241,11 @@ def jackson_dip(half_degree: int) -> TrigPoly:
     with np.errstate(divide="ignore", invalid="ignore"):
         ker = np.where(np.abs(s) < 1e-15, float(n) ** 4, (num / s) ** 4)
     ker_hat = np.fft.fft(ker).real / m
-    scale = ker_hat[0]
-    deg = 2 * n - 2
-    coeffs = {}
-    for k in range(1, deg + 1):
-        # undo the -pi grid offset: fft bins carry (-1)^k
-        c = ker_hat[k] * (-1.0) ** (k % 2) / scale
-        if abs(c) > 1e-18:
-            coeffs[k] = complex(-c)
-            coeffs[-k] = complex(-c)
-    return TrigPoly(coeffs)
+    ks = np.arange(1, 2 * n - 1)
+    # undo the -pi grid offset: fft bins carry (-1)^k
+    c = ker_hat[ks] * (-1.0) ** (ks % 2) / ker_hat[0]
+    keep = np.abs(c) > 1e-18
+    return _mirrored(ks[keep], -c[keep])
 
 
 def symmetric_unit(bad_measure: float, quality: float, max_degree: int,
@@ -283,35 +278,49 @@ def symmetric_unit(bad_measure: float, quality: float, max_degree: int,
 # Fejer approximation of sampled targets
 # ---------------------------------------------------------------------------
 
+def _mirrored(ks: np.ndarray, cs: np.ndarray) -> TrigPoly:
+    """The even polynomial with coefficient cs[i] at +-ks[i], stored in the
+    order k, -k; ks ascends from 0 or 1 (k = 0 is stored once) and cs holds
+    nonzero reals."""
+    pairs = np.column_stack((ks, -ks)).ravel()
+    coeffs = np.repeat(cs.astype(complex), 2)
+    skip = int(ks.size > 0 and ks[0] == 0)
+    return TrigPoly._of_arrays(pairs[skip:], coeffs[skip:])
+
+
+def _fejer_mean(hat: np.ndarray, degree: int) -> TrigPoly:
+    """Fejer mean of degree `degree` from the normalized grid DFT `hat`,
+    frequencies ascending; coefficients with modulus <= 1e-15 are dropped.
+
+    The weights are real, so each complex-by-real product rounds as the
+    scalar product c_k * w_k does.
+    """
+    ks = np.arange(-degree, degree + 1)
+    c = hat[ks % hat.size] * (1.0 - np.abs(ks) / (degree + 1))
+    # undo the -pi grid offset: hat indexes exp(2 pi i k j / M)
+    c *= (-1.0) ** (ks % 2)
+    keep = np.hypot(c.real, c.imag) > 1e-15
+    return TrigPoly._of_arrays(ks[keep], c[keep])
+
+
 def fejer_poly(f: SampledFunction, degree: int) -> TrigPoly:
     """Fejer mean of degree `degree` from the grid DFT of f.
 
     Frequencies above the grid Nyquist alias into the DFT coefficients;
     for the smooth low-degree stage this is the intended estimator.
     """
-    m = f.grid.size
-    vals = f.values
-    hat = np.fft.fft(vals) / m
-    coeffs = {}
-    n = degree + 1
-    for k in range(-degree, degree + 1):
-        w = 1.0 - abs(k) / n
-        c = hat[k % m] * w
-        # undo the -pi grid offset: hat indexes exp(2 pi i k j / M)
-        c *= (-1.0) ** (k % 2)
-        if abs(c) > 1e-15:
-            coeffs[k] = complex(c)
-    return TrigPoly(coeffs)
+    return _fejer_mean(np.fft.fft(f.values) / f.grid.size, degree)
 
 
 def fejer_until(f: SampledFunction, delta: float, eps: float,
                 max_degree: int) -> Tuple[Optional[TrigPoly], dict]:
     """Smallest power-of-two-degree Fejer mean with m{|f - P| > delta} < eps."""
     grid = f.grid
+    hat = np.fft.fft(f.values) / grid.size
     best = None
     deg = 0
     while deg <= max_degree:
-        p = fejer_poly(f, deg)
+        p = _fejer_mean(hat, deg)
         err = np.abs(p.values(grid, allow_alias=True) - f.values)
         frac = measure_fraction(err > delta)
         if best is None or frac < best[1]:
@@ -379,12 +388,8 @@ def _triangle_partial(eps_width: float, l1_tol: float,
             lo = mid
     n = hi
     arr = triangle_coeff_array(eps_width, n)
-    coeffs = {0: complex(arr[0])}
-    for k in range(1, n + 1):
-        if arr[k] != 0.0:
-            coeffs[k] = complex(arr[k])
-            coeffs[-k] = complex(arr[k])
-    return TrigPoly(coeffs)
+    ks = np.flatnonzero(arr)  # arr[0] = eps_width / 2 pi > 0
+    return _mirrored(ks, arr[ks])
 
 
 def _dip_payload(dip_width: float, degree: int) -> TrigPoly:
@@ -394,14 +399,9 @@ def _dip_payload(dip_width: float, degree: int) -> TrigPoly:
     its values are 1 - A * S_N(tau_w)(t).
     """
     amp = 1.0 / triangle_coeff(dip_width, 0)
-    arr = triangle_coeff_array(dip_width, degree)
-    coeffs = {}
-    for k in range(1, degree + 1):
-        c = -amp * arr[k]
-        if c != 0.0:
-            coeffs[k] = complex(c)
-            coeffs[-k] = complex(c)
-    return TrigPoly(coeffs)
+    c = -amp * triangle_coeff_array(dip_width, degree)
+    ks = np.flatnonzero(c[1:]) + 1
+    return _mirrored(ks, c[ks])
 
 
 def _segment_rates(K: int, deg_tile: int, deg_payload: int) -> List[int]:

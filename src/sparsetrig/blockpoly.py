@@ -409,67 +409,54 @@ class BlockSum:
 
     # -- partial-sum brackets ---------------------------------------------------
 
-    def _term_segments(self) -> dict:
-        """term index -> positions of its segments in segment order."""
-        by_term = {}
-        for pos, seg in enumerate(self._segments):
-            by_term.setdefault(seg["term"], []).append(pos)
-        return by_term
-
-    def _segment_values(self, grid: CircleGrid) -> np.ndarray:
-        """Values of each segment, one row per segment in segment order.
-        They are built term by term, so one carrier's values are held at a
-        time, into one array: one allocation, not one per segment."""
-        halves = {(i, sign): _half(h, sign).values(grid, allow_alias=True)
-                  for i, h in self._payloads.items() for sign in (-1, 1)}
-        vals = np.empty((len(self._segments), grid.size), dtype=complex)
-        for i, positions in self._term_segments().items():
-            t = self.terms[i]
-            cv = t.carrier.values(grid, allow_alias=True)
-            index = contracted_index_map(t.rate, grid)
-            for pos in positions:
-                half = halves[id(t.payload), self._segments[pos]["sign"]]
-                # one expression: numpy computes it in place on the
-                # temporary `half[index]` once the row reaches 256 KiB, and
-                # under FMA that operand order decides the last bit (see
-                # trigpoly._term)
-                vals[pos] = cv * half[index]
-        return vals
-
-    def _cut_bounds(self, grid: CircleGrid) -> Iterator[np.ndarray]:
-        """Pointwise bound on any rectangular cut inside each segment, term
-        by term (one carrier's values at a time).  The bracket keeps the two
-        largest bounds, which does not depend on their order."""
-        h_linf = {i: coeff_norms(h).linf for i, h in self._payloads.items()}
-        half_l1 = {(i, sign): coeff_norms(_half(h, sign)).l1
-                   for i, h in self._payloads.items() for sign in (-1, 1)}
-        for i, positions in self._term_segments().items():
-            t = self.terms[i]
-            cv = np.abs(t.carrier.values(grid, allow_alias=True))
-            c_l1 = coeff_norms(t.carrier).l1
-            for pos in positions:
-                half = (id(t.payload), self._segments[pos]["sign"])
-                yield cv * half_l1[half] + h_linf[id(t.payload)] * c_l1
-
     def sstar_star_bracket(self, grid: CircleGrid) -> Tuple[np.ndarray, np.ndarray]:
         """(lower, upper) pointwise brackets for sup over windows |S_{n,m}|.
 
         lower: exact maximum over windows whose endpoints fall between
         segments; upper: lower family plus a certified bound on the at
         most two cut blocks any other window adds.
+
+        One pass over the terms evaluates each carrier once.  It fills the
+        carrier's segment rows (carrier times contracted payload half, one
+        row per segment in segment order, in one array) and folds the
+        pointwise bound on a rectangular cut inside each of its segments
+        into the two largest bounds, which do not depend on their order.
         """
         if self.layout != "segments":
             raise ValueError("partial-sum brackets need the segments layout")
-        segs = self._segment_values(grid)
         m = grid.size
-        dmid = max_window_gap(lambda i, cols: segs[i][cols], len(segs), m)
-        del segs  # release the segment values before the cut bounds
+        halves = {}  # (payload id, sign) -> (values, l1 norm) of the half
+        for i, h in self._payloads.items():
+            for sign in (-1, 1):
+                p = _half(h, sign)
+                halves[i, sign] = p.values(grid, allow_alias=True), coeff_norms(p).l1
+        h_linf = {i: coeff_norms(h).linf for i, h in self._payloads.items()}
+        by_term = {}  # term index -> positions of its segments
+        for pos, seg in enumerate(self._segments):
+            by_term.setdefault(seg["term"], []).append(pos)
+        segs = np.empty((len(self._segments), m), dtype=complex)
         top1 = np.zeros(m)
         top2 = np.zeros(m)
-        for c in self._cut_bounds(grid):
-            swap = c > top1
-            top2 = np.where(swap, top1, np.maximum(top2, np.minimum(c, top1)))
-            top1 = np.where(swap, c, top1)
+        for i, positions in by_term.items():
+            t = self.terms[i]
+            cv = t.carrier.values(grid, allow_alias=True)
+            index = contracted_index_map(t.rate, grid)
+            acv = np.abs(cv)
+            c_l1 = coeff_norms(t.carrier).l1
+            for pos in positions:
+                half, half_l1 = halves[id(t.payload), self._segments[pos]["sign"]]
+                # one expression: numpy computes it in place on the
+                # temporary `half[index]` once the row reaches 256 KiB, and
+                # under FMA that operand order decides the last bit (see
+                # trigpoly._term)
+                segs[pos] = cv * half[index]
+                cut = acv * half_l1 + h_linf[id(t.payload)] * c_l1
+                swap = cut > top1
+                top2 = np.where(swap, top1, np.maximum(top2, np.minimum(cut, top1)))
+                top1 = np.where(swap, cut, top1)
+        # the sweep's peak then holds the rows and the two bounds only
+        del halves, p, half, cv, index, acv, cut, swap
+        dmid = max_window_gap(lambda i, cols: segs[i][cols], len(segs), m)
         return dmid, dmid + top1 + top2
 
     def sstar_upper(self, grid: CircleGrid) -> np.ndarray:

@@ -113,10 +113,11 @@ class RepresentationRun:
     final_residual: Optional[np.ndarray] = None
 
     def all_certificates_passed(self) -> bool:
+        """Every stage passed; a run without stages certifies nothing."""
         if self.flags.get("infeasible") or self.flags.get("exhausted") \
                 or self.flags.get("stop_unreached"):
             return False
-        return all(st.ok for st in self.stages)
+        return bool(self.stages) and all(st.ok for st in self.stages)
 
     def residual_l0(self) -> float:
         """L0 of the final residual over the points where it is defined:

@@ -22,6 +22,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .blockpoly import contracted_index_map
 from .circle import CircleGrid, GridError
 
 LOG_SINGULARITY_FLOOR = 1e-30
@@ -102,12 +103,6 @@ def _check_orbit(nu: int, m: int):
         )
 
 
-def contracted_angle_indices(nu: int, grid: CircleGrid) -> np.ndarray:
-    """Index map sigma with theta_{sigma(j)} = nu * t_j (mod 2 pi), exact."""
-    _check_orbit(nu, grid.size)
-    return grid.contracted_indices(nu % grid.size, nu % 2 == 1)
-
-
 @dataclass
 class RieszDiagnostics:
     """Per-grid-point traces for a product diagnostic run."""
@@ -148,7 +143,9 @@ def _factor_terms(sched: RieszSchedule, grid: CircleGrid, n: int, tables):
     if n < 1:
         raise ValueError(f"factor count must be at least 1, got {n}")
     for k in range(1, n + 1):
-        idx = contracted_angle_indices(sched.frequencies[k - 1], grid)
+        nu = sched.frequencies[k - 1]
+        _check_orbit(nu, grid.size)
+        idx = contracted_index_map(nu, grid)
         yield k, [tab[idx] for tab in tables]
 
 

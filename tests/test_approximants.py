@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsetrig import approximants as ap
 from sparsetrig import blocks as bl
@@ -15,7 +17,8 @@ from sparsetrig.approximants import (CertificateError, ConstructionInfeasible,
                                      fejer_until, jackson_dip,
                                      korner_polynomial, symmetric_unit)
 from sparsetrig.circle import (CircleGrid, SampledFunction, constant, l0_norm,
-                               measure_fraction)
+                               measure_fraction, triangle_coeff,
+                               triangle_coeff_array)
 from sparsetrig.targets import step, zero
 
 GRID = CircleGrid(2 ** 13)
@@ -50,6 +53,125 @@ def test_jackson_dip_zero_mean():
     assert abs(vals[512] - 1.0) > 0.5
     far = np.abs(vals - 1.0)[np.abs(g.points) > 1.0]
     assert far.max() < 0.01
+
+
+# the dict loops the array builders replaced, kept as oracles
+
+def loop_fejer_poly(f, degree):
+    m = f.grid.size
+    hat = np.fft.fft(f.values) / m
+    coeffs = {}
+    n = degree + 1
+    for k in range(-degree, degree + 1):
+        w = 1.0 - abs(k) / n
+        c = hat[k % m] * w
+        c *= (-1.0) ** (k % 2)
+        if abs(c) > 1e-15:
+            coeffs[k] = complex(c)
+    return tp.TrigPoly(coeffs)
+
+
+def loop_jackson_dip(n):
+    m = 1 << max(8, (4 * n - 1).bit_length())
+    t = -math.pi + 2.0 * math.pi * np.arange(m) / m
+    s = np.sin(t / 2.0)
+    num = np.sin(n * t / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ker = np.where(np.abs(s) < 1e-15, float(n) ** 4, (num / s) ** 4)
+    ker_hat = np.fft.fft(ker).real / m
+    coeffs = {}
+    for k in range(1, 2 * n - 1):
+        c = ker_hat[k] * (-1.0) ** (k % 2) / ker_hat[0]
+        if abs(c) > 1e-18:
+            coeffs[k] = complex(-c)
+            coeffs[-k] = complex(-c)
+    return tp.TrigPoly(coeffs)
+
+
+def loop_triangle_partial(width, n):
+    arr = triangle_coeff_array(width, n)
+    coeffs = {0: complex(arr[0])}
+    for k in range(1, n + 1):
+        if arr[k] != 0.0:
+            coeffs[k] = complex(arr[k])
+            coeffs[-k] = complex(arr[k])
+    return tp.TrigPoly(coeffs)
+
+
+def loop_dip_payload(width, degree):
+    amp = 1.0 / triangle_coeff(width, 0)
+    arr = triangle_coeff_array(width, degree)
+    coeffs = {}
+    for k in range(1, degree + 1):
+        c = -amp * arr[k]
+        if c != 0.0:
+            coeffs[k] = complex(c)
+            coeffs[-k] = complex(c)
+    return tp.TrigPoly(coeffs)
+
+
+def assert_same_bits(p, ref):
+    """Same frequencies in the same storage order, same dtype, and the
+    same coefficient bits, signed zeros included."""
+    assert p._k.dtype == ref._k.dtype
+    assert p._k.tolist() == ref._k.tolist()
+    assert p._c.tobytes() == ref._c.tobytes()
+
+
+# real parts and imaginary parts mix exact zeros of both signs with
+# integers (exact-zero DFT bins) and arbitrary floats
+parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                  st.floats(-8.0, 8.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([8, 10, 16, 62, 64, 250, 1024]), real=st.booleans(),
+       data=st.data())
+def test_fejer_poly_matches_loop_oracle(m, real, data):
+    re = data.draw(st.lists(parts, min_size=m, max_size=m))
+    im = [0.0] * m if real else data.draw(st.lists(parts, min_size=m, max_size=m))
+    vals = np.array(re) + 1j * np.array(im)
+    f = SampledFunction(CircleGrid(m), vals)
+    for degree in (0, 1, data.draw(st.integers(2, 2 * m + 3))):
+        assert_same_bits(fejer_poly(f, degree), loop_fejer_poly(f, degree))
+
+
+@pytest.mark.parametrize("m", [8, 250, 1022, 4096])
+def test_fejer_poly_matches_loop_oracle_on_structured_targets(m):
+    # constants, cosines and real steps give bins that are exactly zero,
+    # and imaginary parts that are zeros of either sign
+    t = CircleGrid(m).points
+    for vals in (np.ones(m), np.cos(3 * t), np.sign(t), 1j * np.sin(t),
+                 np.where(np.abs(t) < 1.0, 1.0, -0.0), np.zeros(m)):
+        f = SampledFunction(CircleGrid(m), vals.astype(complex))
+        for degree in (0, 1, 3, 16, m // 2, m + 1):
+            assert_same_bits(fejer_poly(f, degree), loop_fejer_poly(f, degree))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 400), width=st.floats(0.01, math.pi),
+       tol=st.sampled_from([1e-2, 1e-3, 1e-4]), degree=st.integers(1, 3000))
+def test_kernel_builders_match_loop_oracles(n, width, tol, degree):
+    assert_same_bits(jackson_dip(n), loop_jackson_dip(n))
+    tri = ap._triangle_partial(width, tol)
+    assert_same_bits(tri, loop_triangle_partial(width, tri.degree()))
+    assert_same_bits(ap._dip_payload(width, degree), loop_dip_payload(width, degree))
+
+
+def test_fejer_until_takes_one_dft(monkeypatch):
+    f = step(CircleGrid(4096))
+    calls = []
+    fft = np.fft.fft
+
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return fft(a, *args, **kwargs)
+    monkeypatch.setattr(np.fft, "fft", counting)
+    poly, diag = fejer_until(f, 1 / 12, 1 / 6, 4096)
+    monkeypatch.undo()
+    assert poly is not None and diag["degree"] >= 4  # several degrees tried
+    assert calls == [4096]
+    assert_same_bits(poly, loop_fejer_poly(f, diag["degree"]))
 
 
 def test_symmetric_unit_certificate():

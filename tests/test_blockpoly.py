@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sparsetrig import trigpoly as tp
+from sparsetrig.approximants import analytic_korner
 from sparsetrig.blockpoly import (BlockSum, BlockTerm, Freq, LazyRate,
                                   ScaledProduct, contracted_index_map,
                                   orbit_fraction)
@@ -51,6 +53,23 @@ def test_bracket_contains_truth():
     lower, upper = w.sstar_star_bracket(grid)
     assert np.all(lower <= truth + 1e-9)
     assert np.all(truth <= upper + 1e-9)
+
+
+def test_bracket_memory_holds_rows_and_two_bounds():
+    # 41 tiles of one 65536-coefficient unit approximant: the segment rows
+    # take 10.7 MB and the bracket peaked at 14.3 MB with two carrier
+    # passes, 14.8 MB with one; keeping the payload halves and the last
+    # term's arrays through the sweep read 17.3 MB
+    grid = CircleGrid(2 * 8191)
+    q = analytic_korner(0.3, grid=grid, strict=False).poly
+    assert len(q.terms) == 41
+    tracemalloc.start()
+    try:
+        q.sstar_star_bracket(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_segment_overlap_rejected():

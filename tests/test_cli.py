@@ -150,14 +150,30 @@ def test_represent_defaults_to_engine_grid(tmp_path):
 
 def test_represent_infinity_manifest_is_strict_json(tmp_path):
     # the residual is NaN at the infinite points; residual_l0 skips them
+    # (no stage is built, so the run certifies nothing and exits 1)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"engine": "infinity",
                                "target": "plus_infinity_arc", "stages": 0}))
     out = tmp_path / "r"
     assert run_cli(["represent", "--config", cfg, "--out", out,
-                    "--grid", "256"]) == 0
+                    "--grid", "256"]) == 1
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["run"]["residual_l0"] == 0.0
+
+
+@pytest.mark.parametrize("engine", ["ae", "squares", "asymptotic_l2",
+                                    "infinity", "measure"])
+@pytest.mark.parametrize("stages", [0, -2])
+def test_represent_without_stages_certifies_nothing(tmp_path, engine, stages):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"engine": engine, "target": "const",
+                               "stages": stages}))
+    out = tmp_path / "r"
+    assert run_cli(["represent", "--config", cfg, "--out", out,
+                    "--grid", "256"]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["run"]["stages"] == []
+    assert manifest["certificates_passed"] is False
 
 
 @pytest.mark.parametrize("spectrum, word", [

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsetrig import riesz
+from sparsetrig.blockpoly import contracted_index_map
 from sparsetrig.circle import CircleGrid
 from sparsetrig.riesz import (C_UPPER, LOG_SINGULARITY_FLOOR, NEG_LOG_2, PHI_L2_NORM,
-                              RieszSchedule, contracted_angle_indices,
-                              ks_distance_to_normal)
+                              RieszSchedule, ks_distance_to_normal)
 
 
 def test_schedule_example():
@@ -35,7 +35,7 @@ def test_schedule_length_one():
 def test_contracted_indices_exact():
     grid = CircleGrid(64)
     nu = 9
-    idx = riesz.contracted_angle_indices(nu, grid)
+    idx = contracted_index_map(nu, grid)
     lhs = np.cos(grid.points[idx])
     rhs = np.cos(nu * grid.points)
     assert np.allclose(lhs, rhs, atol=1e-12)
@@ -43,8 +43,9 @@ def test_contracted_indices_exact():
 
 def test_orbit_guard():
     grid = CircleGrid(64)
+    sched = riesz.make_schedule(1, nu1=32, force_odd=False)
     with pytest.raises(riesz.OrbitError):
-        riesz.contracted_angle_indices(32, grid)
+        riesz.almost_orthogonality(sched, grid)
 
 
 def test_mean_log_converges():
@@ -162,7 +163,7 @@ def _old_cosine_product_bounds(sched: RieszSchedule, grid: CircleGrid, n_max: in
     log3 = math.log(3.0)
     logc = math.log(C_UPPER)
     for n in range(1, n_max + 1):
-        idx = contracted_angle_indices(sched.frequencies[n - 1], grid)
+        idx = contracted_index_map(sched.frequencies[n - 1], grid)
         masked |= sing[idx]
         log_sum += log_one_minus_cos[idx]
         np.minimum(min_trace, log_sum, out=min_trace)
@@ -228,7 +229,7 @@ def _old_analytic_product_diagnostics(sched: RieszSchedule, grid: CircleGrid,
     last_fail = np.zeros(m, dtype=np.int64)
     log34 = math.log(0.75)
     for n in range(1, n_max + 1):
-        idx = contracted_angle_indices(sched.frequencies[n - 1], grid)
+        idx = contracted_index_map(sched.frequencies[n - 1], grid)
         masked |= sing[idx]
         log_abs += log_factor[idx]
         np.minimum(min_trace, log_abs, out=min_trace)
@@ -271,7 +272,7 @@ def _old_cross_identity_max_error(sched: RieszSchedule, grid: CircleGrid, n_max:
     masked = np.zeros(m, dtype=bool)
     worst = 0.0
     for n in range(1, n_max + 1):
-        idx = contracted_angle_indices(sched.frequencies[n - 1], grid)
+        idx = contracted_index_map(sched.frequencies[n - 1], grid)
         masked |= ~keep[idx]
         s_cos += log_cos[idx]
         s_q += log_q[idx]
@@ -298,7 +299,7 @@ def _old_clt_check(sched: RieszSchedule, grid: CircleGrid, n_terms: int) -> dict
     total = np.zeros(m)
     masked = np.zeros(m, dtype=bool)
     for k in range(n_terms):
-        idx = contracted_angle_indices(sched.frequencies[k], grid)
+        idx = contracted_index_map(sched.frequencies[k], grid)
         masked |= sing[idx]
         total += phi[idx]
     total /= math.sqrt(n_terms)
@@ -321,7 +322,7 @@ def _old_almost_orthogonality(sched: RieszSchedule, grid: CircleGrid) -> np.ndar
     f_tab = np.where(sing, 0.0, np.log(np.maximum(base_vals, LOG_SINGULARITY_FLOOR)) - NEG_LOG_2)
     rows = []
     for k in range(n):
-        idx = contracted_angle_indices(sched.frequencies[k], grid)
+        idx = contracted_index_map(sched.frequencies[k], grid)
         rows.append(f_tab[idx])
     out = np.zeros((n, n))
     for i in range(n):

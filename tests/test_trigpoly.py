@@ -175,24 +175,26 @@ def test_table_evaluation_and_streamed_sweeps_bit_identical(m):
                   BlockTerm(poly(range(-3, 4)), poly([-2, -1, 1, 2]), 101)],
                  layout="segments")
     lower, upper = w.sstar_star_bracket(g)
-    segs = w._segment_values(g)
-    for row, seg in zip(segs, w._segments):
+    # segment rows (carrier times contracted payload half, in segment order)
+    # and each segment's bound |C| l1(half) + linf(H) l1(C) on a cut inside
+    # it, from their definitions
+    segs, cuts = [], []
+    for seg in w._segments:
         t = w.terms[seg["term"]]
         cv = t.carrier.values(g, allow_alias=True)
-        half = _half(t.payload, seg["sign"]).values(g, allow_alias=True)
+        half = _half(t.payload, seg["sign"])
+        hv = half.values(g, allow_alias=True)
         # one expression outside the assert (which names its temporaries),
         # so numpy evaluates it in place on the indexed temporary once rows
-        # reach 256 KiB, as the segment values do
-        expected = cv * half[contracted_index_map(t.rate, g)]
-        assert np.array_equal(row, expected)
+        # reach 256 KiB, as the bracket does
+        row = cv * hv[contracted_index_map(t.rate, g)]
+        segs.append(row)
+        cuts.append(np.abs(cv) * tp.coeff_norms(half).l1
+                    + tp.coeff_norms(t.payload).linf * tp.coeff_norms(t.carrier).l1)
     dmid = ref_window_gap(segs, m)
-    top1, top2 = np.zeros(m), np.zeros(m)
-    for c in w._cut_bounds(g):
-        swap = c > top1
-        top2 = np.where(swap, top1, np.maximum(top2, np.minimum(c, top1)))
-        top1 = np.where(swap, c, top1)
+    two_largest = np.sort(cuts, axis=0)[-2:]
     assert np.array_equal(lower, dmid)
-    assert np.array_equal(upper, dmid + top1 + top2)
+    assert np.array_equal(upper, dmid + two_largest[1] + two_largest[0])
 
 
 @pytest.mark.parametrize("m", [2 ** 13, 2 ** 15])
@@ -485,6 +487,7 @@ def test_blocksum_evaluates_shared_payload_once(monkeypatch):
     assert calls.count(len(payload)) == 1
     calls.clear()
     w.sstar_star_bracket(g)
-    # the two payload halves (2 coefficients each) once; the carriers
-    # once for the segment values and once for the cut bounds
-    assert calls.count(2) == 2 and calls.count(3) == 2 and calls.count(5) == 2
+    # the two payload halves (2 coefficients each) and each carrier once:
+    # one carrier evaluation serves its segment rows and its cut bounds
+    assert calls.count(2) == 2 and calls.count(3) == 1 and calls.count(5) == 1
+    assert len(calls) == 4
