@@ -23,7 +23,8 @@ with explicit relative margins instead of exact integer comparisons.
 TrigPoly, BlockSum and ScaledProduct answer one polynomial protocol:
 values(grid, allow_alias), degree, degree_log2, min_abs_freq, is_analytic,
 spectrum_size, coeff_zero/coeff_l1/coeff_linf, sstar_upper(grid),
-iter_coeffs(limit), min_orbit_fraction(grid) and the `lazy` flag.
+coeff_arrays(limit) with its row view iter_coeffs(limit),
+min_orbit_fraction(grid) and the `lazy` flag.
 
 Sampling health: values are exact pointwise regardless of gcd(r_i, M),
 but a small orbit M/gcd means the grid sees few distinct payload samples;
@@ -32,7 +33,6 @@ the orbit fraction is recorded so reports can flag degenerate sampling.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import total_ordering
@@ -41,7 +41,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .circle import CircleGrid
-from .trigpoly import TrigPoly, coeff_norms, max_window_gap, partial_sum_rect
+from .trigpoly import (TrigPoly, _cmul, _freq_array, _limit, _outer_freqs,
+                       coeff_norms, max_window_gap, partial_sum_rect)
 
 #: relative log2 margin required between lazily compared frequencies
 LOG_MARGIN = 1e-9
@@ -184,6 +185,11 @@ def orbit_fraction(rate: Rate, grid: CircleGrid) -> float:
     return 1.0 / g
 
 
+def _ends(ks: np.ndarray) -> Tuple[int, int]:
+    """The lowest and highest of a nonempty frequency array, as ints."""
+    return int(ks.min()), int(ks.max())
+
+
 def _half(p: TrigPoly, sign: int) -> TrigPoly:
     """The coefficients of p with positive (sign > 0) or negative frequency."""
     d = max(p.degree(), 1)
@@ -207,9 +213,8 @@ class BlockTerm:
             raise ValueError("carrier and payload must be nonzero")
         if self.payload[0] != 0:
             raise ValueError("payload must have zero mean coefficient")
-        spec = self.carrier.spectrum()
-        spread = spec[-1] - spec[0]
-        if not Freq.of(spread).clearly_below(Freq.of(self.rate), 0.0):
+        lo, hi = self.carrier_span()
+        if not Freq.of(hi - lo).clearly_below(Freq.of(self.rate), 0.0):
             raise ValueError("rate must exceed the carrier spectral spread")
 
     @property
@@ -217,8 +222,7 @@ class BlockTerm:
         return isinstance(self.rate, LazyRate)
 
     def carrier_span(self) -> Tuple[int, int]:
-        spec = self.carrier.spectrum()
-        return spec[0], spec[-1]
+        return _ends(self.carrier._k)
 
     def _corner(self, k: int, off: int):
         """Frequency k * rate + off, exact int or Freq for lazy rates."""
@@ -229,8 +233,8 @@ class BlockTerm:
 
     def degree(self):
         lo_c, hi_c = self.carrier_span()
-        ks = self.payload.spectrum()
-        corners = [self._corner(k, off) for k in (ks[0], ks[-1]) for off in (lo_c, hi_c)]
+        corners = [self._corner(k, off) for k in _ends(self.payload._k)
+                   for off in (lo_c, hi_c)]
         if self.lazy:
             return max(abs(Freq.of(c)) for c in corners)
         return max(abs(c) for c in corners)
@@ -239,13 +243,12 @@ class BlockTerm:
         """Frequency intervals of the two payload halves."""
         out = []
         lo_c, hi_c = self.carrier_span()
-        ks = self.payload.spectrum()
-        split = bisect.bisect_left(ks, 0)  # the payload has no frequency 0
-        for sign, group in ((-1, ks[:split]), (+1, ks[split:])):
-            if group:
-                out.append({"sign": sign,
-                            "lo": self._corner(group[0], lo_c),
-                            "hi": self._corner(group[-1], hi_c)})
+        ks = self.payload._k  # the payload has no frequency 0
+        for sign, group in ((-1, ks[ks < 0]), (+1, ks[ks > 0])):
+            if group.size:
+                lo, hi = _ends(group)
+                out.append({"sign": sign, "lo": self._corner(lo, lo_c),
+                            "hi": self._corner(hi, hi_c)})
         return out
 
 
@@ -349,22 +352,35 @@ class BlockSum:
     def spectrum_size(self) -> int:
         return sum(len(t.carrier) * len(t.payload) for t in self.terms)
 
-    def iter_coeffs(self, limit: Optional[int] = None) -> Iterator[Tuple[object, complex]]:
-        """Yield (frequency, coefficient); integer rates only, lazy rates
-        raise OverflowError."""
+    def coeff_arrays(self, limit: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """The first `limit` (all when None) coefficients: term by term,
+        payload coefficient by carrier coefficient, both in storage order.
+        Frequencies k * rate + c follow `_freq_array`'s int64/object rule,
+        and each coefficient is the product of its payload and carrier
+        coefficients, rounded as Python's complex product.  A term builds
+        only the payload rows the limit reaches, as one outer product.
+        Integer rates only; lazy rates raise OverflowError."""
         if self.lazy:
             raise OverflowError("lazy rates: frequencies not materializable")
-        count = 0
-        payload_items = {i: list(h.coeffs.items()) for i, h in self._payloads.items()}
+        left = _limit(limit)
+        ks, cs = [], []
         for t in self.terms:
-            carrier = list(t.carrier.coeffs.items())
-            for k, hk in payload_items[id(t.payload)]:
-                base = k * t.rate
-                for c, cc in carrier:
-                    yield base + c, hk * cc
-                    count += 1
-                    if limit is not None and count >= limit:
-                        return
+            if left == 0:
+                break
+            ck, cc = t.carrier._k, t.carrier._c
+            rows = len(t.payload) if left is None else -(-left // ck.size)
+            hk, hc = t.payload._k[:rows], t.payload._c[:rows]
+            ks.append(_outer_freqs(hk, t.rate, ck, left))
+            cs.append(_cmul(hc[:, None], cc.real, cc.imag).ravel()[:left])
+            if left is not None:
+                left -= ks[-1].size
+        # int64 terms join object ones as Python ints
+        return (np.concatenate(ks) if ks else _freq_array([]),
+                np.concatenate(cs) if cs else np.zeros(0, dtype=complex))
+
+    def iter_coeffs(self, limit: Optional[int] = None) -> Iterator[Tuple[object, complex]]:
+        """`coeff_arrays` as (frequency, coefficient) Python numbers."""
+        return zip(*(a.tolist() for a in self.coeff_arrays(limit)))
 
     def coeff_zero(self) -> complex:
         return 0j  # payloads exclude frequency 0 and rates exceed carriers
@@ -425,15 +441,16 @@ class BlockSum:
         if self.layout != "segments":
             raise ValueError("partial-sum brackets need the segments layout")
         m = grid.size
-        halves = {}  # (payload id, sign) -> (values, l1 norm) of the half
-        for i, h in self._payloads.items():
-            for sign in (-1, 1):
-                p = _half(h, sign)
-                halves[i, sign] = p.values(grid, allow_alias=True), coeff_norms(p).l1
-        h_linf = {i: coeff_norms(h).linf for i, h in self._payloads.items()}
+        halves = {}  # (payload id, sign) -> (values, l1 norm) of a used half
         by_term = {}  # term index -> positions of its segments
         for pos, seg in enumerate(self._segments):
             by_term.setdefault(seg["term"], []).append(pos)
+            key = id(self.terms[seg["term"]].payload), seg["sign"]
+            if key not in halves:  # an analytic payload has no negative half
+                p = _half(self._payloads[key[0]], key[1])
+                halves[key] = p.values(grid, allow_alias=True), coeff_norms(p).l1
+        del p
+        h_linf = {i: coeff_norms(h).linf for i, h in self._payloads.items()}
         segs = np.empty((len(self._segments), m), dtype=complex)
         top1 = np.zeros(m)
         top2 = np.zeros(m)
@@ -454,8 +471,10 @@ class BlockSum:
                 swap = cut > top1
                 top2 = np.where(swap, top1, np.maximum(top2, np.minimum(cut, top1)))
                 top1 = np.where(swap, cut, top1)
+            # free this term's arrays before the next carrier is evaluated
+            del cv, index, acv, half, cut, swap
         # the sweep's peak then holds the rows and the two bounds only
-        del halves, p, half, cv, index, acv, cut, swap
+        del halves
         dmid = max_window_gap(lambda i, cols: segs[i][cols], len(segs), m)
         return dmid, dmid + top1 + top2
 
@@ -533,19 +552,25 @@ class ScaledProduct:
     def coeff_zero(self):
         return 0j
 
-    def iter_coeffs(self, limit: Optional[int] = None):
+    def coeff_arrays(self, limit: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """The first `limit` (all when None) coefficients: q's coefficients
+        in their `coeff_arrays` order, each paired with p's, at frequency
+        kq * rate + kp with coefficient cq * cp (Python's complex product).
+        Only the q prefix the limit reaches is built.  Lazy rates raise
+        OverflowError."""
         if self.lazy:
             raise OverflowError("lazy rates: frequencies not materializable")
-        count = 0
         # no q coefficient pairs with more than `limit` of p's
-        p_items = list(self.p.iter_coeffs(limit))
-        for kq, cq in self.q.iter_coeffs():
-            base = kq * self.rate
-            for kp, cp in p_items:
-                yield base + kp, cq * cp
-                count += 1
-                if limit is not None and count >= limit:
-                    return
+        kp, cp = self.p.coeff_arrays(limit)
+        if not kp.size:
+            return kp, cp
+        kq, cq = self.q.coeff_arrays(None if limit is None else -(-limit // kp.size))
+        return (_outer_freqs(kq, self.rate, kp, limit),
+                _cmul(cq[:, None], cp.real, cp.imag).ravel()[:limit])
+
+    def iter_coeffs(self, limit: Optional[int] = None) -> Iterator[Tuple[object, complex]]:
+        """`coeff_arrays` as (frequency, coefficient) Python numbers."""
+        return zip(*(a.tolist() for a in self.coeff_arrays(limit)))
 
     def values(self, grid: CircleGrid, allow_alias: bool = True) -> np.ndarray:
         qv = self.q.values(grid, allow_alias=True)

@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import sys
-from array import array
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,6 @@ from .engines import (ENGINE_GRID_SIZE, run_ae_engine,
                       run_measure_engine, run_squares_engine,
                       run_stoptime_engine)
 from .targets import make_target
-from .trigpoly import _freq_array
 
 STREAM_COEFF_CAP = 200000
 CSV_CHUNK_ROWS = 16384
@@ -51,42 +49,44 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _coeff_rows(poly):
-    """The first STREAM_COEFF_CAP coefficients of poly as three arrays in
-    `iter_coeffs` order: the frequencies (int64, or Python ints in an object
+    """The first STREAM_COEFF_CAP coefficients of poly from its
+    `coeff_arrays`: the frequencies (int64, or Python ints in an object
     array once some |k| >= FREQ_INT64_LIMIT) and the float64 real and
     imaginary parts.  None when the frequencies cannot be written: lazy
     rates, or integers with more decimal digits than int-to-str conversion
     allows.  The digit check runs on the degree before any row is
-    collected."""
+    built."""
     max_digits = sys.get_int_max_str_digits()
     if max_digits and poly.degree_log2() * math.log10(2.0) + 1.0 > max_digits:
         return None
-    ks, real, imag = [], array("d"), array("d")
     try:
-        for k, c in poly.iter_coeffs(STREAM_COEFF_CAP):
-            ks.append(k)
-            real.append(c.real)
-            imag.append(c.imag)
+        ks, cs = poly.coeff_arrays(STREAM_COEFF_CAP)
     except OverflowError:
         return None
-    return (_freq_array(ks), np.frombuffer(real, dtype=np.float64),
-            np.frombuffer(imag, dtype=np.float64))
+    return ks, cs.real, cs.imag
 
 
-def _write_sorted_rows(fh, rows, order, start=None) -> None:
-    """Write the `_coeff_rows` rows taken in `order` as lines k,re,im, each
-    after its running index start, start + 1, ... when start is given,
-    CSV_CHUNK_ROWS rows at a time.  These are the lines csv.writer's
-    default dialect writes for these fields: "\\r\\n" line ends, and no
-    quoting, since neither str of an int nor repr of a float contains a
-    delimiter, a quote or a line break."""
-    line = "%d,%r,%r\r\n" if start is None else "%d,%d,%r,%r\r\n"
+def _render_rows(rows, idx) -> list:
+    """The `_coeff_rows` rows at positions `idx` as lines k,re,im.  These
+    are the lines csv.writer's default dialect writes for these fields:
+    "\\r\\n" line ends, and no quoting, since neither str of an int nor repr
+    of a float contains a delimiter, a quote or a line break."""
+    fields = (col[idx].tolist() for col in rows)
+    return list(map("%d,%r,%r\r\n".__mod__, zip(*fields)))
+
+
+def _write_sorted_rows(rows, order, plain=None, indexed=None, start=0) -> None:
+    """Write the `_coeff_rows` rows taken in `order`, CSV_CHUNK_ROWS rows at
+    a time, as lines k,re,im to `plain` and as lines order_index,k,re,im to
+    `indexed`, the index running from `start`.  Each chunk is rendered once
+    for both sinks."""
     for lo in range(0, len(order), CSV_CHUNK_ROWS):
-        idx = order[lo:lo + CSV_CHUNK_ROWS]
-        fields = [col[idx].tolist() for col in rows]
-        if start is not None:
-            fields.insert(0, range(start + lo, start + lo + len(idx)))
-        fh.write("".join(map(line.__mod__, zip(*fields))))
+        lines = _render_rows(rows, order[lo:lo + CSV_CHUNK_ROWS])
+        if plain is not None:
+            plain.write("".join(lines))
+        if indexed is not None:
+            numbered = zip(range(start + lo, start + lo + len(lines)), lines)
+            indexed.write("".join(map("%d,%s".__mod__, numbered)))
 
 
 def _write_poly_csv(path: Path, poly) -> None:
@@ -94,12 +94,26 @@ def _write_poly_csv(path: Path, poly) -> None:
     _write_rows_csv(path, _coeff_rows(poly))
 
 
-def _write_rows_csv(path: Path, rows) -> None:
-    """Coefficient CSV of `_coeff_rows` output, in frequency order."""
+def _write_rows_csv(path: Path, rows, merged=None, start=0) -> None:
+    """Coefficient CSV of `_coeff_rows` output, in frequency order.  With
+    `merged`, the rows also go to that merged stream by |k| (ties in
+    `coeff_arrays` order), numbered from `start`.  Where the two orders
+    agree, as on every stage with no negative frequency, each row is
+    rendered once for both files."""
     with open(path, "w", newline="") as fh:
         fh.write("k,re,im\r\n")
-        if rows is not None:
-            _write_sorted_rows(fh, rows, np.argsort(rows[0], kind="stable"))
+        if rows is None:
+            return
+        order = np.argsort(rows[0], kind="stable")
+        if merged is None:
+            _write_sorted_rows(rows, order, fh)
+            return
+        by_abs = np.argsort(np.abs(rows[0]), kind="stable")
+        if np.array_equal(order, by_abs):
+            _write_sorted_rows(rows, order, fh, merged, start)
+        else:
+            _write_sorted_rows(rows, order, fh)
+            _write_sorted_rows(rows, by_abs, indexed=merged, start=start)
 
 
 def _eps_rule(name):
@@ -253,8 +267,8 @@ def cmd_represent(cfg: dict, out: Path, grid_size: int, seed: int) -> int:
 def _write_stage_csvs(out: Path, run) -> None:
     """`stage_<n>.csv` for each stage with a polynomial, and the merged
     coefficient stream `merged_stream.csv` in the engine's partial-sum
-    order (stages in turn, each by |k|, ties in `iter_coeffs` order).
-    Each stage's rows are collected once and serve both files."""
+    order (stages in turn, each by |k|, ties in `coeff_arrays` order).
+    Each stage's rows are built once and serve both files."""
     with open(out / "merged_stream.csv", "w", newline="") as fh:
         fh.write("order_index,k,re,im\r\n")
         start = 0
@@ -262,12 +276,9 @@ def _write_stage_csvs(out: Path, run) -> None:
             if st.poly is None:
                 continue
             rows = _coeff_rows(st.poly)
-            _write_rows_csv(out / f"stage_{st.index}.csv", rows)
-            if rows is None:
-                continue  # lazy or unprintable frequencies: structural record only
-            _write_sorted_rows(fh, rows, np.argsort(np.abs(rows[0]), kind="stable"),
-                               start)
-            start += len(rows[0])
+            # lazy or unprintable frequencies: structural record only
+            _write_rows_csv(out / f"stage_{st.index}.csv", rows, fh, start)
+            start += 0 if rows is None else len(rows[0])
 
 
 def cmd_riesz(cfg: dict, out: Path, grid_size: int, seed: int) -> int:

@@ -80,6 +80,9 @@ class _Modulated:
         n = self.inner.spectrum_size()
         return 2 * n if self.kind == "cos" else n
 
+    def coeff_arrays(self, limit: Optional[int] = None):
+        raise OverflowError("modulated stages: frequencies not materialized")
+
     def iter_coeffs(self, limit: Optional[int] = None):
         raise OverflowError("modulated stages: frequencies not materialized")
 

@@ -1,0 +1,73 @@
+"""Per-row coefficient iterators: the oracle for `coeff_arrays`.
+
+These are the `iter_coeffs` bodies of TrigPoly, BlockSum and ScaledProduct
+as they stood before coefficients were exported from arrays: one Python
+step per row, products taken as Python complex numbers.  Nested factors go
+through the oracle too, so it never calls the code it checks.  A limit of 0
+keeps their old meaning (all rows for a TrigPoly, one row for the block
+types); the array export reads it as "no rows".
+"""
+
+import numpy as np
+
+from sparsetrig.blockpoly import BlockSum, ScaledProduct
+from sparsetrig.trigpoly import TrigPoly
+
+
+def oracle_iter_coeffs(poly, limit=None):
+    """(frequency, coefficient) rows of poly in export order; lazy rates and
+    other polynomials raise OverflowError on the first row."""
+    if isinstance(poly, TrigPoly):
+        return _trigpoly_rows(poly, limit)
+    if isinstance(poly, BlockSum):
+        return _blocksum_rows(poly, limit)
+    if isinstance(poly, ScaledProduct):
+        return _scaled_rows(poly, limit)
+    return _unmaterializable()
+
+
+def _unmaterializable():
+    raise OverflowError("frequencies not materialized")
+    yield
+
+
+def _trigpoly_rows(p, limit):
+    order = np.argsort(p._k, kind="stable")
+    if limit:
+        order = order[:limit]
+    return zip(p._k[order].tolist(), p._c[order].tolist())
+
+
+def _blocksum_rows(b, limit):
+    if b.lazy:
+        raise OverflowError("lazy rates: frequencies not materializable")
+    count = 0
+    payload_items = {i: list(h.coeffs.items()) for i, h in b._payloads.items()}
+    for t in b.terms:
+        carrier = list(t.carrier.coeffs.items())
+        for k, hk in payload_items[id(t.payload)]:
+            base = k * t.rate
+            for c, cc in carrier:
+                yield base + c, hk * cc
+                count += 1
+                if limit is not None and count >= limit:
+                    return
+
+
+def _scaled_rows(sp, limit):
+    if sp.lazy:
+        raise OverflowError("lazy rates: frequencies not materializable")
+    count = 0
+    p_items = list(oracle_iter_coeffs(sp.p, limit))
+    for kq, cq in oracle_iter_coeffs(sp.q):
+        base = kq * sp.rate
+        for kp, cp in p_items:
+            yield base + kp, cq * cp
+            count += 1
+            if limit is not None and count >= limit:
+                return
+
+
+def bits(rows):
+    """(k, re, im) with the floats spelled exactly, signed zeros included."""
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in rows]

@@ -3,7 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coeff_oracle import bits, oracle_iter_coeffs
 from sparsetrig import trigpoly as tp
 from sparsetrig.approximants import analytic_korner
 from sparsetrig.blockpoly import (BlockSum, BlockTerm, Freq, LazyRate,
@@ -234,6 +237,8 @@ def test_polynomial_protocol_conformance(name):
         # modulated stages only promise min |k| >= nu / 2
         with pytest.raises(OverflowError):
             x.iter_coeffs()
+        with pytest.raises(OverflowError):
+            x.coeff_arrays(10)
         return
     assert Freq.of(x.min_abs_freq()).log2 == pytest.approx(
         Freq.of(mat.min_abs_freq()).log2, abs=1.0)
@@ -248,3 +253,138 @@ def test_polynomial_protocol_conformance(name):
     assert len(head) == 3
     if isinstance(x, TrigPoly):  # sorted, then truncated
         assert head == sorted(mat.coeffs.items())[:3]
+
+
+@pytest.mark.parametrize("name", sorted(set(PROTOCOL_CASES) - {"modulated_cos",
+                                                              "modulated_exp"}))
+def test_limit_means_at_most_limit_rows(name):
+    x = PROTOCOL_CASES[name]()
+    n = x.spectrum_size()
+    for limit in (0, 1, n - 1, n, n + 5, None):
+        want = n if limit is None else min(limit, n)
+        assert len(list(x.iter_coeffs(limit))) == want
+        ks, cs = x.coeff_arrays(limit)
+        assert len(ks) == len(cs) == want
+    with pytest.raises(ValueError):
+        x.coeff_arrays(-1)
+
+
+# -- coefficient export against the per-row oracle ---------------------------
+
+# signed zeros, a subnormal and scales far apart, so that rounding of the
+# products shows
+coeff_floats = st.sampled_from([-0.0, 0.0, 5e-324, 1e-300, 0.1, -2.5, 1.0 / 3.0,
+                                1e300, -7.25])
+
+
+@st.composite
+def coeff_polys(draw, freqs, max_size):
+    ks = draw(st.lists(freqs, min_size=1, max_size=max_size, unique=True))
+    cs = [complex(draw(coeff_floats), draw(coeff_floats)) for _ in ks]
+    # a coefficient that is zero leaves the map; keep the polynomial nonzero
+    cs = [c if c != 0 else complex(1.0, -0.0) for c in cs]
+    return TrigPoly(dict(zip(ks, cs)))
+
+
+@st.composite
+def block_sums(draw, max_terms=3, max_payload=4, max_carrier=3):
+    """A segments-layout BlockSum: carriers in [-2, 2], payloads in
+    [-D, D] without 0, shared between terms or not, and geometric rates
+    that start small, astride 2^62 (the frequencies of one term fall on
+    both sides of it) or far beyond it."""
+    d = draw(st.integers(1, 4))
+    payload_freqs = st.integers(-d, d).filter(bool)
+    pool = draw(st.lists(coeff_polys(payload_freqs, max_payload), min_size=1,
+                         max_size=2))
+    start = draw(st.sampled_from(["small", "astride", "huge"]))
+    rate = {"small": draw(st.integers(5, 40)),
+            "astride": draw(st.integers(2 ** 62 // (d + 1), 2 ** 62 - 1)),
+            "huge": draw(st.integers(2 ** 70, 2 ** 71))}[start]
+    terms = []
+    for _ in range(draw(st.integers(1, max_terms))):
+        carrier = draw(coeff_polys(st.integers(-2, 2), max_carrier))
+        terms.append(BlockTerm(carrier, draw(st.sampled_from(pool)), rate))
+        # the next term's segments clear this one's on both sides
+        rate = (d + 1) * rate + 5 + draw(st.integers(0, 3))
+    return BlockSum(terms)
+
+
+def _exact_degree(x) -> int:
+    return max(abs(k) for k, _ in oracle_iter_coeffs(x))
+
+
+@st.composite
+def scaled_products(draw, depth=2):
+    """ScaledProduct(q, R, p), with q or p a ScaledProduct one level down."""
+    def factor(analytic_zero_free):
+        kinds = ["trigpoly", "blocksum"] + (["scaled"] if depth > 1 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blocksum":
+            return draw(block_sums(max_terms=2, max_payload=3, max_carrier=2))
+        if kind == "scaled":
+            return draw(scaled_products(depth - 1))
+        freqs = st.integers(-4, 4).filter(bool) if analytic_zero_free \
+            else st.integers(-4, 4)
+        return draw(coeff_polys(freqs, 4))
+    q, p = factor(True), factor(False)
+    base = 4 * max(_exact_degree(p), 1) + 1
+    rate = draw(st.sampled_from([base, base + 7, max(base, 2 ** 61 + 3)]))
+    return ScaledProduct(q, rate, p)
+
+
+def _limits(x):
+    """Row limits that cut inside a term, inside a payload (or outer) row and
+    at a term (or row) boundary, plus one past the end."""
+    total = x.spectrum_size()
+    cuts = {1, total, total + 1}
+    if isinstance(x, BlockSum):
+        offset = 0
+        for t in x.terms:
+            for row in range(len(t.payload) + 1):
+                cuts.update({offset + row * len(t.carrier),
+                             offset + row * len(t.carrier) + 1})
+            offset += len(t.carrier) * len(t.payload)
+    else:
+        step = x.p.spectrum_size()
+        cuts.update(j * step + e for j in range(x.q.spectrum_size() + 1)
+                    for e in (0, 1))
+    return st.sampled_from(sorted(c for c in cuts if c >= 1)) | st.none()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(block_sums(), scaled_products()), st.data())
+def test_coeff_arrays_match_row_oracle(x, data):
+    limit = data.draw(_limits(x))
+    rows = list(oracle_iter_coeffs(x, limit))
+    want_ks = [k for k, _ in rows]
+    ks, cs = x.coeff_arrays(limit)
+    assert ks.dtype == tp._freq_array(want_ks).dtype
+    got_ks = ks.tolist()
+    assert got_ks == want_ks
+    assert all(type(k) is int for k in got_ks)
+    assert cs.dtype == np.complex128
+    assert cs.tobytes() == np.array([c for _, c in rows], dtype=complex).tobytes()
+    assert bits(x.iter_coeffs(limit)) == bits(rows)
+
+
+def test_coeff_arrays_freq_dtype_follows_the_rows_taken():
+    # rows on both sides of 2^62 inside one term, one payload row and one
+    # outer row: int64 while the rows taken stay below it, else Python ints
+    rate = 2 ** 61 + 1
+    cases = [
+        (TrigPoly({1: 1.0, 2 ** 70: 2.0}), 1, [1]),
+        (BlockSum([BlockTerm(TrigPoly({0: 1.0, 1: 0.5}),
+                             TrigPoly({1: 1.0, 3: 2.0, -1: 0.25j}), rate)]),
+         2, [rate, rate + 1]),
+        (BlockSum([BlockTerm(TrigPoly({-2: 1.0, 2: 0.5}), TrigPoly({1: 1.0}),
+                             2 ** 62 - 1)]), 1, [2 ** 62 - 3]),
+        (ScaledProduct(TrigPoly({1: 1.0}), 2 ** 62 - 1,
+                       TrigPoly({-3: 1.0, 0: 0.5, 3: 0.25})),
+         2, [2 ** 62 - 4, 2 ** 62 - 1]),
+    ]
+    for x, limit, head in cases:
+        ks, _ = x.coeff_arrays(limit)
+        assert ks.dtype == np.int64 and ks.tolist() == head
+        ks, _ = x.coeff_arrays()
+        assert ks.dtype == object
+        assert ks.tolist() == [k for k, _ in oracle_iter_coeffs(x)]

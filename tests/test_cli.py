@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsetrig
+from coeff_oracle import oracle_iter_coeffs
 from sparsetrig import cli
 from sparsetrig.blockpoly import BlockSum, BlockTerm, LazyRate, ScaledProduct
 from sparsetrig.cli import main
@@ -205,8 +206,9 @@ def test_console_entrypoint():
 
 
 # The coefficient-CSV writer as it stood before rows were rendered from
-# arrays in chunks: csv.writer over rows sorted as Python objects.  It is
-# the oracle for the chunked writer, which must write the same bytes.
+# arrays in chunks: csv.writer over rows sorted as Python objects, the rows
+# taken one by one from the per-row coefficient oracle.  It is the oracle
+# for the chunked writer, which must write the same bytes.
 
 def _oracle_coeff_rows(poly):
     max_digits = sys.get_int_max_str_digits()
@@ -214,7 +216,7 @@ def _oracle_coeff_rows(poly):
         return None
     ks, real, imag = [], array("d"), array("d")
     try:
-        for k, c in poly.iter_coeffs(cli.STREAM_COEFF_CAP):
+        for k, c in oracle_iter_coeffs(poly, cli.STREAM_COEFF_CAP):
             ks.append(k)
             real.append(c.real)
             imag.append(c.imag)
@@ -327,11 +329,24 @@ def _scaled_product():
     return ScaledProduct(TrigPoly({2: 0.25j, -1: 0.5}), 409, _block_sum())
 
 
+def _one_sided(sign):
+    """A BlockSum with frequencies of one sign only, and a ScaledProduct of
+    it: no ties in |k|, and the k and |k| orders agree (sign > 0) or run
+    opposite (sign < 0)."""
+    payload = TrigPoly({sign * 2: 0.5, sign: -1.0, sign * 3: 0.25j})
+    blocks = BlockSum([BlockTerm(TrigPoly({0: 1.0, sign: 0.5}), payload, 11),
+                       BlockTerm(TrigPoly({sign: -0.25j}), payload, 101)])
+    outer = TrigPoly({sign: 0.5, sign * 4: -1.5})
+    return [blocks, ScaledProduct(outer, 2 ** 62, blocks)]
+
+
 CSV_ORACLE_CASES = {
     "blocksum": lambda: [_block_sum(), _scaled_product()],
     "scaled_product": lambda: [_scaled_product(), _block_sum()],
     "several_chunks": lambda: [_large_unsorted_poly(), _large_unsorted_poly()],
     "lazy": lambda: [_block_sum(LazyRate(1, 3, 40)), _scaled_product()],
+    "nonnegative": lambda: _one_sided(+1),
+    "negative": lambda: _one_sided(-1),
     "unprintable": lambda: [_block_sum(10 ** 5000), _scaled_product()],
 }
 
@@ -339,6 +354,27 @@ CSV_ORACLE_CASES = {
 @pytest.mark.parametrize("name", sorted(CSV_ORACLE_CASES))
 def test_coefficient_csvs_match_oracle_for_block_polys(name):
     assert_csvs_match_oracle(CSV_ORACLE_CASES[name]())
+
+
+@pytest.mark.parametrize("name, renders", [("nonnegative", 1), ("negative", 2)])
+def test_stage_rows_rendered_once_where_orders_agree(tmp_path, name, renders):
+    # a stage whose k and |k| orders agree renders each row once for both
+    # its stage file and the merged stream; otherwise once for each
+    polys = CSV_ORACLE_CASES[name]()
+    run = SimpleNamespace(stages=[SimpleNamespace(index=i + 1, poly=p)
+                                  for i, p in enumerate(polys)])
+    rendered = []
+    render = cli._render_rows
+
+    def counting(rows, idx):
+        rendered.append(len(idx))
+        return render(rows, idx)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_render_rows", counting)
+        mp.setattr(cli, "CSV_CHUNK_ROWS", 5)
+        cli._write_stage_csvs(tmp_path, run)
+    assert sum(rendered) == renders * sum(p.spectrum_size() for p in polys)
 
 
 def test_unprintable_exact_frequencies_write_headers_only(tmp_path):
