@@ -1,8 +1,7 @@
 """Sparse trigonometric spectra, constructive approximants, and
 finite-stage representation engines on the discretized circle."""
 
-from .circle import (CircleGrid, SampledFunction, MeasureEstimate,
-                     estimate_measure, l0_norm, triangle_function,
+from .circle import (CircleGrid, SampledFunction, triangle_function,
                      triangle_coeff)
 from .trigpoly import (TrigPoly, partial_sum, partial_sum_rect, s_star,
                        s_star_star, contract, translate, multiply,

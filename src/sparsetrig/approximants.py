@@ -61,12 +61,6 @@ class CertificateError(RuntimeError):
         self.report = report
 
 
-def _entry(name: str, measured: float, bound: float, strict_less: bool = True) -> dict:
-    ok = measured < bound if strict_less else measured <= bound
-    return {"requirement": name, "measured": float(measured),
-            "bound": float(bound), "pass": bool(ok)}
-
-
 @dataclass
 class ApproximantReport:
     """Constructed polynomial plus its measured certificate table."""
@@ -77,8 +71,9 @@ class ApproximantReport:
     deviations: Tuple[str, ...] = ()
     extras: Dict[str, float] = field(default_factory=dict)
 
-    def add(self, name: str, measured: float, bound: float, strict_less=True):
-        self.measured[name] = _entry(name, measured, bound, strict_less)
+    def add(self, name: str, measured: float, bound: float):
+        self.measured[name] = {"requirement": name, "measured": float(measured),
+                               "bound": float(bound), "pass": bool(measured < bound)}
 
     def all_passed(self) -> bool:
         return all(v["pass"] for v in self.measured.values())
@@ -478,7 +473,7 @@ def korner_polynomial(eps: float, delta: float,
     q = _tiled_sum(tile, dip, rates, "segments")
 
     report = ApproximantReport(q, deviations=tuple(deviations))
-    report.add("qhat_zero", abs(q.coeff_zero()), 1e-15, strict_less=False)
+    report.add("qhat_zero", abs(q.coeff_zero()), 1e-15)
     report.add("qhat_linf", q.coeff_linf(), delta)
     vals = q.values(grid)
     report.add("close_to_one", measure_fraction(np.abs(vals - 1.0) > delta), eps)
@@ -725,7 +720,7 @@ def _structural_containment(product, p1: TrigPoly, payload: TrigPoly,
         reasons.append("tiled stage degree exceeds s")
     sampled = 0
     bad = 0
-    if isinstance(product, ScaledProduct) and not product.lazy:
+    if not product.lazy:
         member = block_member_D if analytic else block_member_B
         for k, _ in product.iter_coeffs(limit=96):
             sampled += 1
@@ -760,6 +755,7 @@ def block_approximant(f: SampledFunction, eps: float, delta: float,
     infeasible requests raise ConstructionInfeasible with the computed
     ingredient requirements.
     """
+    f.require_finite("block_approximant")
     grid = f.grid
     if s < 1 or a < 1:
         raise ValueError("s and a must be positive integers")
@@ -867,6 +863,7 @@ def analytic_block_approximant(f: SampledFunction, eps: float,
     (measured): ||f - P||_0 < eps; spectrum containment; for every n,
     m{|S_n(P)| > 2|f| + eps} < eps via the certified window bound.
     """
+    f.require_finite("analytic_block_approximant")
     grid = f.grid
     if s < 1 or a < 1:
         raise ValueError("s and a must be positive integers")

@@ -233,11 +233,8 @@ class BlockTerm:
 
     def degree(self):
         lo_c, hi_c = self.carrier_span()
-        corners = [self._corner(k, off) for k in _ends(self.payload._k)
-                   for off in (lo_c, hi_c)]
-        if self.lazy:
-            return max(abs(Freq.of(c)) for c in corners)
-        return max(abs(c) for c in corners)
+        return max(abs(self._corner(k, off)) for k in _ends(self.payload._k)
+                   for off in (lo_c, hi_c))
 
     def segments(self) -> List[dict]:
         """Frequency intervals of the two payload halves."""
@@ -290,7 +287,7 @@ class BlockSum:
                     seg["lo"] = Freq.of(seg["lo"])
                     seg["hi"] = Freq.of(seg["hi"])
                 segs.append(seg)
-        segs.sort(key=lambda s: Freq.of(s["lo"]) if self.lazy else s["lo"])
+        segs.sort(key=lambda s: s["lo"])
         return segs
 
     def _require_below(self, a, b, what: str):
@@ -337,17 +334,10 @@ class BlockSum:
         return d.log2 if isinstance(d, Freq) else math.log2(max(int(d), 1))
 
     def min_abs_freq(self):
-        vals = []
-        for seg in self._segments:
-            lo, hi = seg["lo"], seg["hi"]
-            if self.lazy:
-                lo, hi = Freq.of(lo), Freq.of(hi)
-                if lo.sign <= 0 <= hi.sign and not (lo.sign == hi.sign):
-                    return Freq.of(0)
-                vals.append(min(abs(lo), abs(hi)))
-            else:
-                vals.append(0 if lo <= 0 <= hi else min(abs(lo), abs(hi)))
-        return min(vals)
+        # segment ends are ints, or Freq in a lazy sum (compared with 0
+        # through Freq.of)
+        return min(0 if s["lo"] <= 0 <= s["hi"] else min(abs(s["lo"]), abs(s["hi"]))
+                   for s in self._segments)
 
     def spectrum_size(self) -> int:
         return sum(len(t.carrier) * len(t.payload) for t in self.terms)
@@ -385,8 +375,8 @@ class BlockSum:
     def coeff_zero(self) -> complex:
         return 0j  # payloads exclude frequency 0 and rates exceed carriers
 
-    def _payload_norms(self, ps: Sequence[float] = ()) -> dict:
-        return {i: coeff_norms(h, ps) for i, h in self._payloads.items()}
+    def _payload_norms(self) -> dict:
+        return {i: coeff_norms(h) for i, h in self._payloads.items()}
 
     def coeff_linf(self) -> float:
         h = self._payload_norms()
@@ -398,16 +388,7 @@ class BlockSum:
         return sum(coeff_norms(t.carrier).l1 * h[id(t.payload)].l1
                    for t in self.terms)
 
-    def coeff_lp(self, p: float) -> float:
-        h = self._payload_norms([p])
-        tot = 0.0
-        for t in self.terms:
-            tot += (coeff_norms(t.carrier, [p]).lp[p] * h[id(t.payload)].lp[p]) ** p
-        return tot ** (1.0 / p)
-
     def is_analytic(self) -> bool:
-        if self.lazy:
-            return all(Freq.of(seg["lo"]).sign > 0 for seg in self._segments)
         return all(seg["lo"] > 0 for seg in self._segments)
 
     def min_orbit_fraction(self, grid: CircleGrid) -> float:

@@ -11,12 +11,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
 
 import numpy as np
-
-#: callable applied to the complex value array, or an explicit boolean mask
-Predicate = Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
 
 
 class GridError(ValueError):
@@ -94,14 +90,12 @@ class SampledFunction:
     def has_extended(self) -> bool:
         return bool(np.any(self.extended_sign != 0))
 
-    def effective_values(self) -> np.ndarray:
-        """Values with extended points replaced by signed real infinities."""
-        if not self.has_extended:
-            return self.values
-        out = self.values.copy()
-        out[self.extended_sign > 0] = complex(np.inf, 0.0)
-        out[self.extended_sign < 0] = complex(-np.inf, 0.0)
-        return out
+    def require_finite(self, who: str) -> None:
+        """Refuse +-inf points, which only `run_infinity_mode` represents:
+        `values` reads 0 there."""
+        if self.has_extended:
+            raise ExtendedValueError(f"{who} needs a finite target; only the "
+                                     "infinity engine takes +-inf values")
 
     def to_csv(self, path) -> None:
         """Write columns t, re, im, extended_sign."""
@@ -124,65 +118,19 @@ def from_csv(path) -> SampledFunction:
     return SampledFunction(CircleGrid(len(body)), vals, ext)
 
 
-def constant(grid: CircleGrid, c: complex) -> SampledFunction:
-    return SampledFunction(grid, np.full(grid.size, complex(c)))
-
-
-@dataclass(frozen=True)
-class MeasureEstimate:
-    """Counting estimate of m{t : predicate} on a grid."""
-
-    fraction: float
-    count: int
-    grid_size: int
-
-    def __post_init__(self):
-        if self.fraction != self.count / self.grid_size:
-            raise ValueError("fraction must equal count / grid_size")
-
-
-def estimate_measure(f: SampledFunction, predicate: Predicate) -> MeasureEstimate:
-    """Fraction of grid points whose sample satisfies the predicate.
-
-    `predicate` is either a callable applied to the (effective) value array
-    or a precomputed boolean mask.  Extended points are passed through as
-    signed infinities, so tests like ``abs(v) > c`` behave naturally.
-    """
-    if callable(predicate):
-        mask = np.asarray(predicate(f.effective_values()), dtype=bool)
-    else:
-        mask = np.asarray(predicate, dtype=bool)
-    if mask.shape != (f.grid.size,):
-        raise ValueError("predicate mask shape does not match grid")
-    count = int(np.count_nonzero(mask))
-    return MeasureEstimate(count / f.grid.size, count, f.grid.size)
-
-
 def measure_fraction(mask: np.ndarray) -> float:
     """Fraction of True entries in a boolean mask."""
     mask = np.asarray(mask, dtype=bool)
     return float(np.count_nonzero(mask)) / mask.size
 
 
-def l0_norm(f: SampledFunction) -> float:
-    """Grid L0 quasi-norm inf{eps > 0 : m{|f| > eps} < eps}.
-
-    Computed by bisection; the result is within 2/M of the grid-exact
-    infimum (and far closer in practice: the bisection tolerance is
-    1e-6 * max(1, max|f|)).  Sub-additive but not homogeneous.
-    """
-    if f.has_extended:
-        raise ExtendedValueError("L0 undefined for infinite values")
-    absv = np.abs(f.values)
-    return l0_of_abs(absv)
-
-
 def l0_of_abs(absv: np.ndarray) -> float:
-    """L0 quasi-norm from a precomputed |f| array.
+    """Grid L0 quasi-norm inf{eps > 0 : m{|f| > eps} < eps} from |f|.
 
-    The norm never exceeds 1 (any eps > 1 beats the full measure), so the
-    bisection runs on [0, 1 + 2/M] with an absolute tolerance, regardless
-    of how large the values are.
+    Sub-additive but not homogeneous.  The norm never exceeds 1 (any
+    eps > 1 beats the full measure), so the bisection runs on
+    [0, 1 + 2/M] with an absolute tolerance, regardless of how large the
+    values are.
     """
     m = absv.size
     vmax = float(absv.max()) if m else 0.0

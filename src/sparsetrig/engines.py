@@ -34,10 +34,6 @@ from .trigpoly import TrigPoly
 ENGINE_GRID_SIZE = 2 * 8191
 
 
-def engine_grid() -> CircleGrid:
-    return CircleGrid(ENGINE_GRID_SIZE)
-
-
 class _Modulated:
     """carrier(nu t) * inner, carrier = cos or a one-sided exponential.
 
@@ -173,6 +169,7 @@ def run_ae_engine(f: SampledFunction, built: BuiltSpectrum,
     the stage spectra separated.  Exhausting the manifest (or hitting an
     infeasible approximation) flags a partial run.
     """
+    f.require_finite("the ae engine")
     grid = f.grid
     run = RepresentationRun("ae", f, grid)
     residual = f.values.copy()
@@ -254,6 +251,7 @@ def run_squares_engine(f: SampledFunction, n_stages: int,
     then follows F_{n+1} = F_n (1 - cos nu_n t) + r_n, and the product
     damps it at almost every point.
     """
+    f.require_finite("the squares engine")
     grid = f.grid
     run = RepresentationRun("squares", f, grid)
     residual = f.values.copy()
@@ -387,6 +385,7 @@ def run_asymptotic_l2_engine(f: SampledFunction,
     spectra positive, and the L2(E_n cap E_{n-1}) window norms (reported,
     with the stage-to-stage decay as the acceptance handle).
     """
+    f.require_finite("the asymptotic_l2 engine")
     run, partial = _run_analytic("asymptotic_l2", f, n_stages,
                                  lambda n: f.values)
     run.final_residual = f.values - partial
@@ -433,6 +432,7 @@ def run_stoptime_engine(f: SampledFunction, interval_mask: np.ndarray,
     frozen residual inside a positive block shifted by an exponential
     carrier whose frequencies follow the lacunary schedule.
     """
+    f.require_finite("the stoptime engine")
     grid = f.grid
     run = RepresentationRun("stoptime", f, grid)
     interval_mask = np.asarray(interval_mask, dtype=bool)
@@ -505,6 +505,7 @@ def dyadic_cover(grid: CircleGrid, n_intervals: int):
 def run_measure_engine(f: SampledFunction, n_stages: int,
                        s_budget: int = 200000, a: int = 3) -> RepresentationRun:
     """Interval-cover engine: localized stop-time passes over dyadic arcs."""
+    f.require_finite("the measure engine")
     grid = f.grid
     run = RepresentationRun("measure", f, grid)
     covers = dyadic_cover(grid, n_stages)

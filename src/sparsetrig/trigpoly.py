@@ -281,10 +281,6 @@ class TrigPoly:
             out += _term(roots, k, c, j)
         return out
 
-    def evaluate(self, grid: CircleGrid) -> SampledFunction:
-        """Evaluate as a SampledFunction (aliasing guarded)."""
-        return SampledFunction(grid, self.values(grid))
-
 
 # -- partial sums and maxima ----------------------------------------------
 

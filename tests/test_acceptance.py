@@ -24,7 +24,7 @@ from sparsetrig.approximants import (ConstructionInfeasible,
 from sparsetrig.circle import (CircleGrid, SampledFunction, l0_of_abs,
                                measure_fraction, triangle_coeff_array,
                                triangle_coeff_tail)
-from sparsetrig.engines import (engine_grid, run_ae_engine,
+from sparsetrig.engines import (ENGINE_GRID_SIZE, run_ae_engine,
                                 run_asymptotic_l2_engine, run_squares_engine,
                                 run_stoptime_engine)
 from sparsetrig.targets import const, sign_t, step, zero
@@ -152,7 +152,7 @@ def test_criterion_05_analytic_approximants():
 
 def test_criterion_06_block_approximants():
     c = Checker("criterion 6")
-    grid = engine_grid()
+    grid = CircleGrid(ENGINE_GRID_SIZE)
     f = step(grid)
     try:
         rep = block_approximant(f, 0.25, 0.25, s=150000, a=3, strict=False)
@@ -200,7 +200,7 @@ def test_criterion_07_riesz_diagnostics():
 
 def test_criterion_08_engines():
     c = Checker("criterion 8")
-    grid = engine_grid()
+    grid = CircleGrid(ENGINE_GRID_SIZE)
     # (i) a.e. engine, f = step, 3 stages
     built = bl.build_hadamard_spectrum(lambda n: 1.0 / (n + 2), 120)
     run = run_ae_engine(step(grid), built, 3)

@@ -16,10 +16,10 @@ from sparsetrig.approximants import (CertificateError, ConstructionInfeasible,
                                      block_approximant, fejer_poly,
                                      fejer_until, jackson_dip,
                                      korner_polynomial, symmetric_unit)
-from sparsetrig.circle import (CircleGrid, SampledFunction, constant, l0_norm,
+from sparsetrig.circle import (CircleGrid, SampledFunction, l0_of_abs,
                                measure_fraction, triangle_coeff,
                                triangle_coeff_array)
-from sparsetrig.targets import step, zero
+from sparsetrig.targets import const, step, zero
 
 GRID = CircleGrid(2 ** 13)
 CASCADE_GRID = CircleGrid(2 * 8191)
@@ -28,7 +28,7 @@ CASCADE_GRID = CircleGrid(2 * 8191)
 def test_fejer_recovers_polynomial():
     g = CircleGrid(1024)
     p = tp.TrigPoly({-2: 0.5, 0: 1.0, 3: 0.25j})
-    f = p.evaluate(g)
+    f = SampledFunction(g, p.values(g))
     approx = fejer_poly(f, 64)
     err = np.abs(approx.values(g) - f.values)
     assert err.max() < 0.1
@@ -231,7 +231,7 @@ def test_block_approximant_zero_target():
 
 
 def test_block_approximant_constant_target():
-    f = constant(CASCADE_GRID, 1.0)
+    f = const(CASCADE_GRID, 1.0)
     rep = block_approximant(f, 0.3, 0.3, s=150000, a=3, strict=False)
     assert rep.measured["approximates_f"]["pass"]
     assert rep.measured["spectrum_in_block"]["pass"]
@@ -241,7 +241,7 @@ def test_block_approximant_constant_target():
 
 def test_block_approximant_small_s_exact_rates_oracle():
     # s <= 10000 keeps exact integer rates so the membership oracle runs
-    f = constant(CircleGrid(2 * 509), 1.0)
+    f = const(CircleGrid(2 * 509), 1.0)
     rep = block_approximant(f, 0.4, 0.4, s=8000, a=3, strict=False)
     chk = rep.measured["spectrum_in_block"]
     assert chk["checked"] > 0 and chk["pass"]
@@ -282,7 +282,7 @@ def test_block_approximant_computes_each_exact_rate_once(monkeypatch):
     monkeypatch.setattr(bl, "scale_factor", counting)
     # approximants does not import it; a direct call there would count too
     monkeypatch.setattr(ap, "scale_factor", counting, raising=False)
-    f = constant(CircleGrid(2 * 509), 1.0)
+    f = const(CircleGrid(2 * 509), 1.0)
     rep = block_approximant(f, 0.4, 0.4, s=8000, a=3, strict=False)
     assert rep.measured["spectrum_in_block"]["checked"] > 0
     assert (8000, 8002, 3) in calls
@@ -291,7 +291,7 @@ def test_block_approximant_computes_each_exact_rate_once(monkeypatch):
 
 def test_structural_containment_rejects_another_block():
     # the s = 8000, a = 3 product checked against the block of a = 5
-    f = constant(CircleGrid(2 * 509), 1.0)
+    f = const(CircleGrid(2 * 509), 1.0)
     poly = block_approximant(f, 0.4, 0.4, s=8000, a=3, strict=False).poly
     p1 = tp.TrigPoly({k: c for term in poly.p.terms
                       for k, c in term.carrier.iter_coeffs()})
@@ -343,15 +343,15 @@ def test_block_approximants_measure_f_when_the_carrier_fit_is_zero():
     f = SampledFunction(g, vals)
     rep = analytic_block_approximant(f, 0.9, s=150000, a=3)
     assert len(rep.poly) == 0 and rep.deviations == ("zero target",)
-    assert rep.measured["l0_f_minus_P"]["measured"] == l0_norm(f)
-    assert 2 / 4096 <= l0_norm(f) < 3 / 4096
+    assert rep.measured["l0_f_minus_P"]["measured"] == l0_of_abs(np.abs(f.values))
+    assert 2 / 4096 <= l0_of_abs(np.abs(f.values)) < 3 / 4096
     rep = block_approximant(f, 0.3, 0.3, s=150000, a=3)
     assert len(rep.poly) == 0
     assert rep.measured["approximates_f"]["measured"] == 2 / 4096
 
 
 def test_analytic_block_approximant_infeasible_nonzero():
-    f = constant(CASCADE_GRID, 1.0)
+    f = const(CASCADE_GRID, 1.0)
     with pytest.raises(ConstructionInfeasible):
         analytic_block_approximant(f, 0.25, s=150000, a=3)
 
@@ -360,7 +360,7 @@ def test_analytic_block_approximant_nonzero_path():
     # eps 1.9 is the first budget the one-sided unit step meets (at 1.5 it
     # needs quality 0.167), and s must exceed the analytic tiled stage's
     # degree of about 2^684
-    f = constant(CircleGrid(4096), 1.0)
+    f = const(CircleGrid(4096), 1.0)
     rep = analytic_block_approximant(f, 1.9, s=10 ** 210, a=3)
     assert rep.failures() == []
     assert list(rep.measured) == ["l0_f_minus_P", "sn_measure", "analytic",

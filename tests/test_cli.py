@@ -388,3 +388,26 @@ def test_unprintable_exact_frequencies_write_headers_only(tmp_path):
     assert (tmp_path / "stage_1.csv").read_text().splitlines() == ["k,re,im"]
     assert (tmp_path / "merged_stream.csv").read_text().splitlines() == \
         ["order_index,k,re,im"]
+
+
+INFINITE_TARGET_CONFIGS = {
+    **{f"represent-{engine}": ("represent", {"engine": engine, "stages": 2})
+       for engine in ("ae", "squares", "asymptotic_l2", "stoptime", "measure")},
+    **{f"approximate-{kind}": ("approximate", {"kind": kind, "eps": 0.3,
+                                               "delta": 0.3, "s": 150000, "a": 3})
+       for kind in ("block", "analytic_block")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_TARGET_CONFIGS))
+def test_infinite_targets_refused_outside_infinity_mode(tmp_path, name):
+    # `values` reads 0 at the +inf points, so these paths would certify the
+    # zero series as a representation of +inf; only `infinity` takes them
+    command, body = INFINITE_TARGET_CONFIGS[name]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**body, "target": "plus_infinity_arc"}))
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", out, "--grid", 1022]) == 2
+    report = json.loads((out / "failure.json").read_text())
+    assert "needs a finite target" in report["error"]
+    assert not (out / "manifest.json").exists()

@@ -7,7 +7,7 @@ from sparsetrig import trigpoly as tp
 from sparsetrig.blocks import (BuiltSpectrum, ManifestEntry, SpectrumSet,
                                build_hadamard_spectrum)
 from sparsetrig.circle import CircleGrid, SampledFunction
-from sparsetrig.engines import (RepresentationRun, RunStage, engine_grid,
+from sparsetrig.engines import (ENGINE_GRID_SIZE, RepresentationRun, RunStage,
                                 run_ae_engine, run_asymptotic_l2_engine,
                                 run_infinity_mode, run_measure_engine,
                                 run_squares_engine, run_stoptime_engine,
@@ -17,7 +17,7 @@ from sparsetrig.targets import (const, cosk, plus_infinity_arc, sign_t, step,
                                zero)
 from sparsetrig.trigpoly import TrigPoly
 
-GRID = engine_grid()
+GRID = CircleGrid(ENGINE_GRID_SIZE)
 
 
 def test_ae_engine_zero_target():
