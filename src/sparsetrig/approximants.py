@@ -690,6 +690,35 @@ def _carrier_rate_terms(p1: TrigPoly, payload: TrigPoly, rates: BlockRates):
             for k, c in p1.iter_coeffs()]
 
 
+#: frequencies the membership oracle re-checks in `_structural_containment`
+CONTAINMENT_SAMPLES = 96
+#: steps of the R3 low-discrepancy sequence: g^-1, g^-2, g^-3 with g the
+#: plastic number, the real root of g^3 = g + 1
+_R3_STEPS = tuple(1.324717957244746 ** -j for j in (1, 2, 3))
+
+
+def _sampled_frequencies(product: ScaledProduct, count: int) -> List[int]:
+    """Up to `count` frequencies k_q R + c + k_v r of product = Q(R t) * P2
+    with exact rates: k_q a frequency of Q, c a carrier frequency of a term
+    of the BlockSum P2, r that term's rate and k_v a frequency of its
+    payload.  When the product has at most `count` frequencies, all are
+    taken.  Otherwise sample i takes the point (0.5 + i g^-j) mod 1 of the
+    j-th index range (the R3 sequence), so the samples spread over the
+    three ranges together, and the construction alone fixes them."""
+    kq = product.q.coeff_arrays()[0].tolist()
+    carriers = [(c, t.rate, t.payload._k.tolist())
+                for t in product.p.terms for c in t.carrier._k.tolist()]
+    if len(kq) * sum(len(kv) for _, _, kv in carriers) <= count:
+        return [q * product.rate + c + v * r
+                for q in kq for c, r, kv in carriers for v in kv]
+    out = []
+    for i in range(count):
+        x, y, z = ((0.5 + i * a) % 1.0 for a in _R3_STEPS)
+        c, r, kv = carriers[int(y * len(carriers))]
+        out.append(kq[int(x * len(kq))] * product.rate + c + kv[int(z * len(kv))] * r)
+    return out
+
+
 def _structural_containment(product, p1: TrigPoly, payload: TrigPoly,
                             q3, rates: BlockRates, analytic: bool) -> dict:
     """Certify spec P inside the block family from the factored structure.
@@ -697,7 +726,8 @@ def _structural_containment(product, p1: TrigPoly, payload: TrigPoly,
     Elements of the assembled product are k_q * a(2s)^(2s+2) + k + k_v *
     a(2s)^(k+s); membership in the sumset family amounts to range checks
     on the component indices, which this verifies exactly.  For exact
-    integer rates a sample of 96 reconstructed frequencies is additionally
+    integer rates CONTAINMENT_SAMPLES frequencies spread over the
+    (k_q, k, k_v) triples (`_sampled_frequencies`) are additionally
     re-checked against the standalone membership oracle.  The oracle reads
     its rates from `rates`, the table the construction built its terms
     from, so the sample costs no new power for a translate the carrier
@@ -722,10 +752,9 @@ def _structural_containment(product, p1: TrigPoly, payload: TrigPoly,
     bad = 0
     if not product.lazy:
         member = block_member_D if analytic else block_member_B
-        for k, _ in product.iter_coeffs(limit=96):
-            sampled += 1
-            if not member(k, rates):
-                bad += 1
+        samples = _sampled_frequencies(product, CONTAINMENT_SAMPLES)
+        sampled = len(samples)
+        bad = sum(not member(k, rates) for k in samples)
         if bad:
             ok = False
             reasons.append(f"{bad} sampled frequencies outside the block")

@@ -23,8 +23,9 @@ with explicit relative margins instead of exact integer comparisons.
 TrigPoly, BlockSum and ScaledProduct answer one polynomial protocol:
 values(grid, allow_alias), degree, degree_log2, min_abs_freq, is_analytic,
 spectrum_size, coeff_zero/coeff_l1/coeff_linf, sstar_upper(grid),
-coeff_arrays(limit) with its row view iter_coeffs(limit),
-min_orbit_fraction(grid) and the `lazy` flag.
+min_orbit_fraction(grid), structure(part) and the `lazy` flag.  TrigPoly and
+BlockSum also list their coefficients: coeff_arrays(limit) with its row
+view iter_coeffs(limit).
 
 Sampling health: values are exact pointwise regardless of gcd(r_i, M),
 but a small orbit M/gcd means the grid sees few distinct payload samples;
@@ -80,6 +81,14 @@ class LazyRate:
 
 
 Rate = Union[int, LazyRate]
+
+
+def rate_record(r: Rate):
+    """A rate for a structure record: an exact rate as a hex string, which
+    no int-to-str digit limit covers, a LazyRate as {mult, base, exp}."""
+    if isinstance(r, LazyRate):
+        return {"mult": r.mult, "base": r.base, "exp": r.exp}
+    return hex(r)
 
 
 def rate_log2(r: Rate) -> float:
@@ -465,6 +474,12 @@ class BlockSum:
             return self.sstar_star_bracket(grid)[1]
         return np.full(grid.size, self.coeff_l1())
 
+    def structure(self, part) -> dict:
+        """The sum as a structure record; `part` numbers each TrigPoly."""
+        return {"type": "BlockSum", "layout": self.layout,
+                "terms": [{"carrier": part(t.carrier), "payload": part(t.payload),
+                           "rate": rate_record(t.rate)} for t in self.terms]}
+
 
 class ScaledProduct:
     """Outer special product Q(R t) * P with R > 2 deg P and Q^(0) = 0.
@@ -533,26 +548,6 @@ class ScaledProduct:
     def coeff_zero(self):
         return 0j
 
-    def coeff_arrays(self, limit: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """The first `limit` (all when None) coefficients: q's coefficients
-        in their `coeff_arrays` order, each paired with p's, at frequency
-        kq * rate + kp with coefficient cq * cp (Python's complex product).
-        Only the q prefix the limit reaches is built.  Lazy rates raise
-        OverflowError."""
-        if self.lazy:
-            raise OverflowError("lazy rates: frequencies not materializable")
-        # no q coefficient pairs with more than `limit` of p's
-        kp, cp = self.p.coeff_arrays(limit)
-        if not kp.size:
-            return kp, cp
-        kq, cq = self.q.coeff_arrays(None if limit is None else -(-limit // kp.size))
-        return (_outer_freqs(kq, self.rate, kp, limit),
-                _cmul(cq[:, None], cp.real, cp.imag).ravel()[:limit])
-
-    def iter_coeffs(self, limit: Optional[int] = None) -> Iterator[Tuple[object, complex]]:
-        """`coeff_arrays` as (frequency, coefficient) Python numbers."""
-        return zip(*(a.tolist() for a in self.coeff_arrays(limit)))
-
     def values(self, grid: CircleGrid, allow_alias: bool = True) -> np.ndarray:
         qv = self.q.values(grid, allow_alias=True)
         pv = self.p.values(grid, allow_alias=True)
@@ -567,3 +562,7 @@ class ScaledProduct:
     def min_orbit_fraction(self, grid: CircleGrid) -> float:
         return min(orbit_fraction(self.rate, grid), self.p.min_orbit_fraction(grid),
                    self.q.min_orbit_fraction(grid))
+
+    def structure(self, part) -> dict:
+        return {"type": "ScaledProduct", "q": self.q.structure(part),
+                "rate": rate_record(self.rate), "p": self.p.structure(part)}

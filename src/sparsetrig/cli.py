@@ -2,7 +2,7 @@
 
 Subcommands: build-spectrum, approximate, represent, riesz, sharpness.
 Each reads a JSON config (strict keys), writes a manifest JSON plus data
-CSVs into --out, and exits 0 iff every certificate in the run passed;
+files into --out, and exits 0 iff every certificate in the run passed;
 failures leave a machine-readable report and a nonzero exit code.
 Identical configs (including the seed) produce byte-identical outputs.
 """
@@ -28,9 +28,19 @@ from .engines import (ENGINE_GRID_SIZE, run_ae_engine,
                       run_measure_engine, run_squares_engine,
                       run_stoptime_engine)
 from .targets import make_target
+from .trigpoly import TrigPoly
 
 STREAM_COEFF_CAP = 200000
 CSV_CHUNK_ROWS = 16384
+STRUCTURE_FORMAT = "sparsetrig-structure/1"
+#: config keys each approximant kind reads, besides "kind"
+APPROXIMATE_KEYS = {
+    "analytic_unit": {"eps"},
+    "korner": {"eps", "delta"},
+    "analytic_korner": {"eps"},
+    "block": {"target", "target_params", "eps", "delta", "s", "a"},
+    "analytic_block": {"target", "target_params", "eps", "s", "a"},
+}
 
 
 class ConfigError(ValueError):
@@ -48,21 +58,11 @@ def _write_json(path: Path, payload) -> None:
                     + "\n")
 
 
-def _coeff_rows(poly):
-    """The first STREAM_COEFF_CAP coefficients of poly from its
-    `coeff_arrays`: the frequencies (int64, or Python ints in an object
-    array once some |k| >= FREQ_INT64_LIMIT) and the float64 real and
-    imaginary parts.  None when the frequencies cannot be written: lazy
-    rates, or integers with more decimal digits than int-to-str conversion
-    allows.  The digit check runs on the degree before any row is
-    built."""
-    max_digits = sys.get_int_max_str_digits()
-    if max_digits and poly.degree_log2() * math.log10(2.0) + 1.0 > max_digits:
-        return None
-    try:
-        ks, cs = poly.coeff_arrays(STREAM_COEFF_CAP)
-    except OverflowError:
-        return None
+def _coeff_rows(poly: TrigPoly):
+    """The first STREAM_COEFF_CAP coefficients of poly in frequency order:
+    the frequencies (int64, or Python ints in an object array once some
+    |k| >= FREQ_INT64_LIMIT) and the float64 real and imaginary parts."""
+    ks, cs = poly.coeff_arrays(STREAM_COEFF_CAP)
     return ks, cs.real, cs.imag
 
 
@@ -89,11 +89,6 @@ def _write_sorted_rows(rows, order, plain=None, indexed=None, start=0) -> None:
             indexed.write("".join(map("%d,%s".__mod__, numbered)))
 
 
-def _write_poly_csv(path: Path, poly) -> None:
-    """Coefficient CSV; header only when the frequencies cannot be written."""
-    _write_rows_csv(path, _coeff_rows(poly))
-
-
 def _write_rows_csv(path: Path, rows, merged=None, start=0) -> None:
     """Coefficient CSV of `_coeff_rows` output, in frequency order.  With
     `merged`, the rows also go to that merged stream by |k| (ties in
@@ -102,8 +97,6 @@ def _write_rows_csv(path: Path, rows, merged=None, start=0) -> None:
     rendered once for both files."""
     with open(path, "w", newline="") as fh:
         fh.write("k,re,im\r\n")
-        if rows is None:
-            return
         order = np.argsort(rows[0], kind="stable")
         if merged is None:
             _write_sorted_rows(rows, order, fh)
@@ -114,6 +107,46 @@ def _write_rows_csv(path: Path, rows, merged=None, start=0) -> None:
         else:
             _write_sorted_rows(rows, order, fh)
             _write_sorted_rows(rows, by_abs, indexed=merged, start=start)
+
+
+def _write_structure(out: Path, name: str, poly) -> dict:
+    """The structure record of poly: `<name>.json`, the tree of its types,
+    layouts, terms and rates, and `<name>.npz`, each distinct TrigPoly part
+    once, as frequencies `k<i>` (int64, or hex strings past 2^62) and
+    complex128 coefficients `c<i>` in storage order.  The archive is written
+    without pickle; np.savez stamps every member with the zip format's
+    default date, so identical runs write identical bytes."""
+    parts = {}  # id -> (part number, TrigPoly)
+
+    def part(p: TrigPoly) -> int:
+        return parts.setdefault(id(p), (len(parts), p))[0]
+
+    _write_json(out / f"{name}.json", {"format": STRUCTURE_FORMAT,
+                                       "parts_file": f"{name}.npz",
+                                       "poly": poly.structure(part)})
+    arrays = {}
+    for i, p in parts.values():
+        arrays[f"k{i}"] = p._k if p._k.dtype != object else np.array(list(map(hex, p._k)))
+        arrays[f"c{i}"] = p._c
+    np.savez(out / f"{name}.npz", allow_pickle=False, **arrays)
+    return {"files": [f"{name}.json", f"{name}.npz"], "parts": len(parts),
+            "spectrum_size": poly.spectrum_size()}
+
+
+def _write_poly(out: Path, name: str, poly, merged=None, start=0) -> dict:
+    """Write poly under `name` and return its manifest entry.  A TrigPoly
+    whose frequencies int-to-str can print becomes the coefficient CSV
+    `<name>.csv`, cut at STREAM_COEFF_CAP rows, which also go to the merged
+    stream `merged` from `start`; any other polynomial its structure
+    record."""
+    max_digits = sys.get_int_max_str_digits()
+    if not isinstance(poly, TrigPoly) or (
+            max_digits and poly.degree_log2() * math.log10(2.0) + 1.0 > max_digits):
+        return _write_structure(out, name, poly)
+    rows = _coeff_rows(poly)
+    _write_rows_csv(out / f"{name}.csv", rows, merged, start)
+    return {"files": [f"{name}.csv"], "coeff_rows": len(rows[0]),
+            "spectrum_size": poly.spectrum_size()}
 
 
 def _eps_rule(name):
@@ -163,9 +196,10 @@ def cmd_build_spectrum(cfg: dict, out: Path, grid_size: int, seed: int) -> int:
 
 
 def cmd_approximate(cfg: dict, out: Path, grid_size: int, seed: int) -> int:
-    _check_keys(cfg, {"kind", "eps", "delta", "target", "target_params",
-                      "s", "a"}, "approximate")
     kind = cfg.get("kind")
+    if not isinstance(kind, str) or kind not in APPROXIMATE_KEYS:
+        raise ConfigError(f"unknown approximant kind {kind!r}")
+    _check_keys(cfg, {"kind"} | APPROXIMATE_KEYS[kind], f"approximate {kind}")
     grid = CircleGrid(grid_size)
     report: ApproximantReport
     try:
@@ -176,7 +210,7 @@ def cmd_approximate(cfg: dict, out: Path, grid_size: int, seed: int) -> int:
                                        grid=grid, strict=False)
         elif kind == "analytic_korner":
             report = analytic_korner(float(cfg["eps"]), grid=grid, strict=False)
-        elif kind in ("block", "analytic_block"):
+        else:
             f = make_target(cfg.get("target", "step"), grid,
                             cfg.get("target_params", {}))
             s, a = int(cfg["s"]), int(cfg["a"])
@@ -187,8 +221,6 @@ def cmd_approximate(cfg: dict, out: Path, grid_size: int, seed: int) -> int:
             else:
                 report = analytic_block_approximant(f, float(cfg["eps"]),
                                                     s, a, strict=False)
-        else:
-            raise ConfigError(f"unknown approximant kind {kind!r}")
     except ConstructionInfeasible as exc:
         _write_json(out / "manifest.json", {
             "command": "approximate", "kind": kind, "seed": seed,
@@ -196,7 +228,7 @@ def cmd_approximate(cfg: dict, out: Path, grid_size: int, seed: int) -> int:
             "infeasible": {"message": str(exc), "diagnostics": exc.diagnostics},
         })
         return 2
-    _write_poly_csv(out / "poly.csv", report.poly)
+    poly_entry = _write_poly(out, "poly", report.poly)
     (out / "report.json").write_text(report.to_json() + "\n")
     if report.exceptional_set is not None:
         np.save(out / "exceptional_mask.npy", report.exceptional_set)
@@ -205,6 +237,7 @@ def cmd_approximate(cfg: dict, out: Path, grid_size: int, seed: int) -> int:
         "command": "approximate", "kind": kind, "seed": seed,
         "certificates_passed": passed,
         "failures": report.failures(),
+        "poly": poly_entry,
     })
     return 0 if passed else 1
 
@@ -248,37 +281,39 @@ def cmd_represent(cfg: dict, out: Path, grid_size: int, seed: int) -> int:
                                  a=int(cfg.get("a", 3)))
     else:
         raise ConfigError(f"unknown engine {engine!r}")
-    _write_json(out / "manifest.json", {
-        "command": "represent", "engine": engine, "seed": seed,
-        "run": run.manifest(),
-        "certificates_passed": run.all_certificates_passed(),
-    })
     with open(out / "stages.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "ok", "note"])
         for st in run.stages:
             w.writerow([st.index, int(st.ok), st.note])
-    _write_stage_csvs(out, run)
+    _write_json(out / "manifest.json", {
+        "command": "represent", "engine": engine, "seed": seed,
+        "run": run.manifest(),
+        "certificates_passed": run.all_certificates_passed(),
+        "stage_outputs": _write_stage_outputs(out, run),
+    })
     if run.final_residual is not None:
         np.save(out / "final_residual.npy", run.final_residual)
     return 0 if run.all_certificates_passed() else 1
 
 
-def _write_stage_csvs(out: Path, run) -> None:
-    """`stage_<n>.csv` for each stage with a polynomial, and the merged
-    coefficient stream `merged_stream.csv` in the engine's partial-sum
-    order (stages in turn, each by |k|, ties in `coeff_arrays` order).
-    Each stage's rows are built once and serve both files."""
+def _write_stage_outputs(out: Path, run) -> list:
+    """`_write_poly` output `stage_<n>` for each stage with a polynomial,
+    and the merged coefficient stream `merged_stream.csv` of the stages
+    written as CSV, in the engine's partial-sum order (stages in turn, each
+    by |k|, ties in `coeff_arrays` order).  Each stage's rows are built
+    once and serve both files.  Returns the stages' manifest entries."""
+    entries = []
     with open(out / "merged_stream.csv", "w", newline="") as fh:
         fh.write("order_index,k,re,im\r\n")
         start = 0
         for st in run.stages:
             if st.poly is None:
                 continue
-            rows = _coeff_rows(st.poly)
-            # lazy or unprintable frequencies: structural record only
-            _write_rows_csv(out / f"stage_{st.index}.csv", rows, fh, start)
-            start += 0 if rows is None else len(rows[0])
+            entry = _write_poly(out, f"stage_{st.index}", st.poly, fh, start)
+            start += entry.get("coeff_rows", 0)
+            entries.append({"n": st.index, **entry})
+    return entries
 
 
 def cmd_riesz(cfg: dict, out: Path, grid_size: int, seed: int) -> int:

@@ -22,7 +22,7 @@ from .approximants import (ApproximantReport, ConstructionInfeasible,
                            analytic_block_approximant, analytic_korner,
                            block_approximant, fejer_until)
 from .blockpoly import (Freq, LazyRate, ScaledProduct, contracted_index_map,
-                        log2_sum_upper, rate_log2)
+                        log2_sum_upper, rate_log2, rate_record)
 from .blocks import (BuiltSpectrum, SpectrumSet, divide_spectrum,
                      shift_spectrum)
 from .circle import (CircleGrid, SampledFunction, l0_of_abs, measure_fraction)
@@ -38,7 +38,8 @@ class _Modulated:
     """carrier(nu t) * inner, carrier = cos or a one-sided exponential.
 
     Speaks the polynomial protocol of `sparsetrig.blockpoly` as far as the
-    engines use it; its frequencies are never materialized.
+    engines and the CLI's structure records use it; its frequencies are
+    never materialized.
     """
 
     def __init__(self, nu, inner, kind: str):
@@ -76,11 +77,9 @@ class _Modulated:
         n = self.inner.spectrum_size()
         return 2 * n if self.kind == "cos" else n
 
-    def coeff_arrays(self, limit: Optional[int] = None):
-        raise OverflowError("modulated stages: frequencies not materialized")
-
-    def iter_coeffs(self, limit: Optional[int] = None):
-        raise OverflowError("modulated stages: frequencies not materialized")
+    def structure(self, part) -> dict:
+        return {"type": "Modulated", "kind": self.kind, "nu": rate_record(self.nu),
+                "inner": self.inner.structure(part)}
 
 
 @dataclass

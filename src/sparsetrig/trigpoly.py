@@ -215,6 +215,10 @@ class TrigPoly:
     def min_orbit_fraction(self, grid: CircleGrid) -> float:
         return 1.0
 
+    def structure(self, part) -> dict:
+        """A structure record leaf: the number `part` gives this polynomial."""
+        return {"type": "TrigPoly", "part": part(self)}
+
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":

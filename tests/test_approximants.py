@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from coeff_oracle import oracle_iter_coeffs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from sparsetrig.approximants import (CertificateError, ConstructionInfeasible,
 from sparsetrig.circle import (CircleGrid, SampledFunction, l0_of_abs,
                                measure_fraction, triangle_coeff,
                                triangle_coeff_array)
+from sparsetrig.blockpoly import BlockSum, BlockTerm, ScaledProduct
 from sparsetrig.targets import const, step, zero
 
 GRID = CircleGrid(2 ** 13)
@@ -302,6 +304,40 @@ def test_structural_containment_rejects_another_block():
     assert chk["pass"] is False
     assert chk["reasons"] == [
         f"{int(chk['measured'])} sampled frequencies outside the block"]
+
+
+def _decodable_product(payload_size):
+    """Q(R t) * P2 with one-frequency carriers and rates far apart, so that
+    each frequency k_q R + c + k_v r names its (k_q, c, k_v)."""
+    q = tp.TrigPoly({k: 1.0 for k in (-3, -1, 2, 5, 7)})
+    payload = tp.TrigPoly({v: 1.0 for v in range(1, payload_size + 1)})
+    terms = [BlockTerm(tp.TrigPoly({c: 1.0}), payload, 10 ** e)
+             for c, e in ((-1, 6), (0, 9), (1, 12))]
+    return ScaledProduct(q, 10 ** 18, BlockSum(terms))
+
+
+def test_containment_samples_spread_over_the_structure():
+    # the first 96 frequencies in export order share one k_q and one
+    # carrier; the samples reach every k_q, every carrier and most k_v
+    product = _decodable_product(100)
+    samples = ap._sampled_frequencies(product, 96)
+    assert len(samples) == 96
+    triples = set()
+    for k in samples:
+        kq = (k + 10 ** 18 // 2) // 10 ** 18
+        rem = k - kq * 10 ** 18
+        e = max(e for e in (6, 9, 12) if rem >= 10 ** e // 2)  # its rate
+        v = (rem + 10 ** e // 2) // 10 ** e
+        triples.add((kq, rem - v * 10 ** e, v))
+    assert {t[0] for t in triples} == {-3, -1, 2, 5, 7}
+    assert {t[1] for t in triples} == {-1, 0, 1}
+    assert {t[2] for t in triples} <= set(range(1, 101))
+    assert len({t[2] for t in triples}) > 60
+    assert len(triples) == 96
+    # a product of at most 96 frequencies is checked whole
+    small = _decodable_product(6)
+    assert sorted(ap._sampled_frequencies(small, 96)) == \
+        sorted(k for k, _ in oracle_iter_coeffs(small))
 
 
 def test_block_approximant_jump_target_infeasible():

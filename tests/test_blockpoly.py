@@ -1,5 +1,7 @@
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coeff_oracle import bits, oracle_iter_coeffs
+from structure_loader import load_structure
+from window_oracle import ref_s_star_star
+from sparsetrig import cli
 from sparsetrig import trigpoly as tp
 from sparsetrig.approximants import analytic_korner
 from sparsetrig.blockpoly import (BlockSum, BlockTerm, Freq, LazyRate,
@@ -51,7 +56,7 @@ def test_bracket_contains_truth():
     grid = CircleGrid(2048)
     w = small_blocksum()
     mat = materialize(w)
-    truth = tp.s_star_star(mat, grid).values.real
+    truth = ref_s_star_star(mat, grid.size)
     lower, upper = w.sstar_star_bracket(grid)
     assert np.all(lower <= truth + 1e-9)
     assert np.all(truth <= upper + 1e-9)
@@ -90,7 +95,7 @@ def test_subblocks_layout():
     grid = CircleGrid(512)
     mat = materialize(w)
     assert np.allclose(w.values(grid), mat.values(grid))
-    assert np.all(w.sstar_upper(grid) >= tp.s_star_star(mat, grid).values.real - 1e-9)
+    assert np.all(w.sstar_upper(grid) >= ref_s_star_star(mat, grid.size) - 1e-9)
     with pytest.raises(ValueError):
         w.sstar_star_bracket(grid)
 
@@ -103,9 +108,9 @@ def test_scaled_product_matches():
     mat = tp.multiply(tp.contract(q, 37), p)
     assert np.allclose(sp.values(grid), mat.values(grid), atol=1e-10)
     assert sp.coeff_l1() == pytest.approx(tp.coeff_norms(mat).l1)
-    truth = tp.s_star_star(mat, grid).values.real
+    truth = ref_s_star_star(mat, grid.size)
     assert np.all(truth <= sp.sstar_upper(grid) + 1e-9)
-    assert sorted(k for k, _ in sp.iter_coeffs()) == list(mat.spectrum())
+    assert sp.spectrum_size() == len(mat)
 
 
 def test_scaled_product_preconditions():
@@ -230,21 +235,18 @@ def test_polynomial_protocol_conformance(name):
     # ... and they are certified: the degree from above, min |k| from below
     assert x.degree_log2() >= math.log2(mat.degree())
     assert Freq.of(x.min_abs_freq()) <= Freq.of(mat.min_abs_freq())
-    truth = tp.s_star_star(mat, grid).values.real
+    truth = ref_s_star_star(mat, grid.size)
     assert np.all(truth <= x.sstar_upper(grid) + 1e-9)
     if isinstance(x, _Modulated):
-        # modulated stages only promise min |k| >= nu / 2
-        with pytest.raises(OverflowError):
-            x.iter_coeffs()
-        with pytest.raises(OverflowError):
-            x.coeff_arrays(10)
-        return
+        return  # modulated stages only promise min |k| >= nu / 2
     assert Freq.of(x.min_abs_freq()).log2 == pytest.approx(
         Freq.of(mat.min_abs_freq()).log2, abs=1.0)
     assert not x.lazy
     assert x.coeff_zero() == mat[0]
     assert x.coeff_linf() == pytest.approx(tp.coeff_norms(mat).linf)
     assert x.min_orbit_fraction(grid) == 1.0
+    if isinstance(x, ScaledProduct):
+        return  # its coefficients are listed by no method, only written as structure
     got = dict(x.iter_coeffs())
     assert sorted(got) == list(mat.spectrum())
     assert all(got[k] == pytest.approx(mat[k]) for k in got)
@@ -254,8 +256,7 @@ def test_polynomial_protocol_conformance(name):
         assert head == sorted(mat.coeffs.items())[:3]
 
 
-@pytest.mark.parametrize("name", sorted(set(PROTOCOL_CASES) - {"modulated_cos",
-                                                              "modulated_exp"}))
+@pytest.mark.parametrize("name", ["blocksum", "trigpoly"])
 def test_limit_means_at_most_limit_rows(name):
     x = PROTOCOL_CASES[name]()
     n = x.spectrum_size()
@@ -332,26 +333,21 @@ def scaled_products(draw, depth=2):
 
 
 def _limits(x):
-    """Row limits that cut inside a term, inside a payload (or outer) row and
-    at a term (or row) boundary, plus one past the end."""
+    """Row limits that cut inside a term, inside a payload row and at a
+    term (or row) boundary, plus one past the end."""
     total = x.spectrum_size()
     cuts = {1, total, total + 1}
-    if isinstance(x, BlockSum):
-        offset = 0
-        for t in x.terms:
-            for row in range(len(t.payload) + 1):
-                cuts.update({offset + row * len(t.carrier),
-                             offset + row * len(t.carrier) + 1})
-            offset += len(t.carrier) * len(t.payload)
-    else:
-        step = x.p.spectrum_size()
-        cuts.update(j * step + e for j in range(x.q.spectrum_size() + 1)
-                    for e in (0, 1))
+    offset = 0
+    for t in x.terms:
+        for row in range(len(t.payload) + 1):
+            cuts.update({offset + row * len(t.carrier),
+                         offset + row * len(t.carrier) + 1})
+        offset += len(t.carrier) * len(t.payload)
     return st.sampled_from(sorted(c for c in cuts if c >= 1)) | st.none()
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(block_sums(), scaled_products()), st.data())
+@given(block_sums(), st.data())
 def test_coeff_arrays_match_row_oracle(x, data):
     limit = data.draw(_limits(x))
     rows = list(oracle_iter_coeffs(x, limit))
@@ -367,8 +363,8 @@ def test_coeff_arrays_match_row_oracle(x, data):
 
 
 def test_coeff_arrays_freq_dtype_follows_the_rows_taken():
-    # rows on both sides of 2^62 inside one term, one payload row and one
-    # outer row: int64 while the rows taken stay below it, else Python ints
+    # rows on both sides of 2^62 inside one term and one payload row: int64
+    # while the rows taken stay below it, else Python ints
     rate = 2 ** 61 + 1
     cases = [
         (TrigPoly({1: 1.0, 2 ** 70: 2.0}), 1, [1]),
@@ -377,9 +373,6 @@ def test_coeff_arrays_freq_dtype_follows_the_rows_taken():
          2, [rate, rate + 1]),
         (BlockSum([BlockTerm(TrigPoly({-2: 1.0, 2: 0.5}), TrigPoly({1: 1.0}),
                              2 ** 62 - 1)]), 1, [2 ** 62 - 3]),
-        (ScaledProduct(TrigPoly({1: 1.0}), 2 ** 62 - 1,
-                       TrigPoly({-3: 1.0, 0: 0.5, 3: 0.25})),
-         2, [2 ** 62 - 4, 2 ** 62 - 1]),
     ]
     for x, limit, head in cases:
         ks, _ = x.coeff_arrays(limit)
@@ -389,13 +382,18 @@ def test_coeff_arrays_freq_dtype_follows_the_rows_taken():
         assert ks.tolist() == [k for k, _ in oracle_iter_coeffs(x)]
 
 
+def lazy_twin(x: BlockSum) -> BlockSum:
+    """x with every rate r as LazyRate(r, 2, 0) = r."""
+    return BlockSum([BlockTerm(t.carrier, t.payload, LazyRate(t.rate, 2, 0))
+                     for t in x.terms])
+
+
 @settings(max_examples=60, deadline=None)
 @given(block_sums())
 def test_lazy_twin_answers_as_the_exact_sum(x):
-    # every rate r as LazyRate(r, 2, 0) = r: the twin's segment ends are
-    # Freq, compared through the same expressions as the exact sum's ints
-    twin = BlockSum([BlockTerm(t.carrier, t.payload, LazyRate(t.rate, 2, 0))
-                     for t in x.terms])
+    # the twin's segment ends are Freq, compared through the same
+    # expressions as the exact sum's ints
+    twin = lazy_twin(x)
     assert twin.lazy and not x.lazy
     assert twin.is_analytic() == x.is_analytic()
     assert twin.spectrum_size() == x.spectrum_size()
@@ -409,3 +407,29 @@ def test_lazy_twin_answers_as_the_exact_sum(x):
         for m in (1022, 16382):
             grid = CircleGrid(m)
             assert twin.values(grid).tobytes() == x.values(grid).tobytes()
+
+
+def _record(x) -> dict:
+    """x's structure tree, each TrigPoly part numbered in order of use."""
+    parts = {}
+    return x.structure(lambda p: parts.setdefault(id(p), len(parts)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(block_sums(), block_sums().map(lazy_twin), scaled_products()),
+       st.sampled_from([None, "cos", "exp"]))
+def test_structure_record_round_trips(x, modulated):
+    # the written record rebuilds a polynomial of the same structure, whose
+    # values are those of x bit for bit; optionally as an engine stage
+    # modulated at a lazy rate
+    if modulated:
+        x = _Modulated(LazyRate(3, 7, 90), x, modulated)
+    with tempfile.TemporaryDirectory() as tmp:
+        entry = cli._write_structure(Path(tmp), "poly", x)
+        y = load_structure(Path(tmp, "poly.json"))
+    assert entry["spectrum_size"] == y.spectrum_size() == x.spectrum_size()
+    assert _record(y) == _record(x)
+    with np.errstate(all="ignore"):  # coefficients reach 1e300
+        for m in (1022, 16382):
+            grid = CircleGrid(m)
+            assert y.values(grid).tobytes() == x.values(grid).tobytes()

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,8 +19,12 @@ import sparsetrig
 from coeff_oracle import oracle_iter_coeffs
 from sparsetrig import cli
 from sparsetrig.blockpoly import BlockSum, BlockTerm, LazyRate, ScaledProduct
+from sparsetrig.circle import CircleGrid
 from sparsetrig.cli import main
+from sparsetrig.engines import run_squares_engine
+from sparsetrig.targets import make_target
 from sparsetrig.trigpoly import TrigPoly
+from structure_loader import load_structure
 
 
 def _reject_constant(name):
@@ -208,20 +213,22 @@ def test_console_entrypoint():
 # The coefficient-CSV writer as it stood before rows were rendered from
 # arrays in chunks: csv.writer over rows sorted as Python objects, the rows
 # taken one by one from the per-row coefficient oracle.  It is the oracle
-# for the chunked writer, which must write the same bytes.
+# for the chunked writer, which must write the same bytes.  Only a TrigPoly
+# whose frequencies print in decimal is written as CSV; any other
+# polynomial is written as its structure record.
+
+def _oracle_flat(poly):
+    max_digits = sys.get_int_max_str_digits()
+    return isinstance(poly, TrigPoly) and not (
+        max_digits and poly.degree_log2() * math.log10(2.0) + 1.0 > max_digits)
+
 
 def _oracle_coeff_rows(poly):
-    max_digits = sys.get_int_max_str_digits()
-    if max_digits and poly.degree_log2() * math.log10(2.0) + 1.0 > max_digits:
-        return None
     ks, real, imag = [], array("d"), array("d")
-    try:
-        for k, c in oracle_iter_coeffs(poly, cli.STREAM_COEFF_CAP):
-            ks.append(k)
-            real.append(c.real)
-            imag.append(c.imag)
-    except OverflowError:
-        return None
+    for k, c in oracle_iter_coeffs(poly, cli.STREAM_COEFF_CAP):
+        ks.append(k)
+        real.append(c.real)
+        imag.append(c.imag)
     return ks, real, imag
 
 
@@ -238,8 +245,7 @@ def _oracle_write_rows_csv(path, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "re", "im"])
-        if rows is not None:
-            w.writerows(_oracle_sorted_rows(rows))
+        w.writerows(_oracle_sorted_rows(rows))
 
 
 def _oracle_write_stage_csvs(out, run):
@@ -248,21 +254,28 @@ def _oracle_write_stage_csvs(out, run):
         w.writerow(["order_index", "k", "re", "im"])
         order = 0
         for stage in run.stages:
-            if stage.poly is None:
+            if not _oracle_flat(stage.poly):
                 continue
             rows = _oracle_coeff_rows(stage.poly)
             _oracle_write_rows_csv(out / f"stage_{stage.index}.csv", rows)
-            if rows is None:
-                continue
             for row in _oracle_sorted_rows(rows, key=np.abs):
                 w.writerow([order, *row])
                 order += 1
 
 
+def assert_same_values(x, y, grids=(1022, 16382)):
+    with np.errstate(all="ignore"):
+        for m in grids:
+            grid = CircleGrid(m)
+            assert x.values(grid, allow_alias=True).tobytes() == \
+                y.values(grid, allow_alias=True).tobytes()
+
+
 def assert_csvs_match_oracle(polys):
-    """poly.csv of the first polynomial, and the stage files of a run with
-    one stage per polynomial and a stage without one after the first,
-    byte for byte as the oracle writes them."""
+    """poly.* of the first polynomial, and the stage files of a run with one
+    stage per polynomial and a stage without one after the first.  The CSVs
+    match the oracle's byte for byte; every other polynomial has a structure
+    record instead, which rebuilds it."""
     stage_polys = polys[:1] + [None] + polys[1:]
     run = SimpleNamespace(stages=[SimpleNamespace(index=i + 1, poly=p)
                                   for i, p in enumerate(stage_polys)])
@@ -270,14 +283,22 @@ def assert_csvs_match_oracle(polys):
         new, old = Path(tmp, "new"), Path(tmp, "old")
         new.mkdir()
         old.mkdir()
-        cli._write_poly_csv(new / "poly.csv", polys[0])
-        _oracle_write_rows_csv(old / "poly.csv", _oracle_coeff_rows(polys[0]))
-        cli._write_stage_csvs(new, run)
+        cli._write_poly(new, "poly", polys[0])
+        if _oracle_flat(polys[0]):
+            _oracle_write_rows_csv(old / "poly.csv", _oracle_coeff_rows(polys[0]))
+        cli._write_stage_outputs(new, run)
         _oracle_write_stage_csvs(old, run)
         names = sorted(f.name for f in old.iterdir())
-        assert sorted(f.name for f in new.iterdir()) == names
+        assert sorted(f.name for f in new.glob("*.csv")) == names
         for name in names:
             assert (new / name).read_bytes() == (old / name).read_bytes(), name
+        structured = {"poly": polys[0]} if not _oracle_flat(polys[0]) else {}
+        structured.update({f"stage_{st.index}": st.poly for st in run.stages
+                           if st.poly is not None and not _oracle_flat(st.poly)})
+        assert sorted(f.stem for f in new.glob("*.json")) == sorted(structured)
+        assert sorted(f.stem for f in new.glob("*.npz")) == sorted(structured)
+        for name, poly in structured.items():
+            assert_same_values(load_structure(new / f"{name}.json"), poly)
 
 
 # -0.0 and 5e-324 (a subnormal), and values on both sides of repr's switch
@@ -319,7 +340,6 @@ def _large_unsorted_poly():
 
 
 def _block_sum(rate2=101):
-    # rows come term by term, payload frequency by carrier frequency
     payload = TrigPoly({2: 0.5, -1: 1.0, 1: 1.0, -2: 0.5})
     return BlockSum([BlockTerm(TrigPoly({1: 0.5, 0: 1.0, -1: 0.5}), payload, 11),
                      BlockTerm(TrigPoly({-1: 0.25j, 1: -0.25j}), payload, rate2)])
@@ -330,14 +350,15 @@ def _scaled_product():
 
 
 def _one_sided(sign):
-    """A BlockSum with frequencies of one sign only, and a ScaledProduct of
-    it: no ties in |k|, and the k and |k| orders agree (sign > 0) or run
-    opposite (sign < 0)."""
+    """The coefficients of a BlockSum with frequencies of one sign only, and
+    of a ScaledProduct of it, in export order: no ties in |k|, and the k and
+    |k| orders agree (sign > 0) or run opposite (sign < 0)."""
     payload = TrigPoly({sign * 2: 0.5, sign: -1.0, sign * 3: 0.25j})
     blocks = BlockSum([BlockTerm(TrigPoly({0: 1.0, sign: 0.5}), payload, 11),
                        BlockTerm(TrigPoly({sign: -0.25j}), payload, 101)])
     outer = TrigPoly({sign: 0.5, sign * 4: -1.5})
-    return [blocks, ScaledProduct(outer, 2 ** 62, blocks)]
+    return [TrigPoly(dict(oracle_iter_coeffs(x)))
+            for x in (blocks, ScaledProduct(outer, 2 ** 62, blocks))]
 
 
 CSV_ORACLE_CASES = {
@@ -373,29 +394,176 @@ def test_stage_rows_rendered_once_where_orders_agree(tmp_path, name, renders):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_render_rows", counting)
         mp.setattr(cli, "CSV_CHUNK_ROWS", 5)
-        cli._write_stage_csvs(tmp_path, run)
+        cli._write_stage_outputs(tmp_path, run)
     assert sum(rendered) == renders * sum(p.spectrum_size() for p in polys)
 
 
-def test_unprintable_exact_frequencies_write_headers_only(tmp_path):
-    # exact rate 10^5000: more decimal digits than int-to-str allows
+def test_unprintable_exact_frequencies_write_structure(tmp_path):
+    # exact rate 10^5000, and a TrigPoly frequency of that size: more
+    # decimal digits than int-to-str allows, so both go to structure
+    # records, the rate and the frequency as hex strings
     huge = BlockSum([BlockTerm(TrigPoly({0: 1.0}), TrigPoly({-1: 0.5, 1: 0.5}),
                                10 ** 5000)])
-    cli._write_poly_csv(tmp_path / "poly.csv", huge)
-    run = SimpleNamespace(stages=[SimpleNamespace(index=1, poly=huge)])
-    cli._write_stage_csvs(tmp_path, run)
-    assert (tmp_path / "poly.csv").read_text().splitlines() == ["k,re,im"]
-    assert (tmp_path / "stage_1.csv").read_text().splitlines() == ["k,re,im"]
+    flat = TrigPoly({10 ** 5000: 1.5, -3: 0.25j})
+    entry = cli._write_poly(tmp_path, "poly", huge)
+    run = SimpleNamespace(stages=[SimpleNamespace(index=1, poly=flat)])
+    [stage] = cli._write_stage_outputs(tmp_path, run)
+    assert entry == {"files": ["poly.json", "poly.npz"], "parts": 2,
+                     "spectrum_size": 2}
+    assert stage == {"n": 1, "files": ["stage_1.json", "stage_1.npz"],
+                     "parts": 1, "spectrum_size": 2}
+    record = json.loads((tmp_path / "poly.json").read_text())
+    assert record["poly"]["terms"][0]["rate"] == hex(10 ** 5000)
+    with np.load(tmp_path / "stage_1.npz", allow_pickle=False) as z:
+        assert z["k0"].tolist() == [hex(10 ** 5000), "-0x3"]
+    assert not list(tmp_path.glob("poly.csv")) and not list(tmp_path.glob("stage_1.csv"))
     assert (tmp_path / "merged_stream.csv").read_text().splitlines() == \
         ["order_index,k,re,im"]
+    assert_same_values(load_structure(tmp_path / "poly.json"), huge)
+    assert_same_values(load_structure(tmp_path / "stage_1.json"), flat)
+
+
+def _shared_payload_sum():
+    """Exact rates, one of them past 4300 decimal digits, and lazy rates,
+    all on one shared payload; a second payload on the last term."""
+    payload = TrigPoly({-2: 0.5, -1: 1.0 / 3.0, 1: 1.0, 3: -0.25j})
+    other = TrigPoly({1: 2.0, 2: 1e-300})
+    return BlockSum([
+        BlockTerm(TrigPoly({0: 1.0, 1: 0.5}), payload, 11),
+        BlockTerm(TrigPoly({-1: 0.25j}), payload, 10 ** 4400 + 1),
+        BlockTerm(TrigPoly({1: 0.75}), payload, LazyRate(3, 2 * 7, 4000)),
+        BlockTerm(TrigPoly({0: -1.0, 2: 0.5}), other, LazyRate(5, 2 * 7, 4100)),
+    ])
+
+
+def _squares_stage():
+    grid = CircleGrid(2 * 509)
+    run = run_squares_engine(make_target("const", grid, {"c": 1.0}), 1)
+    return run.stages[0].poly
+
+
+ROUND_TRIP_CASES = {
+    "blocksum": _shared_payload_sum,
+    "nested_q": lambda: ScaledProduct(_scaled_product(), 2 ** 70 + 1,
+                                      TrigPoly({-1: 0.5, 0: 1.0, 2 ** 62 + 3: 0.25})),
+    "nested_p": lambda: ScaledProduct(TrigPoly({1: 0.5, -3: 2.0}),
+                                      LazyRate(7, 3, 9000), _scaled_product()),
+    "engine_stage": _squares_stage,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_CASES))
+def test_structure_records_rebuild_the_polynomial(tmp_path, name):
+    # the written files rebuild a polynomial whose values are the
+    # original's bit for bit; each distinct part is stored once
+    poly = ROUND_TRIP_CASES[name]()
+    run = SimpleNamespace(stages=[SimpleNamespace(index=2, poly=poly)])
+    [entry] = cli._write_stage_outputs(tmp_path, run)
+    assert entry["files"] == ["stage_2.json", "stage_2.npz"]
+    assert entry["spectrum_size"] == poly.spectrum_size()
+    rebuilt = load_structure(tmp_path / "stage_2.json")
+    assert type(rebuilt) is type(poly)
+    assert_same_values(rebuilt, poly)
+    if name == "blocksum":
+        assert entry["parts"] == 6  # four carriers, two payloads
+        assert rebuilt.terms[0].payload is rebuilt.terms[2].payload
+        assert rebuilt.terms[1].rate == 10 ** 4400 + 1
+    if name == "engine_stage":
+        assert type(poly).__name__ == "_Modulated" and poly.inner.lazy
+
+
+def test_manifests_record_what_each_file_holds(tmp_path):
+    # a CSV says how many rows it holds of how many coefficients; a
+    # structure record how many parts
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"kind": "analytic_unit", "eps": 0.45}))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "STREAM_COEFF_CAP", 100)
+        assert run_cli(["approximate", "--config", cfg, "--out", tmp_path / "u",
+                        "--grid", "1024"]) == 0
+    entry = json.loads((tmp_path / "u" / "manifest.json").read_text())["poly"]
+    assert entry["files"] == ["poly.csv"] and entry["coeff_rows"] == 100
+    assert entry["spectrum_size"] > 100
+    assert len((tmp_path / "u" / "poly.csv").read_text().splitlines()) == 101
+    cfg.write_text(json.dumps({"engine": "squares", "target": "const",
+                               "stages": 1}))
+    run_cli(["represent", "--config", cfg, "--out", tmp_path / "r",
+             "--grid", "1018"])
+    man = json.loads((tmp_path / "r" / "manifest.json").read_text())
+    [stage] = man["stage_outputs"]
+    assert stage["n"] == 1 and stage["files"] == ["stage_1.json", "stage_1.npz"]
+    assert stage["spectrum_size"] > 10 ** 5 and "coeff_rows" not in stage
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "analytic_block", "eps": 0.3, "delta": 0.3, "s": 150000, "a": 3},
+    {"kind": "korner", "eps": 0.3, "delta": 0.3, "target": "const"},
+    {"kind": "analytic_korner", "eps": 0.3, "target_params": {}},
+    {"kind": "analytic_unit", "eps": 0.3, "s": 10},
+    {"kind": "korner", "eps": 0.3, "delta": 0.3, "a": 3},
+    {"kind": "analytic_unit", "eps": 0.3, "delta": 0.3},
+], ids=["analytic_block-delta", "korner-target", "analytic_korner-target_params",
+        "analytic_unit-s", "korner-a", "analytic_unit-delta"])
+def test_approximate_rejects_keys_its_kind_does_not_read(tmp_path, cfg):
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    out = tmp_path / "r"
+    assert run_cli(["approximate", "--config", tmp_path / "c.json", "--out", out,
+                    "--grid", "1024"]) == 2
+    bad = sorted(set(cfg) - {"kind"} - cli.APPROXIMATE_KEYS[cfg["kind"]])
+    assert str(bad) in json.loads((out / "failure.json").read_text())["error"]
+    assert not (out / "manifest.json").exists()
+
+
+# One small run per command: the files it writes are those the README's
+# Outputs table lists for it, and a second run writes the same bytes.
+README_RUNS = {
+    "build-spectrum": [({"kind": "hadamard", "eps": "1/n", "n": 40}, 1024)],
+    "approximate": [({"kind": "korner", "eps": 0.3, "delta": 0.3}, 1024),
+                    ({"kind": "analytic_unit", "eps": 0.45}, 1024)],
+    "represent": [({"engine": "squares", "target": "const", "stages": 1}, 1018)],
+    "riesz": [({"n": 30, "n_max": 30, "clt_terms": 30}, 1024)],
+    "sharpness": [({"A": 1, "r": 3, "checked_range": 300}, 1024)],
+}
+
+
+def _readme_outputs(command):
+    """(always, sometimes): the file-name patterns of the command's row in
+    the README's Outputs table, `<n>` standing for a stage number."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    for line in readme.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0] == f"`{command}`":
+            return tuple([re.escape(n).replace("<n>", "[0-9]+")
+                          for n in re.findall(r"`([^`]+)`", cell)] for cell in cells[1:])
+    raise AssertionError(f"README lists no outputs for {command}")
+
+
+@pytest.mark.parametrize("command", sorted(README_RUNS))
+def test_outputs_match_readme_and_repeat_byte_for_byte(tmp_path, command):
+    always, sometimes = _readme_outputs(command)
+    for i, (body, grid) in enumerate(README_RUNS[command]):
+        cfg = tmp_path / f"c{i}.json"
+        cfg.write_text(json.dumps(body))
+        outs = [tmp_path / f"run{i}-{j}" for j in (1, 2)]
+        codes = [run_cli([command, "--config", cfg, "--out", out, "--grid", grid])
+                 for out in outs]
+        assert codes[0] == codes[1] and codes[0] in (0, 1)
+        names = sorted(f.name for f in outs[0].iterdir())
+        assert sorted(f.name for f in outs[1].iterdir()) == names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+            assert any(re.fullmatch(p, name) for p in always + sometimes), name
+        for p in always:
+            assert any(re.fullmatch(p, name) for name in names), p
 
 
 INFINITE_TARGET_CONFIGS = {
     **{f"represent-{engine}": ("represent", {"engine": engine, "stages": 2})
        for engine in ("ae", "squares", "asymptotic_l2", "stoptime", "measure")},
-    **{f"approximate-{kind}": ("approximate", {"kind": kind, "eps": 0.3,
-                                               "delta": 0.3, "s": 150000, "a": 3})
-       for kind in ("block", "analytic_block")},
+    "approximate-block": ("approximate", {"kind": "block", "eps": 0.3,
+                                          "delta": 0.3, "s": 150000, "a": 3}),
+    "approximate-analytic_block": ("approximate", {"kind": "analytic_block",
+                                                   "eps": 0.3, "s": 150000, "a": 3}),
 }
 
 

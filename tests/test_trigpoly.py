@@ -11,6 +11,7 @@ from sparsetrig import trigpoly as tp
 from sparsetrig.blockpoly import BlockSum, BlockTerm, _half, contracted_index_map
 from sparsetrig.circle import CircleGrid
 from sparsetrig.trigpoly import AliasingError, TrigPoly
+from window_oracle import ref_values_direct, ref_window_gap
 
 
 def brute_convolve(p: TrigPoly, q: TrigPoly) -> TrigPoly:
@@ -109,18 +110,8 @@ def test_s_star_star_brute_oracle():
 
 # Reference: one np.exp over the grid per coefficient and the full
 # (S+1) x M prefix matrix, as evaluation and the window sweeps computed
-# them before the root-of-unity table and the streamed sweep.
-
-def ref_values_direct(p: TrigPoly, m: int) -> np.ndarray:
-    out = np.zeros(m, dtype=complex)
-    j = np.arange(m)
-    base = 2.0 * math.pi / m
-    for k, c in p.coeffs.items():
-        r = k % m
-        sign = 1.0 if (k % 2 == 0) else -1.0
-        out += (sign * c) * np.exp(1j * base * ((r * j) % m))
-    return out
-
+# them before the root-of-unity table and the streamed sweep
+# (`ref_values_direct` and `ref_window_gap` live in window_oracle.py).
 
 def ref_s_star(p: TrigPoly, m: int) -> np.ndarray:
     running = np.zeros(m, dtype=complex)
@@ -132,16 +123,6 @@ def ref_s_star(p: TrigPoly, m: int) -> np.ndarray:
         for k, c in levels[lev]:
             running += ref_values_direct(TrigPoly({k: c}), m)
         np.maximum(best, np.abs(running), out=best)
-    return best
-
-
-def ref_window_gap(rows, m: int) -> np.ndarray:
-    prefixes = np.zeros((len(rows) + 1, m), dtype=complex)
-    for i, row in enumerate(rows):
-        prefixes[i + 1] = prefixes[i] + row
-    best = np.zeros(m)
-    for i in range(len(rows)):
-        np.maximum(best, np.abs(prefixes[i + 1:] - prefixes[i]).max(axis=0), out=best)
     return best
 
 
