@@ -36,7 +36,8 @@ def cosk(grid: CircleGrid, k: int = 1) -> SampledFunction:
 
 
 def const(grid: CircleGrid, c: float = 1.0) -> SampledFunction:
-    return SampledFunction(grid, np.full(grid.size, complex(c)))
+    """The constant c, held as one read-only number broadcast over the grid."""
+    return SampledFunction(grid, np.broadcast_to(complex(c), (grid.size,)))
 
 
 def zero(grid: CircleGrid) -> SampledFunction:

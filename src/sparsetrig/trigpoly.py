@@ -27,7 +27,10 @@ import numpy as np
 
 from .circle import CircleGrid, GridError, SampledFunction
 
-DENSE_EVAL_THRESHOLD = 512
+#: on a grid with a prime factor above 7 (where pocketfft needs Bluestein's
+#: chirp-z step), supports up to this size are summed term by term: the
+#: crossover of the two paths measured on 2*8191 points
+DENSE_EVAL_THRESHOLD = 18
 #: largest support the exact S** window sweep accepts
 S_STAR_STAR_SUPPORT_CAP = 4096
 #: grid columns per block of the streamed window sweep (`max_window_gap`)
@@ -252,7 +255,9 @@ class TrigPoly:
     # -- evaluation ------------------------------------------------------
 
     def values(self, grid: CircleGrid, allow_alias: bool = False) -> np.ndarray:
-        """Exact values at the grid points.
+        """Values at the grid points, by one FFT of the folded coefficients
+        when M has no prime factor above 7 or the support exceeds
+        DENSE_EVAL_THRESHOLD, else by a direct sum over the terms.
 
         With allow_alias=False (default) requires M > 4*deg; the escape
         hatch exists for sampling-based diagnostics on spectra whose degree
@@ -265,7 +270,7 @@ class TrigPoly:
             )
         if not len(self):
             return np.zeros(m, dtype=complex)
-        if len(self) > DENSE_EVAL_THRESHOLD:
+        if len(self) > DENSE_EVAL_THRESHOLD or _fft_smooth(m):
             return self._values_fft(m)
         return self._values_direct(m)
 
@@ -307,6 +312,15 @@ def _guard(p: TrigPoly, grid: CircleGrid):
         raise AliasingError(
             f"grid size {grid.size} too small for degree {p.degree()}"
         )
+
+
+def _fft_smooth(m: int) -> bool:
+    """True iff m has no prime factor above 7, so that pocketfft transforms
+    m points without Bluestein's algorithm."""
+    for f in (2, 3, 5, 7):
+        while m % f == 0:
+            m //= f
+    return m == 1
 
 
 def _roots(m: int) -> np.ndarray:

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 import sparsetrig
 from coeff_oracle import oracle_iter_coeffs
-from sparsetrig import cli
+from sparsetrig import cli, targets
 from sparsetrig.blockpoly import BlockSum, BlockTerm, LazyRate, ScaledProduct
-from sparsetrig.circle import CircleGrid
+from sparsetrig.circle import CircleGrid, SampledFunction
 from sparsetrig.cli import main
 from sparsetrig.engines import run_squares_engine
 from sparsetrig.targets import make_target
@@ -579,3 +579,38 @@ def test_infinite_targets_refused_outside_infinity_mode(tmp_path, name):
     report = json.loads((out / "failure.json").read_text())
     assert "needs a finite target" in report["error"]
     assert not (out / "manifest.json").exists()
+
+
+def test_const_target_is_one_read_only_number():
+    g = CircleGrid(1018)
+    f = targets.const(g, 0.75)
+    assert f.values.dtype == complex
+    assert f.values.tobytes() == np.full(g.size, complex(0.75)).tobytes()
+    assert not f.values.flags.writeable
+    with pytest.raises(ValueError):
+        f.values[0] = 0.0
+
+
+CONST_TARGET_CONFIGS = {
+    "approximate-block": ("approximate", {"kind": "block", "eps": 0.3, "delta": 0.3,
+                                          "s": 8000, "a": 3}, 1018),
+    "represent-squares": ("represent", {"engine": "squares", "stages": 2}, 1022),
+    "represent-ae": ("represent", {"engine": "ae", "stages": 2}, 1022),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONST_TARGET_CONFIGS))
+def test_const_target_writes_what_a_full_array_writes(tmp_path, monkeypatch, name):
+    command, body, grid = CONST_TARGET_CONFIGS[name]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**body, "target": "const", "target_params": {"c": 0.75}}))
+    outs = [tmp_path / "view", tmp_path / "full"]
+    codes = [run_cli([command, "--config", cfg, "--out", outs[0], "--grid", grid])]
+    monkeypatch.setattr(targets, "const", lambda g, c=1.0: SampledFunction(
+        g, np.full(g.size, complex(c))))
+    codes.append(run_cli([command, "--config", cfg, "--out", outs[1], "--grid", grid]))
+    assert codes[0] == codes[1]
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names and sorted(f.name for f in outs[1].iterdir()) == names
+    for n in names:
+        assert (outs[0] / n).read_bytes() == (outs[1] / n).read_bytes(), n

@@ -138,11 +138,10 @@ def test_table_evaluation_and_streamed_sweeps_bit_identical(m):
     g = CircleGrid(m)
     rng = np.random.default_rng(m)
     p = random_support_poly(rng, 96, m // 5)
-    assert len(p) <= tp.DENSE_EVAL_THRESHOLD
-    assert np.array_equal(p.values(g), ref_values_direct(p, m))
+    assert np.array_equal(p._values_direct(m), ref_values_direct(p, m))
     huge = TrigPoly({2 ** 70 * k + k: c
                      for k, c in random_support_poly(rng, 40, 1000).coeffs.items()})
-    assert np.array_equal(huge.values(g, allow_alias=True), ref_values_direct(huge, m))
+    assert np.array_equal(huge._values_direct(m), ref_values_direct(huge, m))
 
     q = random_support_poly(rng, 24, m // 5)
     assert np.array_equal(tp.s_star(q, g).values, ref_s_star(q, m).astype(complex))
@@ -333,9 +332,21 @@ def test_coeff_norm_product_law():
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def fft_smooth(m: int) -> bool:
+    """No prime factor of m above 7, by trial division."""
+    return all(d <= 7 for d in range(2, m + 1)
+               if m % d == 0 and all(d % e for e in range(2, math.isqrt(d) + 1)))
+
+
+def takes_fft(size: int, m: int) -> bool:
+    """The evaluation path rule: the FFT fold on 7-smooth grids and above
+    the threshold, the direct sum otherwise."""
+    return size > tp.DENSE_EVAL_THRESHOLD or fft_smooth(m)
+
+
 # Reference: the dict-backed storage the arrays replaced, frozen as the
 # bit-identity oracle for the constructor, the FFT fold, the norms and
-# translate.
+# translate; `values` takes the path `takes_fft` names.
 
 class DictPoly:
     def __init__(self, items):
@@ -353,7 +364,7 @@ class DictPoly:
         self.coeffs = d
 
     def values(self, m: int) -> np.ndarray:
-        if len(self.coeffs) <= tp.DENSE_EVAL_THRESHOLD:
+        if not takes_fft(len(self.coeffs), m):
             return ref_values_direct(self, m)
         folded = np.zeros(m, dtype=complex)
         for k, c in self.coeffs.items():
@@ -410,6 +421,7 @@ def poly_items(draw, freqs):
 def test_array_storage_bit_identical_to_dict(items, shift, c, n, m):
     p, ref = TrigPoly(items), DictPoly(items)
     assert_same_storage(p, ref)
+    assert np.array_equal(p._values_direct(m), ref_values_direct(ref, m))
     assert np.array_equal(p.values(CircleGrid(m), allow_alias=True), ref.values(m))
     # complex coefficients times complex phases: the FMA trap
     assert_same_storage(tp.translate(p, shift), ref.translate(shift))
@@ -428,10 +440,12 @@ def test_array_storage_bit_identical_to_dict(items, shift, c, n, m):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(tp.DENSE_EVAL_THRESHOLD + 2, 3000),
-       st.sampled_from([1022, 4096, 16382]), st.booleans())
-def test_dense_fold_bit_identical_to_dict(seed, size, m, huge):
-    # degrees up to 3M, so residues collide in the fold
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1022, 4096, 16382]), st.booleans(),
+       st.data())
+def test_dense_fold_bit_identical_to_dict(seed, m, huge, data):
+    # supports the FFT path takes, with degrees up to 3M, so residues
+    # collide in the fold
+    size = data.draw(st.integers(2 if fft_smooth(m) else tp.DENSE_EVAL_THRESHOLD + 2, 3000))
     rng = np.random.default_rng(seed)
     ks = rng.choice(np.arange(-3 * m, 3 * m), size, replace=False).tolist()
     if huge:
@@ -439,7 +453,7 @@ def test_dense_fold_bit_identical_to_dict(seed, size, m, huge):
     cs = (rng.normal(size=size) + 1j * rng.normal(size=size)).tolist()
     items = list(zip(ks, cs)) + [(ks[0], -cs[0]), (ks[1], 2.5 - 1j)]
     p, ref = TrigPoly(items), DictPoly(items)
-    assert len(p) > tp.DENSE_EVAL_THRESHOLD
+    assert takes_fft(len(p), m)
     assert_same_storage(p, ref)
     assert np.array_equal(p.values(CircleGrid(m), allow_alias=True), ref.values(m))
     lo, hi = sorted(rng.integers(-3 * m, 3 * m, 2).tolist())
@@ -447,6 +461,37 @@ def test_dense_fold_bit_identical_to_dict(seed, size, m, huge):
         bits((k, v) for k, v in ref.coeffs.items() if lo <= k <= hi)
     assert bits(tp.partial_sum(p, hi - lo).coeffs.items()) == \
         bits((k, v) for k, v in ref.coeffs.items() if abs(k) <= hi - lo)
+
+
+@pytest.mark.parametrize("m, size, fft", [
+    (2 ** 14, 1, True), (4096, tp.DENSE_EVAL_THRESHOLD, True), (2 * 3 * 5 * 7 * 4, 1, True),
+    (2 * 8191, 1, False), (2 * 8191, tp.DENSE_EVAL_THRESHOLD, False),
+    (2 * 8191, tp.DENSE_EVAL_THRESHOLD + 1, True), (2 * 509, 2, False),
+    (2 * 509, 600, True), (11 * 2 ** 8, 3, False)])
+def test_evaluation_path_choice(monkeypatch, m, size, fft):
+    assert takes_fft(size, m) == fft
+    taken = []
+    for name in ("_values_fft", "_values_direct"):
+        def record(self, n, orig=getattr(TrigPoly, name), name=name):
+            taken.append(name)
+            return orig(self, n)
+        monkeypatch.setattr(TrigPoly, name, record)
+    p = TrigPoly({k: 1.0 + 0.5j * k for k in range(1, size + 1)})
+    assert p.values(CircleGrid(m), allow_alias=True).shape == (m,)
+    assert taken == ["_values_fft" if fft else "_values_direct"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.one_of(small_freqs, small_freqs, huge_freqs), coefs),
+                min_size=1, max_size=60),
+       st.sampled_from([1022, 4096, 2 * 8191, 2 ** 14]))
+def test_fft_and_direct_paths_agree(items, m):
+    p = TrigPoly(items)
+    l1 = tp.coeff_norms(p).l1
+    gap = np.abs(p._values_fft(m) - p._values_direct(m)).max(initial=0.0)
+    assert gap <= 1e-12 * l1
+    assert np.array_equal(p.values(CircleGrid(m), allow_alias=True),
+                          p._values_fft(m) if takes_fft(len(p), m) else p._values_direct(m))
 
 
 def test_blocksum_evaluates_shared_payload_once(monkeypatch):
