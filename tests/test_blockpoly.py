@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 
 from coeff_oracle import bits, oracle_iter_coeffs
 from structure_loader import load_structure
-from window_oracle import ref_s_star_star
+from window_oracle import ref_s_star_star, ref_window_gap
 from sparsetrig import cli
 from sparsetrig import trigpoly as tp
-from sparsetrig.approximants import analytic_korner
-from sparsetrig.blockpoly import (BlockSum, BlockTerm, Freq, LazyRate,
-                                  ScaledProduct, contracted_index_map,
-                                  orbit_fraction)
+from sparsetrig.approximants import analytic_korner, korner_polynomial
+from sparsetrig.blockpoly import (WIDTH_BRACKET_ROWS, WIDTH_DIRECTIONS,
+                                  WIDTH_MARGIN, WIDTH_UNDERFLOW, BlockSum,
+                                  BlockTerm, Freq, LazyRate, ScaledProduct,
+                                  contracted_index_map, orbit_fraction,
+                                  window_gap_bracket)
 from sparsetrig.circle import CircleGrid
 from sparsetrig.engines import _Modulated
 from sparsetrig.trigpoly import TrigPoly
@@ -62,21 +64,86 @@ def test_bracket_contains_truth():
     assert np.all(truth <= upper + 1e-9)
 
 
+WIDTH_COS = math.cos(math.pi / (2 * WIDTH_DIRECTIONS))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(WIDTH_BRACKET_ROWS, 100), st.integers(1, 40),
+       st.sampled_from(["complex", "real", "collinear", "zero", "repeated", "ties"]),
+       # scales 1e-323..1e-305 reach subnormal values
+       st.one_of(st.integers(-300, 300), st.integers(-323, -305)),
+       st.integers(0, 2 ** 32 - 1))
+def test_width_bracket_encloses_window_maximum(count, m, kind, scale, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(count, m)) + 1j * rng.normal(size=(count, m))
+    if kind == "real":
+        rows = rows.real + 0j
+    elif kind == "collinear":
+        # along one of the directions pi d / D, where the widest width
+        # meets the diameter, or half way between two of them
+        rows = rows.real * np.exp(1j * math.pi * rng.integers(2 * WIDTH_DIRECTIONS)
+                                  / (2 * WIDTH_DIRECTIONS))
+    elif kind == "zero":
+        rows[:] = 0
+    elif kind == "repeated":
+        rows[:] = rows[0]
+    elif kind == "ties":
+        # zero rows, and rows repeated out of order, so prefixes coincide
+        rows = rows[rng.integers(count // 4 + 1, size=count)]
+        rows[rng.random(count) < 0.3] = 0
+    rows = rows * 10.0 ** scale
+    exact = ref_window_gap(list(rows), m)
+    lower, upper = window_gap_bracket(rows)
+    assert np.all(lower <= exact)
+    assert np.all(exact <= upper)
+    radius = np.abs(np.cumsum(rows, axis=0)).max(axis=0)
+    margin = WIDTH_MARGIN / WIDTH_COS * radius + WIDTH_UNDERFLOW
+    assert np.all(upper <= exact / WIDTH_COS + 2 * margin)
+
+
+def test_bracket_contains_truth_on_width_path():
+    # eight two-sided terms give sixteen segment rows, the width
+    # threshold; materialized, the sum has 160 coefficients
+    rng = np.random.default_rng(7)
+
+    def poly(ks):
+        return TrigPoly({k: complex(rng.normal(), rng.normal()) for k in ks})
+    w = BlockSum([BlockTerm(poly(range(-2, 3)), poly([-2, -1, 1, 2]), 11 * 5 ** i)
+                  for i in range(8)], layout="segments")
+    assert len(w._segments) == WIDTH_BRACKET_ROWS
+    grid = CircleGrid(1022)
+    truth = ref_s_star_star(materialize(w), grid.size)
+    lower, upper = w.sstar_star_bracket(grid)
+    assert np.all(lower <= truth)
+    assert np.all(truth <= upper)
+
+
+def bracket_peak(q, grid):
+    tracemalloc.start()
+    try:
+        q.sstar_star_bracket(grid)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_bracket_memory_holds_rows_and_two_bounds():
     # 41 tiles of one 65536-coefficient unit approximant: the segment rows
     # take 10.7 MB and the bracket peaked at 14.3 MB with two carrier
     # passes, 14.8 MB with one; keeping the payload halves and the last
-    # term's arrays through the sweep read 17.3 MB
+    # term's arrays through the sweep read 17.3 MB.  The width bracket
+    # reads 13.8 MB.
     grid = CircleGrid(2 * 8191)
     q = analytic_korner(0.3, grid=grid, strict=False).poly
     assert len(q.terms) == 41
-    tracemalloc.start()
-    try:
-        q.sstar_star_bracket(grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    assert bracket_peak(q, grid) < 16e6
+    # 64 segment rows take 16.8 MB on 2^14 and the width bracket peaks at
+    # 19.8 MB (22.4 MB with the exact sweep); chunks of a fixed 2048
+    # columns would hold 17 MB of projections at 64 rows
+    grid = CircleGrid(2 ** 14)
+    q = korner_polynomial(0.21, 0.22, grid=grid, strict=False).poly
+    assert len(q._segments) == 64
+    assert bracket_peak(q, grid) < 21e6
 
 
 def test_segment_overlap_rejected():

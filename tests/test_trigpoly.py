@@ -4,11 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsetrig import trigpoly as tp
-from sparsetrig.blockpoly import BlockSum, BlockTerm, _half, contracted_index_map
+from sparsetrig.blockpoly import (WIDTH_BRACKET_ROWS, BlockSum, BlockTerm, _half,
+                                  contracted_index_map)
 from sparsetrig.circle import CircleGrid
 from sparsetrig.trigpoly import AliasingError, TrigPoly
 from window_oracle import ref_values_direct, ref_window_gap
@@ -154,6 +155,21 @@ def test_table_evaluation_and_streamed_sweeps_bit_identical(m):
     w = BlockSum([BlockTerm(poly(range(-5, 6)), poly([-4, -3, -2, -1, 1, 2, 3, 4]), 11),
                   BlockTerm(poly(range(-3, 4)), poly([-2, -1, 1, 2]), 101)],
                  layout="segments")
+    assert_exact_bracket(w, g)
+    # one row below the width bracket's threshold: seven two-sided terms
+    # and one analytic one, each rate five times the last, so the segments
+    # stay disjoint
+    rates = [11 * 5 ** i for i in range(8)]
+    w = BlockSum([BlockTerm(poly(range(-2, 3)), poly([1, 2] if r == rates[-1] else
+                                                      [-2, -1, 1, 2]), r)
+                  for r in rates], layout="segments")
+    assert len(w._segments) == WIDTH_BRACKET_ROWS - 1
+    assert_exact_bracket(w, g)
+
+
+def assert_exact_bracket(w, g):
+    """A bracket below WIDTH_BRACKET_ROWS rows is bit-identical to the
+    exact window maximum plus the two largest cut bounds."""
     lower, upper = w.sstar_star_bracket(g)
     # segment rows (carrier times contracted payload half, in segment order)
     # and each segment's bound |C| l1(half) + linf(H) l1(C) on a cut inside
@@ -171,7 +187,7 @@ def test_table_evaluation_and_streamed_sweeps_bit_identical(m):
         segs.append(row)
         cuts.append(np.abs(cv) * tp.coeff_norms(half).l1
                     + tp.coeff_norms(t.payload).linf * tp.coeff_norms(t.carrier).l1)
-    dmid = ref_window_gap(segs, m)
+    dmid = ref_window_gap(segs, g.size)
     two_largest = np.sort(cuts, axis=0)[-2:]
     assert np.array_equal(lower, dmid)
     assert np.array_equal(upper, dmid + two_largest[1] + two_largest[0])
@@ -485,11 +501,15 @@ def test_evaluation_path_choice(monkeypatch, m, size, fft):
 @given(st.lists(st.tuples(st.one_of(small_freqs, small_freqs, huge_freqs), coefs),
                 min_size=1, max_size=60),
        st.sampled_from([1022, 4096, 2 * 8191, 2 ** 14]))
+@example(items=[(0, 5e-324j)], m=1022)
 def test_fft_and_direct_paths_agree(items, m):
     p = TrigPoly(items)
     l1 = tp.coeff_norms(p).l1
     gap = np.abs(p._values_fft(m) - p._values_direct(m)).max(initial=0.0)
-    assert gap <= 1e-12 * l1
+    # relative rounding plus the rounding model's underflow term: the FFT
+    # divides by M first, so a subnormal coefficient can flush to 0 (the
+    # example above reads a gap of 5e-324 against 1e-12 * l1 = 0)
+    assert gap <= 1e-12 * l1 + m * 2.0 ** -1074
     assert np.array_equal(p.values(CircleGrid(m), allow_alias=True),
                           p._values_fft(m) if takes_fft(len(p), m) else p._values_direct(m))
 
