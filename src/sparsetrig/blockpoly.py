@@ -46,10 +46,14 @@ import numpy as np
 
 from .circle import CircleGrid
 from .trigpoly import (TrigPoly, _cmul, _freq_array, _limit, _outer_freqs,
-                       coeff_norms, max_window_gap, partial_sum_rect)
+                       coeff_norms, max_window_gap, partial_sum_rect,
+                       values_rows)
 
 #: relative log2 margin required between lazily compared frequencies
 LOG_MARGIN = 1e-9
+#: grid cells (carriers x points) `BlockSum` transforms in one batch:
+#: eight carriers on 2^14 points, 2 MB
+EVAL_BATCH_CELLS = 2 ** 17
 
 #: directions pi d / D of the width bracket (`window_gap_bracket`); its
 #: upper bound sits at most 1/cos(pi/2D) - 1 = 0.48 % above the exact one
@@ -327,6 +331,11 @@ class BlockSum:
     layout="subblocks": only the individual sub-blocks k*r_i + spec C_i
     are disjoint (segments may interleave); coefficient statistics remain
     exact but partial-sum control falls back to the crude l1 bound.
+
+    Values and, in the segments layout, the S** bracket come from one pass
+    over the terms, run on the first call per grid size and kept on the
+    instance as read-only arrays (three M-point arrays, 0.5 MB at 2^14),
+    so each carrier is transformed once per grid.
     """
 
     def __init__(self, terms: Sequence[BlockTerm], layout: str = "segments"):
@@ -337,9 +346,12 @@ class BlockSum:
         self.terms = list(terms)
         self.layout = layout
         #: distinct payloads by identity: terms usually share one payload,
-        #: whose values and norms are then computed once per call
+        #: whose values are then computed once per grid, its norms once
+        #: per call
         self._payloads = {id(t.payload): t.payload for t in self.terms}
         self.lazy = any(t.lazy for t in self.terms)
+        #: grid size -> the read-only (values, lower, upper) of `_evaluate`
+        self._memo = {}
         self._segments = self._collect_segments()
         if layout == "segments":
             self._validate_segments()
@@ -390,6 +402,105 @@ class BlockSum:
         for a, b in zip(ivs, ivs[1:]):
             if a[1] >= b[0]:
                 raise ValueError("sub-blocks overlap; coefficient stats unsafe")
+
+    # -- the evaluation pass -------------------------------------------------
+
+    def _evaluated(self, grid: CircleGrid):
+        """`_evaluate` on the grid, run on the first call per grid size and
+        kept, with its arrays made read-only."""
+        hit = self._memo.get(grid.size)
+        if hit is None:
+            hit = self._evaluate(grid)
+            for a in hit:
+                if a is not None:
+                    a.flags.writeable = False
+            self._memo[grid.size] = hit
+        return hit
+
+    def _evaluate(self, grid: CircleGrid):
+        """(values, lower, upper) on the grid from one pass over the terms;
+        lower and upper are the S** bracket, None in the subblocks layout.
+
+        Carriers are transformed EVAL_BATCH_CELLS at a time by
+        `values_rows`, each once.  Values are added term by term, in term
+        order.  In the segments layout a term's last segment row (its home
+        row) holds its carrier's values until the term fills that row, and
+        a batch whose home rows follow each other is transformed in place
+        there; any other batch goes through its own buffer.  A term fills
+        its segment rows (carrier times contracted payload half) and folds
+        the pointwise bound on a rectangular cut inside each of its
+        segments into the two largest bounds, which do not depend on their
+        order.  Each distinct payload is evaluated once, and each payload
+        half once, unless it is the whole payload.
+        """
+        m = grid.size
+        pv = {i: h.values(grid, allow_alias=True) for i, h in self._payloads.items()}
+        out = np.zeros(m, dtype=complex)
+        segments = self.layout == "segments"
+        rows = {}  # term index -> positions of its segments, home row last
+        for pos, seg in enumerate(self._segments if segments else ()):
+            rows.setdefault(seg["term"], []).append(pos)
+        halves = self._halves(grid, pv) if segments else {}
+        h_linf = {i: coeff_norms(h).linf for i, h in self._payloads.items()}
+        segs = np.empty((len(self._segments) if segments else 0, m), dtype=complex)
+        top1 = np.zeros(m)
+        top2 = np.zeros(m)
+        step = max(1, EVAL_BATCH_CELLS // m)
+        for lo in range(0, len(self.terms), step):
+            batch = range(lo, min(lo + step, len(self.terms)))
+            home = [rows[i][-1] for i in batch] if segments else []
+            if home and home == list(range(home[0], home[0] + len(batch))):
+                buf = segs[home[0]:home[0] + len(batch)]
+            else:
+                buf = np.empty((len(batch), m), dtype=complex)
+            values_rows([self.terms[i].carrier for i in batch], grid, buf)
+            for i, cv in zip(batch, buf):
+                t = self.terms[i]
+                index = contracted_index_map(t.rate, grid)
+                # one expression each: numpy computes it in place on the
+                # indexed temporary once the row reaches 256 KiB, and under
+                # FMA that operand order decides the last bit (see
+                # trigpoly._term)
+                out += cv * pv[id(t.payload)][index]
+                if not segments:
+                    continue
+                acv = np.abs(cv)
+                c_l1 = coeff_norms(t.carrier).l1
+                for pos in rows[i]:
+                    half, half_l1 = halves[id(t.payload), self._segments[pos]["sign"]]
+                    # the home row comes last, so cv is read before it goes
+                    segs[pos] = cv * half[index]
+                    cut = acv * half_l1 + h_linf[id(t.payload)] * c_l1
+                    swap = cut > top1
+                    top2 = np.where(swap, top1, np.maximum(top2, np.minimum(cut, top1)))
+                    top1 = np.where(swap, cut, top1)
+                # free this term's arrays before the next term's
+                del acv, half, cut, swap
+            del buf, cv, index
+        if not segments:
+            return out, None, None
+        # the window pass then holds the rows, the values and two bounds
+        del pv, halves
+        if len(segs) >= WIDTH_BRACKET_ROWS:
+            lower, upper = window_gap_bracket(segs)
+            return out, lower, upper + top1 + top2
+        dmid = max_window_gap(lambda i, cols: segs[i][cols], len(segs), m)
+        return out, dmid, dmid + top1 + top2
+
+    def _halves(self, grid: CircleGrid, pv: dict) -> dict:
+        """(payload id, sign) -> (values, l1 norm) of each payload half a
+        segment uses (an analytic payload has no negative half); a half
+        that is the whole payload takes its values `pv`."""
+        halves = {}
+        for seg in self._segments:
+            key = id(self.terms[seg["term"]].payload), seg["sign"]
+            if key not in halves:
+                h = self._payloads[key[0]]
+                p = _half(h, key[1])
+                halves[key] = (pv[key[0]] if len(p) == len(h)
+                               else p.values(grid, allow_alias=True),
+                               coeff_norms(p).l1)
+        return halves
 
     # -- basic stats ---------------------------------------------------------
 
@@ -464,17 +575,11 @@ class BlockSum:
     def min_orbit_fraction(self, grid: CircleGrid) -> float:
         return min(orbit_fraction(t.rate, grid) for t in self.terms)
 
-    # -- values ---------------------------------------------------------------
+    # -- values and partial-sum brackets ------------------------------------
 
     def values(self, grid: CircleGrid, allow_alias: bool = True) -> np.ndarray:
-        out = np.zeros(grid.size, dtype=complex)
-        pv = {i: h.values(grid, allow_alias=True) for i, h in self._payloads.items()}
-        for t in self.terms:
-            cv = t.carrier.values(grid, allow_alias=True)
-            out += cv * pv[id(t.payload)][contracted_index_map(t.rate, grid)]
-        return out
-
-    # -- partial-sum brackets ---------------------------------------------------
+        """Values on the grid (read-only; see `_evaluated`)."""
+        return self._evaluated(grid)[0]
 
     def sstar_star_bracket(self, grid: CircleGrid) -> Tuple[np.ndarray, np.ndarray]:
         """(lower, upper) pointwise brackets for sup over windows |S_{n,m}|.
@@ -488,54 +593,12 @@ class BlockSum:
         and upper adds the same cut bound to W / cos(pi/2D) plus the
         margin.
 
-        One pass over the terms evaluates each carrier once.  It fills the
-        carrier's segment rows (carrier times contracted payload half, one
-        row per segment in segment order, in one array) and folds the
-        pointwise bound on a rectangular cut inside each of its segments
-        into the two largest bounds, which do not depend on their order.
+        The brackets come from the pass that gives `values` (`_evaluate`),
+        run once per grid; both arrays are read-only.
         """
         if self.layout != "segments":
             raise ValueError("partial-sum brackets need the segments layout")
-        m = grid.size
-        halves = {}  # (payload id, sign) -> (values, l1 norm) of a used half
-        by_term = {}  # term index -> positions of its segments
-        for pos, seg in enumerate(self._segments):
-            by_term.setdefault(seg["term"], []).append(pos)
-            key = id(self.terms[seg["term"]].payload), seg["sign"]
-            if key not in halves:  # an analytic payload has no negative half
-                p = _half(self._payloads[key[0]], key[1])
-                halves[key] = p.values(grid, allow_alias=True), coeff_norms(p).l1
-        del p
-        h_linf = {i: coeff_norms(h).linf for i, h in self._payloads.items()}
-        segs = np.empty((len(self._segments), m), dtype=complex)
-        top1 = np.zeros(m)
-        top2 = np.zeros(m)
-        for i, positions in by_term.items():
-            t = self.terms[i]
-            cv = t.carrier.values(grid, allow_alias=True)
-            index = contracted_index_map(t.rate, grid)
-            acv = np.abs(cv)
-            c_l1 = coeff_norms(t.carrier).l1
-            for pos in positions:
-                half, half_l1 = halves[id(t.payload), self._segments[pos]["sign"]]
-                # one expression: numpy computes it in place on the
-                # temporary `half[index]` once the row reaches 256 KiB, and
-                # under FMA that operand order decides the last bit (see
-                # trigpoly._term)
-                segs[pos] = cv * half[index]
-                cut = acv * half_l1 + h_linf[id(t.payload)] * c_l1
-                swap = cut > top1
-                top2 = np.where(swap, top1, np.maximum(top2, np.minimum(cut, top1)))
-                top1 = np.where(swap, cut, top1)
-            # free this term's arrays before the next carrier is evaluated
-            del cv, index, acv, half, cut, swap
-        # the sweep's peak then holds the rows and the two bounds only
-        del halves
-        if len(segs) >= WIDTH_BRACKET_ROWS:
-            lower, upper = window_gap_bracket(segs)
-            return lower, upper + top1 + top2
-        dmid = max_window_gap(lambda i, cols: segs[i][cols], len(segs), m)
-        return dmid, dmid + top1 + top2
+        return self._evaluated(grid)[1:]
 
     def sstar_upper(self, grid: CircleGrid) -> np.ndarray:
         """Pointwise upper bound for sup over windows on the grid."""

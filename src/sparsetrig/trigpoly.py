@@ -19,6 +19,7 @@ multiply may fuse them into FMA instructions.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import types
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
@@ -270,18 +271,24 @@ class TrigPoly:
             )
         if not len(self):
             return np.zeros(m, dtype=complex)
-        if len(self) > DENSE_EVAL_THRESHOLD or _fft_smooth(m):
+        if _takes_fft(len(self), m):
             return self._values_fft(m)
         return self._values_direct(m)
 
-    def _values_fft(self, m: int) -> np.ndarray:
+    def _folded(self, m: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The coefficients folded onto the m residues, into `out` (a new
+        array when None): the values are m times its inverse FFT."""
         # e^{ik t_j} = (-1)^k * omega^{k j}, t_j = -pi + 2*pi*j/m; bincount
         # adds each residue's terms in storage order, starting from 0.0
         r = (self._k % m).astype(np.intp)
         signed = np.where((self._k % 2).astype(bool), -self._c, self._c)
-        folded = _complex(np.bincount(r, weights=signed.real, minlength=m),
-                          np.bincount(r, weights=signed.imag, minlength=m))
-        return m * np.fft.ifft(folded)
+        out = np.empty(m, dtype=complex) if out is None else out
+        out.real = np.bincount(r, weights=signed.real, minlength=m)
+        out.imag = np.bincount(r, weights=signed.imag, minlength=m)
+        return out
+
+    def _values_fft(self, m: int) -> np.ndarray:
+        return m * np.fft.ifft(self._folded(m))
 
     def _values_direct(self, m: int) -> np.ndarray:
         out = np.zeros(m, dtype=complex)
@@ -312,6 +319,41 @@ def _guard(p: TrigPoly, grid: CircleGrid):
         raise AliasingError(
             f"grid size {grid.size} too small for degree {p.degree()}"
         )
+
+
+def _takes_fft(size: int, m: int) -> bool:
+    """The evaluation path of a nonzero polynomial with `size` terms on m
+    points: the FFT fold when m has no prime factor above 7 or the support
+    exceeds DENSE_EVAL_THRESHOLD, else the direct sum."""
+    return size > DENSE_EVAL_THRESHOLD or _fft_smooth(m)
+
+
+def values_rows(polys: Sequence[TrigPoly], grid: CircleGrid,
+                out: np.ndarray) -> np.ndarray:
+    """`p.values(grid, allow_alias=True)` of polys[i] into row i of `out`, a
+    C-contiguous (len(polys), M) complex array, bit for bit.
+
+    FFT-path polynomials are folded into their rows, and each run of
+    consecutive FFT rows is transformed in place by one batched inverse
+    FFT (pocketfft transforms each row as it transforms one array).  The
+    other rows take `values`.
+    """
+    m = grid.size
+    fft = [bool(len(p)) and _takes_fft(len(p), m) for p in polys]
+    for i, p in enumerate(polys):
+        if fft[i]:
+            p._folded(m, out[i])
+        else:
+            out[i] = p.values(grid, allow_alias=True)
+    row = 0
+    for batched, group in itertools.groupby(fft):
+        count = len(list(group))
+        if batched:
+            run = out[row:row + count]
+            np.fft.ifft(run, axis=1, out=run)
+            run *= m
+        row += count
+    return out
 
 
 def _fft_smooth(m: int) -> bool:

@@ -1,0 +1,54 @@
+"""Block-sum oracle: values and S** bracket as two separate passes.
+
+`ref_values` adds carrier times contracted payload term by term, and
+`ref_bracket` builds the segment rows and cut bounds in segment order,
+each carrier evaluated by its own `TrigPoly.values` call in each pass, as
+`BlockSum.values` and `BlockSum.sstar_star_bracket` computed them before
+one memoized pass with batched carrier transforms gave both.  Nothing
+here calls `trigpoly.values_rows` or `BlockSum._evaluate`, so a fault
+there cannot hide in both the program and its check.
+"""
+
+import numpy as np
+
+from window_oracle import ref_window_gap
+from sparsetrig.blockpoly import (WIDTH_BRACKET_ROWS, _half,
+                                  contracted_index_map, window_gap_bracket)
+from sparsetrig.trigpoly import coeff_norms
+
+
+def ref_values(w, grid) -> np.ndarray:
+    out = np.zeros(grid.size, dtype=complex)
+    pv = {i: h.values(grid, allow_alias=True) for i, h in w._payloads.items()}
+    for t in w.terms:
+        cv = t.carrier.values(grid, allow_alias=True)
+        # one expression: numpy computes it in place on the indexed
+        # temporary once the row reaches 256 KiB, and the operand order
+        # decides the last bit under FMA
+        out += cv * pv[id(t.payload)][contracted_index_map(t.rate, grid)]
+    return out
+
+
+def ref_bracket(w, grid):
+    """(lower, upper): the segment rows' window maximum (exact below
+    WIDTH_BRACKET_ROWS rows, else the width bracket) plus the two largest
+    cut bounds |C| l1(half) + linf(H) l1(C) on top."""
+    m = grid.size
+    segs = np.empty((len(w._segments), m), dtype=complex)
+    cuts = []
+    for pos, seg in enumerate(w._segments):
+        t = w.terms[seg["term"]]
+        cv = t.carrier.values(grid, allow_alias=True)
+        half = _half(t.payload, seg["sign"])
+        hv = half.values(grid, allow_alias=True)
+        segs[pos] = cv * hv[contracted_index_map(t.rate, grid)]
+        cuts.append(np.abs(cv) * coeff_norms(half).l1
+                    + coeff_norms(t.payload).linf * coeff_norms(t.carrier).l1)
+    two_largest = np.sort(cuts, axis=0)[-2:]
+    top1 = two_largest[-1]
+    top2 = two_largest[0] if len(cuts) > 1 else np.zeros(m)
+    if len(segs) >= WIDTH_BRACKET_ROWS:
+        lower, upper = window_gap_bracket(segs)
+        return lower, upper + top1 + top2
+    dmid = ref_window_gap(list(segs), m)
+    return dmid, dmid + top1 + top2

@@ -1,6 +1,8 @@
+import json
 import math
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocksum_oracle import ref_bracket, ref_values
 from coeff_oracle import bits, oracle_iter_coeffs
 from structure_loader import load_structure
 from window_oracle import ref_s_star_star, ref_window_gap
@@ -119,10 +122,17 @@ def test_bracket_contains_truth_on_width_path():
 
 
 def bracket_peak(q, grid):
+    """The tracemalloc peak of the bracket of a fresh copy of q (q's own
+    evaluation is kept), and the peak of `values` after it."""
+    fresh = BlockSum(q.terms, q.layout)
     tracemalloc.start()
     try:
-        q.sstar_star_bracket(grid)
-        return tracemalloc.get_traced_memory()[1]
+        fresh.sstar_star_bracket(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        fresh.values(grid)
+        return peak, tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
 
@@ -132,18 +142,123 @@ def test_bracket_memory_holds_rows_and_two_bounds():
     # take 10.7 MB and the bracket peaked at 14.3 MB with two carrier
     # passes, 14.8 MB with one; keeping the payload halves and the last
     # term's arrays through the sweep read 17.3 MB.  The width bracket
-    # reads 13.8 MB.
+    # reads 13.8 MB, and 14.1 MB with the values from the same pass.
     grid = CircleGrid(2 * 8191)
     q = analytic_korner(0.3, grid=grid, strict=False).poly
     assert len(q.terms) == 41
-    assert bracket_peak(q, grid) < 16e6
+    peak, values_peak = bracket_peak(q, grid)
+    assert peak < 16e6
+    # values after the bracket come from the same pass: no M-point array
+    assert values_peak < grid.size * 8
     # 64 segment rows take 16.8 MB on 2^14 and the width bracket peaks at
-    # 19.8 MB (22.4 MB with the exact sweep); chunks of a fixed 2048
-    # columns would hold 17 MB of projections at 64 rows
+    # 19.8 MB (22.4 MB with the exact sweep), 20.0 MB with the values;
+    # chunks of a fixed 2048 columns would hold 17 MB of projections at 64
+    # rows
     grid = CircleGrid(2 ** 14)
     q = korner_polynomial(0.21, 0.22, grid=grid, strict=False).poly
     assert len(q._segments) == 64
-    assert bracket_peak(q, grid) < 21e6
+    peak, values_peak = bracket_peak(q, grid)
+    assert peak < 21e6
+    assert values_peak < grid.size * 8
+
+
+@st.composite
+def block_sums(draw):
+    """A BlockSum of 1-17 terms: carriers of support 1-60 within [-30, 30],
+    one-sided or two-sided payloads of degree <= 6, shared by every term or
+    one per term, and rates 61 B^i with B = 9, so segments and sub-blocks
+    are disjoint in either layout.  Terms may come out of rate order, so
+    their last segment rows do not follow each other."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count = draw(st.integers(1, 17))
+    kinds = draw(st.lists(st.sampled_from(["analytic", "twosided"]),
+                          min_size=count, max_size=count))
+
+    def poly(ks):
+        return TrigPoly({int(k): complex(rng.normal(), rng.normal()) for k in ks})
+
+    def payload(kind):
+        ks = np.arange(1, 7) if kind == "analytic" else np.r_[-6:0, 1:7]
+        return poly(rng.choice(ks, int(rng.integers(1, ks.size + 1)), replace=False))
+    shared = payload(kinds[0]) if draw(st.booleans()) else None
+    terms = [BlockTerm(poly(rng.choice(np.arange(-30, 31), size, replace=False)),
+                       shared or payload(kind), 61 * 9 ** i)
+             for i, (size, kind) in enumerate(zip(
+                 draw(st.lists(st.integers(1, 60), min_size=count, max_size=count)),
+                 kinds))]
+    if draw(st.booleans()):
+        terms = [terms[i] for i in rng.permutation(count)]
+    return BlockSum(terms, layout=draw(st.sampled_from(["segments", "subblocks"])))
+
+
+# 2^14 points make 256 KiB rows, where numpy's temporary elision applies;
+# 2*8191 points have a large prime factor, so carriers of support <= 18
+# take the direct sum
+@settings(max_examples=60, deadline=None)
+@given(block_sums(), st.sampled_from([2 ** 14, 2 * 8191, 1022]))
+def test_one_pass_bit_identical_to_two(w, m):
+    grid = CircleGrid(m)
+    values = w.values(grid)
+    assert np.array_equal(values, ref_values(w, grid))
+    if w.layout == "segments":
+        lower, upper = w.sstar_star_bracket(grid)
+        ref_lower, ref_upper = ref_bracket(w, grid)
+        assert np.array_equal(lower, ref_lower)
+        assert np.array_equal(upper, ref_upper)
+    assert w.values(grid) is values
+
+
+def test_evaluations_are_read_only():
+    grid = CircleGrid(2048)
+    w = small_blocksum()
+    for a in (w.values(grid), *w.sstar_star_bracket(grid)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1
+    # products and sums of the kept arrays are the caller's own
+    sp = ScaledProduct(w, 4 * w.degree() + 1, TrigPoly({-1: 0.5, 1: 0.5}))
+    assert sp.values(grid).flags.writeable
+
+
+def _count_transforms(monkeypatch):
+    """Record every TrigPoly transform as (polynomial, M), and every carrier
+    of every BlockSum built; both lists keep their objects alive, so no id
+    is reused."""
+    transformed, carriers = [], []
+    for name in ("_folded", "_values_direct"):
+        def record(self, m, *rest, orig=getattr(tp.TrigPoly, name)):
+            transformed.append((self, m))
+            return orig(self, m, *rest)
+        monkeypatch.setattr(tp.TrigPoly, name, record)
+    init = BlockSum.__init__
+
+    def collect(self, terms, layout="segments"):
+        init(self, terms, layout)
+        carriers.extend(t.carrier for t in self.terms)
+    monkeypatch.setattr(BlockSum, "__init__", collect)
+    return transformed, carriers
+
+
+@pytest.mark.parametrize("job", [
+    ("approximate", {"kind": "korner", "eps": 0.25, "delta": 0.25}),
+    ("approximate", {"kind": "analytic_korner", "eps": 0.3}),
+    ("represent", {"engine": "squares", "target": "const", "stages": 1}),
+    ("represent", {"engine": "asymptotic_l2", "target": "cosk",
+                   "target_params": {"k": 1}, "stages": 1})],
+    ids=["korner", "analytic_korner", "squares_stage", "asymptotic_stage"])
+def test_no_carrier_is_transformed_twice(monkeypatch, tmp_path, job):
+    transformed, carriers = _count_transforms(monkeypatch)
+    command, cfg = job
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert carriers
+    counts = Counter((id(p), m) for p, m in transformed)
+    carrier_ids = {id(c) for c in carriers}
+    assert any(i in carrier_ids for i, _ in counts)
+    assert max(n for (i, _), n in counts.items() if i in carrier_ids) == 1
 
 
 def test_segment_overlap_rejected():

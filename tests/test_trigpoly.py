@@ -514,26 +514,44 @@ def test_fft_and_direct_paths_agree(items, m):
                           p._values_fft(m) if takes_fft(len(p), m) else p._values_direct(m))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.one_of(small_freqs, small_freqs, huge_freqs), coefs),
+                         max_size=60), max_size=8),
+       st.sampled_from([1022, 4096, 2 * 8191, 2 ** 14]))
+def test_values_rows_match_values(polys, m):
+    # supports on both sides of the threshold, so a grid with a large
+    # prime factor mixes batched FFT rows with direct and empty ones
+    polys = [TrigPoly(items) for items in polys]
+    g = CircleGrid(m)
+    out = tp.values_rows(polys, g, np.empty((len(polys), m), dtype=complex))
+    for row, p in zip(out, polys):
+        assert row.tobytes() == p.values(g, allow_alias=True).tobytes()
+
+
 def test_blocksum_evaluates_shared_payload_once(monkeypatch):
     carriers = [TrigPoly({-1: 0.5, 0: 1.0, 1: 0.5}),
                 TrigPoly({k: 1.0 + 0.5j * k for k in range(-2, 3)})]
     payload = TrigPoly({-2: 0.5, -1: 1.0, 1: 1.0, 2: 0.5})
-    w = BlockSum([BlockTerm(c, payload, r) for c, r in zip(carriers, (11, 101))])
-    g = CircleGrid(256)
-    expected = sum(c.values(g) * payload.values(g, allow_alias=True)[
-        g.contracted_indices(r % g.size, r % 2 == 1)] for c, r in zip(carriers, (11, 101)))
-    calls = []
-    values = TrigPoly.values
-
-    def counting(self, grid, allow_alias=False):
-        calls.append(len(self))
-        return values(self, grid, allow_alias)
-    monkeypatch.setattr(TrigPoly, "values", counting)
-    assert np.array_equal(w.values(g), expected)
-    assert calls.count(len(payload)) == 1
-    calls.clear()
-    w.sstar_star_bracket(g)
-    # the two payload halves (2 coefficients each) and each carrier once:
-    # one carrier evaluation serves its segment rows and its cut bounds
-    assert calls.count(2) == 2 and calls.count(3) == 1 and calls.count(5) == 1
-    assert len(calls) == 4
+    transformed = []
+    for name in ("_folded", "_values_direct"):
+        def record(self, n, *rest, orig=getattr(TrigPoly, name)):
+            transformed.append(self)
+            return orig(self, n, *rest)
+        monkeypatch.setattr(TrigPoly, name, record)
+    # 256 takes the FFT path for every part, 254 = 2 * 127 the direct sum
+    for m in (256, 254):
+        w = BlockSum([BlockTerm(c, payload, r) for c, r in zip(carriers, (11, 101))])
+        g = CircleGrid(m)
+        expected = sum(c.values(g) * payload.values(g, allow_alias=True)[
+            g.contracted_indices(r % g.size, r % 2 == 1)]
+            for c, r in zip(carriers, (11, 101)))
+        transformed.clear()
+        assert np.array_equal(w.values(g), expected)
+        w.sstar_star_bracket(g)
+        assert np.array_equal(w.values(g), expected)
+        # across the three calls: each carrier, the shared payload and its
+        # two halves, once each
+        ids = [id(p) for p in transformed]
+        assert ids.count(id(payload)) == 1
+        assert all(ids.count(id(c)) == 1 for c in carriers)
+        assert sorted(len(p) for p in transformed) == [2, 2, 3, 4, 5]
