@@ -39,6 +39,12 @@ SSTAR_CONSTANT = 64.0
 #: outer-function peak budget: exp at which double-precision FFT cancellation
 #: noise begins to drown the off-arc values we must resolve
 OUTER_PEAK_LOG_CAP = 27.0
+#: outer profile of `analytic_unit`: the arc measures UNIT_ARC_FRACTION*eps,
+#: the off-arc depth is log(eps/UNIT_DEPTH_DIVISOR), and the bump ramps up
+#: over UNIT_RAMP_FRACTION of the arc's half-width
+UNIT_ARC_FRACTION = 0.9
+UNIT_DEPTH_DIVISOR = 1.2
+UNIT_RAMP_FRACTION = 0.35
 
 
 class ConstructionInfeasible(RuntimeError):
@@ -70,6 +76,9 @@ class ApproximantReport:
     exceptional_set: Optional[np.ndarray] = None
     deviations: Tuple[str, ...] = ()
     extras: Dict[str, float] = field(default_factory=dict)
+    #: the polynomial's values on the evaluation grid, where the
+    #: construction measured them (`analytic_unit`)
+    values: Optional[np.ndarray] = None
 
     def add(self, name: str, measured: float, bound: float):
         self.measured[name] = {"requirement": name, "measured": float(measured),
@@ -127,18 +136,24 @@ def analytic_unit(eps: float, grid: Optional[CircleGrid] = None,
     multiplier; F = exp(G + i conj G); R = the analytic part of 1 - S_N(F)
     with N doubled until the measured bound holds.
 
-    The arc is widened to measure ~0.7*eps and the off-arc depth set to
-    log(eps/3) so the outer peak stays inside double-precision range; the
-    required peak grows like exp(C/eps), so below eps ~ 0.1 the
-    construction fails loudly rather than return cancellation noise.
+    Jensen's formula bounds the outer peak from below: |F| <= eps off a
+    set of measure eps forces log sup|F| >= (1 - eps)/eps * log(1/eps)
+    (`jensen_peak_log` in the extras).  The profile stays near that bound:
+    its arc measures UNIT_ARC_FRACTION*eps and its off-arc depth is
+    log(eps/UNIT_DEPTH_DIVISOR), so at eps = 0.2 R has degree 2048 on one
+    2^14 work grid.  The truncation degree grows like the peak,
+    exp(C/eps): eps = 0.15 needs degree 32768, eps = 0.14 DEGREE_CAP
+    itself, and from 0.13 down no degree up to DEGREE_CAP reaches the
+    bound, so the construction fails loudly rather than return
+    cancellation noise.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     grid = grid or CircleGrid(2 ** 15)
 
-    arc_measure = 0.7 * eps
+    arc_measure = UNIT_ARC_FRACTION * eps
     half_width = arc_measure * math.pi  # m((-w, w)) = w/pi
-    depth = math.log(eps / 3.0)
+    depth = math.log(eps / UNIT_DEPTH_DIVISOR)
     peak_est = abs(depth) * (1.0 - arc_measure) / arc_measure
     if peak_est > OUTER_PEAK_LOG_CAP:
         raise ConstructionInfeasible(
@@ -155,7 +170,8 @@ def analytic_unit(eps: float, grid: Optional[CircleGrid] = None,
         t = -math.pi + 2.0 * math.pi * np.arange(m_work) / m_work
         # plateau at `depth` off the arc, smooth bump inside; bump height
         # fixed by the exact zero-mean constraint
-        bump = _smoothstep((half_width - np.abs(t)) / (0.35 * half_width))
+        bump = _smoothstep((half_width - np.abs(t))
+                           / (UNIT_RAMP_FRACTION * half_width))
         height = -depth / max(bump.mean(), 1e-12)
         g = depth + height * bump
         g = g - g.mean()
@@ -197,11 +213,12 @@ def analytic_unit(eps: float, grid: Optional[CircleGrid] = None,
     r_poly = TrigPoly._of_arrays(np.arange(1, n_used + 1)[keep], coeffs[keep])
 
     report = ApproximantReport(r_poly, deviations=(
-        "dip arc widened to measure ~0.7*eps with depth log(eps/3) to keep "
-        "the outer factor in double-precision range",
+        f"dip arc of measure {UNIT_ARC_FRACTION}*eps with depth "
+        f"log(eps/{UNIT_DEPTH_DIVISOR}): the outer peak sits near Jensen's "
+        "bound and inside double-precision range",
     ))
     # certificates on the requested evaluation grid
-    rv = r_poly.values(grid, allow_alias=True)
+    report.values = rv = r_poly.values(grid, allow_alias=True)
     l0_eval = l0_of_abs(np.abs(rv - 1.0))
     report.add("spectrum_in_Zplus", 0.0 if r_poly.is_analytic() else 1.0, 0.5)
     report.add("l0_R_minus_1", l0_eval, eps)
@@ -210,6 +227,9 @@ def analytic_unit(eps: float, grid: Optional[CircleGrid] = None,
     report.extras["degree"] = float(r_poly.degree())
     report.extras["coeff_l1"] = tp.coeff_norms(r_poly).l1
     report.extras["outer_peak_log"] = peak_est
+    # log |F| = Re(G + i conj G) on the final work grid
+    report.extras["sampled_peak_log"] = float(boundary.real.max())
+    report.extras["jensen_peak_log"] = (1.0 - eps) / eps * math.log(1.0 / eps)
     if strict:
         report.raise_if_failed("analytic_unit")
     return report
@@ -579,7 +599,7 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
         g_target = unit_floor
     g_rep = analytic_unit(g_target, grid=grid, strict=False)
     g_poly: TrigPoly = g_rep.poly
-    g_l1 = tp.coeff_norms(g_poly).l1
+    g_l1 = g_rep.extras["coeff_l1"]
 
     k_req = (2.0 * g_l1 / eps) ** 2
     K = int(min(k_req, k_cap))
@@ -608,7 +628,7 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
     # exceptional set: inside each tile interval, remove the pullback bad set
     t = grid.points
     two_pi = 2.0 * math.pi
-    g_vals = g_poly.values(grid, allow_alias=True)
+    g_vals = g_rep.values
     bad = np.zeros(grid.size, dtype=bool)
     u_threshold = eps / 4.0
     if g_target > eps / 4.0:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from sparsetrig import approximants as ap
 from sparsetrig import blocks as bl
 from sparsetrig import trigpoly as tp
-from sparsetrig.approximants import (CertificateError, ConstructionInfeasible,
+from sparsetrig.approximants import (OUTER_PEAK_LOG_CAP, CertificateError,
+                                     ConstructionInfeasible,
                                      _structural_containment,
                                      analytic_block_approximant,
                                      analytic_korner, analytic_unit,
@@ -191,17 +193,81 @@ def test_analytic_unit_passes():
         assert rep.measured["mean_F_near_1"]["pass"]
 
 
-def test_analytic_unit_work_grid_is_a_power_of_two():
+class _NumpyCountingFFT:
+    """numpy, with `fft.fft` and `fft.ifft` recording each length; patched
+    into the approximants namespace only, so trigpoly's transforms of R on
+    the evaluation grid are not counted."""
+
+    def __init__(self, lengths):
+        def counted(fn):
+            def call(a, *args, **kwargs):
+                lengths.append(len(a))
+                return fn(a, *args, **kwargs)
+            return call
+        self.fft = SimpleNamespace(fft=counted(np.fft.fft),
+                                   ifft=counted(np.fft.ifft))
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def unit_fft_lengths(monkeypatch, eps, grid):
+    lengths = []
+    with monkeypatch.context() as patch:
+        patch.setattr(ap, "np", _NumpyCountingFFT(lengths))
+        analytic_unit(eps, grid=grid)
+    return lengths
+
+
+def test_analytic_unit_near_jensen_sizes():
+    # the profile near Jensen's bound keeps eps 0.2 small (degree <= 4096,
+    # l1 <= 1e5) and makes eps 0.15 feasible
+    rep = analytic_unit(0.2, grid=CircleGrid(2 ** 14))
+    assert rep.extras["degree"] <= 4096
+    assert rep.extras["coeff_l1"] <= 1e5
+    assert rep.extras["jensen_peak_log"] == pytest.approx(4 * math.log(5))
+    assert rep.extras["jensen_peak_log"] < rep.extras["outer_peak_log"] \
+        < rep.extras["sampled_peak_log"] < OUTER_PEAK_LOG_CAP
+    rep = analytic_unit(0.15, grid=CircleGrid(2 ** 14))
+    assert rep.all_passed()
+
+
+@pytest.mark.parametrize("m", [2 ** 14, 2 * 8191, 4096])
+def test_analytic_unit_certificate_from_coefficients(m):
+    # |R - 1| recomputed from R's coefficients (an add.at fold and one
+    # inverse FFT) satisfies the L0 definition at the reported L0, up to
+    # the fold's rounding bar 1e-12 l1
+    grid = CircleGrid(m)
+    for eps in (0.15, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9):
+        rep = analytic_unit(eps, grid=grid)
+        r = rep.poly
+        ks, cs = r.coeff_arrays()
+        assert ks.min() >= 1
+        folded = np.zeros(m, dtype=complex)
+        np.add.at(folded, ks % m, np.where(ks % 2 == 1, -cs, cs))
+        dev = np.abs(m * np.fft.ifft(folded) - 1.0)
+        l0 = rep.measured["l0_R_minus_1"]["measured"]
+        bar = 1e-12 * rep.extras["coeff_l1"]
+        assert l0 < eps
+        assert np.count_nonzero(dev > l0 + bar) / m < l0
+
+
+def test_analytic_unit_work_grid_is_a_power_of_two(monkeypatch):
     # on 2*8191 G is built on the power-of-two grids of 2^14, so R is the
-    # same polynomial, and no work grid overshoots 2^18
-    for eps in (0.2, 0.35):
+    # same polynomial, and no work grid overshoots 2^18; eps 0.15 refines
+    # to 2^17, while eps 0.2 and 0.35 run every FFT at 2^14
+    for eps, work in ((0.15, 2 ** 17), (0.2, 2 ** 14), (0.35, 2 ** 14)):
         r_engine = analytic_unit(eps, grid=CASCADE_GRID).poly
         r_pow2 = analytic_unit(eps, grid=CircleGrid(2 ** 14)).poly
         assert np.array_equal(r_engine._k, r_pow2._k)
         assert np.array_equal(r_engine._c, r_pow2._c)
+        for grid in (CASCADE_GRID, CircleGrid(2 ** 14)):
+            lengths = unit_fft_lengths(monkeypatch, eps, grid)
+            assert all(n & (n - 1) == 0 for n in lengths)
+            assert min(lengths) == 2 ** 14 and max(lengths) == work
     tracemalloc.start()
     try:
-        analytic_unit(0.2, grid=CASCADE_GRID)
+        analytic_unit(0.15, grid=CASCADE_GRID)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -365,6 +431,29 @@ def test_analytic_korner_report_shape():
     assert not rep.all_passed()  # the documented float barrier
 
 
+def test_analytic_korner_transforms_its_unit_payload_twice(monkeypatch):
+    # analytic_unit measures the payload's values on the grid and hands
+    # them, with its l1 norm, to analytic_korner's exceptional set; the
+    # block sum's one pass is the second transform
+    transformed = []
+    for name in ("_folded", "_values_direct"):
+        def record(self, m, *rest, orig=getattr(tp.TrigPoly, name)):
+            transformed.append((self, m))
+            return orig(self, m, *rest)
+        monkeypatch.setattr(tp.TrigPoly, name, record)
+    rep = analytic_korner(0.3, grid=CASCADE_GRID, strict=False)
+    monkeypatch.undo()
+    payload = rep.poly.terms[0].payload
+    assert all(t.payload is payload for t in rep.poly.terms)
+    assert [m for p, m in transformed if p is payload] == [CASCADE_GRID.size] * 2
+    # what the report hands over is what analytic_korner computed itself
+    unit = analytic_unit(0.2, grid=CASCADE_GRID, strict=False)
+    assert np.array_equal(unit.values,
+                          unit.poly.values(CASCADE_GRID, allow_alias=True))
+    assert unit.extras["coeff_l1"] == tp.coeff_norms(unit.poly).l1
+    assert rep.extras["g_l1"] == unit.extras["coeff_l1"]
+
+
 def test_analytic_block_approximant_zero():
     rep = analytic_block_approximant(zero(CASCADE_GRID), 0.25, s=1000, a=3)
     assert rep.all_passed()
@@ -393,11 +482,12 @@ def test_analytic_block_approximant_infeasible_nonzero():
 
 
 def test_analytic_block_approximant_nonzero_path():
-    # eps 1.9 is the first budget the one-sided unit step meets (at 1.5 it
-    # needs quality 0.167), and s must exceed the analytic tiled stage's
-    # degree of about 2^684
+    # eps 1.3 asks the one-sided unit step for quality 0.144 (the first
+    # budget it meets is near 1.19, quality 0.132), and s must exceed the
+    # analytic tiled stage's degree of about 2^563; at eps > 1 the L0
+    # bound holds for any P
     f = const(CircleGrid(4096), 1.0)
-    rep = analytic_block_approximant(f, 1.9, s=10 ** 210, a=3)
+    rep = analytic_block_approximant(f, 1.3, s=10 ** 210, a=3)
     assert rep.failures() == []
     assert list(rep.measured) == ["l0_f_minus_P", "sn_measure", "analytic",
                                   "spectrum_in_block"]

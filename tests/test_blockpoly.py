@@ -138,11 +138,10 @@ def bracket_peak(q, grid):
 
 
 def test_bracket_memory_holds_rows_and_two_bounds():
-    # 41 tiles of one 65536-coefficient unit approximant: the segment rows
-    # take 10.7 MB and the bracket peaked at 14.3 MB with two carrier
-    # passes, 14.8 MB with one; keeping the payload halves and the last
-    # term's arrays through the sweep read 17.3 MB.  The width bracket
-    # reads 13.8 MB, and 14.1 MB with the values from the same pass.
+    # 41 tiles of one 2048-coefficient unit approximant: the segment rows
+    # take 10.7 MB, and the width bracket with the values from the same
+    # pass peaks at 14.1 MB.  The rows set that peak, not the payload: a
+    # 65536-coefficient unit reads the same 14.1 MB.
     grid = CircleGrid(2 * 8191)
     q = analytic_korner(0.3, grid=grid, strict=False).poly
     assert len(q.terms) == 41
