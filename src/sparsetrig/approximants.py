@@ -352,13 +352,31 @@ def fejer_until(f: SampledFunction, delta: float, eps: float,
 # payload rate selection (disjoint layouts)
 # ---------------------------------------------------------------------------
 
+def _first_clash(used: List[int], cand: int, payload_deg: int,
+                 gap: int) -> Optional[Tuple[int, int]]:
+    """(k, u) for the first multiple k * cand, 1 <= k <= payload_deg,
+    within `gap` of a used multiple u (the larger such u), or None."""
+    for k in range(1, payload_deg + 1):
+        v = k * cand
+        i = bisect.bisect_left(used, v)
+        if i < len(used) and used[i] - v <= gap:
+            return k, used[i]
+        if i and v - used[i - 1] <= gap:
+            return k, used[i - 1]
+    return None
+
+
 def disjoint_prime_rates(count: int, payload_deg: int,
                          carrier_spread: int) -> List[int]:
     """Odd primes N_1 < ... < N_count whose dilates k*N_i stay separated.
 
     Ensures |k N_i - k' N_j| > 2*carrier_spread + 2 for all distinct pairs
     with 1 <= k, k' <= payload_deg (prime rates preclude exact collisions;
-    the greedy walk enforces the gap).
+    the greedy walk enforces the gap).  The walk takes the primes in
+    increasing order and keeps the first whose multiples clear every used
+    one; a candidate whose k-th multiple comes within the gap of a used u
+    is left at that multiple, and since every N' <= (u + gap) // k clashes
+    with u at the same k, the walk jumps past them.
     """
     gap = 2 * carrier_spread + 2
     used: List[int] = []  # sorted multiples k * N_i
@@ -366,21 +384,16 @@ def disjoint_prime_rates(count: int, payload_deg: int,
     cand = next(primes_from(max(2 * carrier_spread + 3,
                                 2 * payload_deg * (carrier_spread + 2))))
     while len(rates) < count:
-        ok = True
-        mults = [k * cand for k in range(1, payload_deg + 1)]
-        for v in mults:
-            i = bisect.bisect_left(used, v)
-            for j in (i - 1, i):
-                if 0 <= j < len(used) and abs(used[j] - v) <= gap:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        clash = _first_clash(used, cand, payload_deg, gap)
+        if clash is None:
             rates.append(cand)
-            for v in mults:
-                bisect.insort(used, v)
-        cand = next(primes_from(cand + 2))
+            # two sorted runs: the sort merges them in linear time
+            used.extend(range(cand, payload_deg * cand + 1, cand))
+            used.sort()
+            cand = next(primes_from(cand + 2))
+        else:
+            k, u = clash
+            cand = next(primes_from((u + gap) // k + 1))
     return rates
 
 
@@ -751,7 +764,8 @@ def _structural_containment(product, p1: TrigPoly, payload: TrigPoly,
     re-checked against the standalone membership oracle.  The oracle reads
     its rates from `rates`, the table the construction built its terms
     from, so the sample costs no new power for a translate the carrier
-    already uses and one power for each other translate it tries.
+    already uses and one power for each other translate that passes the
+    oracle's 2-adic filter.
     """
     s = rates.s
     ok = True
@@ -846,25 +860,27 @@ def block_approximant(f: SampledFunction, eps: float, delta: float,
                 f"within payload degree {s}",
                 {"step": "unit", "required_order_exceeds": s, "detail": vdiag},
             )
+        unit_l1 = tp.coeff_norms(payload).l1
         deviations.append(
             "constant carrier served by a two-sided Jackson dip on the "
             "mirrored halves of the block (zero mean exactly)"
         )
     else:
         target = min(eps2, delta2)
-        payload = _unit_payload(
+        unit = _unit_payload(
             target, s, grid,
             f"one-sided unit approximant infeasible at quality {target:.3g} "
             f"(needed for carrier degree {deg1})",
             {"step": "unit", "carrier_degree": deg1,
-             "required_quality": target}).poly
-    unit_l1 = tp.coeff_norms(payload).l1 + 1.0
+             "required_quality": target})
+        payload = unit.poly
+        unit_l1 = unit.extras["coeff_l1"]
 
     rates = BlockRates(s, a)
     p2 = BlockSum(_carrier_rate_terms(p1, payload, rates), layout="segments")
 
     # step 3: tiled dip contracted onto the coarse carrier progression
-    delta3 = delta / (6.0 * l1_p1 * unit_l1)
+    delta3 = delta / (6.0 * l1_p1 * (unit_l1 + 1.0))
     q3 = q3_exc = None
     for tiles in (4, 3):
         try:
@@ -938,7 +954,7 @@ def analytic_block_approximant(f: SampledFunction, eps: float,
         f"one-sided unit approximant infeasible at quality {eps2:.3g}",
         {"step": "unit", "required_quality": eps2, "carrier_degree": deg1})
     payload = q2_rep.poly
-    unit_l1 = tp.coeff_norms(payload).l1
+    unit_l1 = q2_rep.extras["coeff_l1"]
 
     rates = BlockRates(s, a)
     p2 = BlockSum(_carrier_rate_terms(p1, payload, rates), layout="segments")

@@ -93,8 +93,10 @@ class BlockRates(dict):
 
     One table serves every rate lookup of one construction: its carrier
     terms, its outer rate (k = s + 2) and repeated membership tests.  Only
-    the k asked for are filled: for s > 12 one membership test asks for at
-    most 8 (k = s + 2 and one run of translates), not all 2s + 1.
+    the k asked for are filled: for s > 12 a membership test fills at most
+    k = s + 2 and the translates that pass its 2-adic filter (one of a run
+    of translates once k + s >= 64), not all 2s + 1.  Each fill costs one
+    power of up to (2s + 2) log2(2s) bits.
     """
 
     def __init__(self, s: int, a: int):
@@ -260,10 +262,31 @@ def _b2_candidate_ks(x: int, s: int, a: int):
     return range(max(-s, k0 - 3), min(s, k0 + 3) + 1)
 
 
+def _v2(n: int) -> int:
+    """The exponent of 2 in n > 0."""
+    return (n & -n).bit_length() - 1
+
+
+_LOW64 = (1 << 64) - 1
+
+
 def _b2_member(x: int, rates: BlockRates) -> bool:
-    for k in _b2_candidate_ks(x, rates.s, rates.a):
+    """Whether x - k = j a (2s)^(k+s) with 1 <= j <= s for a candidate k.
+
+    A translate is skipped unless x - k has as many trailing zero bits as
+    its rate, up to 64 (x's low word decides), so the rate of a skipped
+    translate is never built.
+    """
+    s = rates.s
+    if x <= -s:  # x - k <= 0 for every |k| <= s
+        return False
+    low = x & _LOW64
+    v2a, v2s = _v2(rates.a), _v2(2 * s)
+    for k in _b2_candidate_ks(x, s, rates.a):
+        if (low - k) & ((1 << min(64, v2a + (k + s) * v2s)) - 1):
+            continue
         j, r = divmod(x - k, rates[k])
-        if r == 0 and 1 <= j <= rates.s:
+        if r == 0 and 1 <= j <= s:
             return True
     return False
 
@@ -275,11 +298,15 @@ def block_member_B(b: int, rates: BlockRates) -> bool:
     Decomposes b = l1 * big + (sign) * (k + j * a (2s)^(k+s)) with
     big = a (2s)^(2s+2); the carrier index l1 and translate k are pinned by
     magnitude, so a test tries at most 2 (|rem| <= s + 1), 7 or, for
-    s <= 12, 2s + 1 translates per sign.  Each try divides by a rate
-    a (2s)^(k+s) of up to (2s + 2) log2(2s) bits, and a rate not yet in
-    `rates` costs one such power first, so repeated tests of one block
-    compute one power per distinct k and then cost a few big-integer
-    divisions each.
+    s <= 12, 2s + 1 translates per sign, and a sign whose remainder is
+    <= -s tries none.  A translate whose rate has more trailing zero bits
+    than the remainder (up to 64) is skipped by the remainder's low word;
+    for s > 12 and k + s >= 64 only one of a run of translates passes.
+    For b of the block's size every division has a quotient of a few
+    times log2(2s) bits, so it is linear in the (2s + 2) log2(2s) bits of
+    a rate; a rate not yet in `rates` costs one such power first, so
+    repeated tests of one block compute one power per distinct k that
+    passes the filter and then cost at most three divisions each.
     """
     big = rates[rates.s + 2]
     l1 = _round_half_away(b, big)

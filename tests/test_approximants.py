@@ -1,3 +1,4 @@
+import bisect
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -23,6 +24,7 @@ from sparsetrig.circle import (CircleGrid, SampledFunction, l0_of_abs,
                                measure_fraction, triangle_coeff,
                                triangle_coeff_array)
 from sparsetrig.blockpoly import BlockSum, BlockTerm, ScaledProduct
+from sparsetrig.numbertheory import primes_from
 from sparsetrig.targets import const, step, zero
 
 GRID = CircleGrid(2 ** 13)
@@ -357,6 +359,50 @@ def test_block_approximant_computes_each_exact_rate_once(monkeypatch):
     assert len(calls) == len(set(calls)), sorted(calls)
 
 
+def _ref_disjoint_prime_rates(count, payload_deg, carrier_spread):
+    """The greedy prime walk as it stood before it jumped: every prime in
+    turn, all its multiples built up front, one insort per multiple."""
+    gap = 2 * carrier_spread + 2
+    used = []
+    rates = []
+    cand = next(primes_from(max(2 * carrier_spread + 3,
+                                2 * payload_deg * (carrier_spread + 2))))
+    while len(rates) < count:
+        ok = True
+        mults = [k * cand for k in range(1, payload_deg + 1)]
+        for v in mults:
+            i = bisect.bisect_left(used, v)
+            for j in (i - 1, i):
+                if 0 <= j < len(used) and abs(used[j] - v) <= gap:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            rates.append(cand)
+            for v in mults:
+                bisect.insort(used, v)
+        cand = next(primes_from(cand + 2))
+    return rates
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(1, 8), degree=st.integers(1, 60),
+       spread=st.integers(0, 40))
+def test_disjoint_prime_rates_match_the_greedy_oracle(count, degree, spread):
+    assert ap.disjoint_prime_rates(count, degree, spread) == \
+        _ref_disjoint_prime_rates(count, degree, spread)
+
+
+def test_disjoint_prime_rates_on_the_tiled_dip_configurations():
+    # (tiles, dip degree, 2 * tile degree) as `_budget_tiled_dip` asks for
+    # them in the two-sided block jobs
+    configs = ([(4, d, 42) for d in range(35, 46)] + [(4, 8, 42), (4, 9, 42)]
+               + [(3, d, 32) for d in (8, 9, 10)])
+    for c in configs:
+        assert ap.disjoint_prime_rates(*c) == _ref_disjoint_prime_rates(*c), c
+
+
 def test_structural_containment_rejects_another_block():
     # the s = 8000, a = 3 product checked against the block of a = 5
     f = const(CircleGrid(2 * 509), 1.0)
@@ -481,13 +527,25 @@ def test_analytic_block_approximant_infeasible_nonzero():
         analytic_block_approximant(f, 0.25, s=150000, a=3)
 
 
-def test_analytic_block_approximant_nonzero_path():
+def test_analytic_block_approximant_nonzero_path(monkeypatch):
     # eps 1.3 asks the one-sided unit step for quality 0.144 (the first
     # budget it meets is near 1.19, quality 0.132), and s must exceed the
     # analytic tiled stage's degree of about 2^563; at eps > 1 the L0
     # bound holds for any P
+    units = []
+    real = ap._unit_payload
+
+    def recording(*args):
+        units.append(real(*args))
+        return units[-1]
+
+    monkeypatch.setattr(ap, "_unit_payload", recording)
     f = const(CircleGrid(4096), 1.0)
     rep = analytic_block_approximant(f, 1.3, s=10 ** 210, a=3)
+    # the unit's l1 is read from its report, bit for bit the norm of its
+    # coefficients
+    assert len(units) == 1
+    assert units[0].extras["coeff_l1"] == tp.coeff_norms(units[0].poly).l1
     assert rep.failures() == []
     assert list(rep.measured) == ["l0_f_minus_P", "sn_measure", "analytic",
                                   "spectrum_in_block"]

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -183,6 +184,70 @@ def test_membership_oracle_matches_sets_small_s(s, a, data):
     for x in xs:
         assert bl.block_member_B(x, rates) == (x in b), x
         assert bl.block_member_D(x, rates) == (x in d), x
+
+
+@functools.lru_cache(maxsize=64)
+def _power(s, k, a):
+    return a * (2 * s) ** (k + s)
+
+
+@st.composite
+def _block_probe(draw, s, a):
+    """A member of B(s, a) or D(s, a) built from its decomposition, or one
+    of the near misses the 2-adic translate filter and the rounding must
+    get right: a remainder off a multiple of its rate by t * 2^64 (it
+    passes the filter), j = 0 or s + 1, a
+    tie b - l1 * big = +-big / 2, |b| near (s + 1/2) big, and a
+    remainder in (-s, 0]."""
+    big = _power(s, s + 2, a)
+    l1 = draw(st.integers(1, s)) * draw(st.sampled_from((1, -1)))
+    sign = draw(st.sampled_from((1, -1)))
+    k = draw(st.one_of(st.integers(-s, s),
+                       st.sampled_from((-s, -s + 1, 0, s - 1, s))))
+    j = draw(st.integers(1, s))
+    kind = draw(st.sampled_from(("member", "low64", "j", "tie", "edge",
+                                 "small")))
+    if kind == "member":
+        rem = k + j * _power(s, k, a)
+    elif kind == "low64":
+        t = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        rem = k + j * _power(s, k, a) + t * 2 ** 64
+    elif kind == "j":
+        rem = k + draw(st.sampled_from((0, s + 1))) * _power(s, k, a)
+    elif kind == "tie":
+        rem = big // 2  # big is even: 2s divides it
+    elif kind == "edge":
+        return sign * ((2 * s + 1) * big // 2 + draw(st.integers(-2, 3)))
+    else:
+        rem = draw(st.integers(-s + 1, 0))
+    return l1 * big + sign * rem + draw(st.sampled_from((0, 0, -1, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.sampled_from((1, 12, 13, 200, 8000)),
+       a=st.sampled_from((1, 2, 3, 5, 8)), data=st.data())
+def test_membership_oracle_matches_reference(s, a, data):
+    # one table per example, shared by its probes as in a construction
+    rates = bl.BlockRates(s, a)
+    for b in data.draw(st.lists(_block_probe(s, a), min_size=1,
+                                max_size=12)):
+        assert bl.block_member_B(b, rates) == _ref_member_B(b, s, a, _power), b
+        assert bl.block_member_D(b, rates) == _ref_member_D(b, s, a, _power), b
+
+
+def test_membership_ties_and_the_outer_edge():
+    # b / big at a tie and |b| at the outer edge (s + 1/2) big, on every
+    # side: the carrier index is rounded ties away from zero
+    for s, a in ((1, 1), (13, 3), (200, 8), (8000, 5)):
+        rates = bl.BlockRates(s, a)
+        big = rates[s + 2]
+        probes = [l1 * big + e * big // 2 + d for l1 in (0, 1, -1, s, -s)
+                  for e in (1, -1) for d in (-1, 0, 1)]
+        probes += [sign * ((2 * s + 1) * big // 2 + d)
+                   for sign in (1, -1) for d in (-1, 0, 1)]
+        for b in probes:
+            assert bl.block_member_B(b, rates) == _ref_member_B(b, s, a, _power)
+            assert bl.block_member_D(b, rates) == _ref_member_D(b, s, a, _power)
 
 
 def test_shift_divide():
