@@ -20,8 +20,9 @@ so this module represents W structurally and provides
     WIDTH_DIRECTIONS directions from there on.
 
 Rates may be exact integers or LazyRate objects a * b^e whose value is
-never materialized; frequency bookkeeping then runs in signed-log space
-with explicit relative margins instead of exact integer comparisons.
+never materialized; a lazy term's frequencies are then Freq bounds in
+signed-log space (`BlockTerm._corner`), and exact and lazy ones are
+compared through the same `<`.
 
 TrigPoly, BlockSum and ScaledProduct answer one polynomial protocol:
 values(grid, allow_alias), degree, degree_log2, min_abs_freq, is_analytic,
@@ -38,6 +39,7 @@ the orbit fraction is recorded so reports can flag degenerate sampling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -49,8 +51,6 @@ from .trigpoly import (TrigPoly, _cmul, _freq_array, _limit, _outer_freqs,
                        coeff_norms, max_window_gap, partial_sum_rect,
                        values_rows)
 
-#: relative log2 margin required between lazily compared frequencies
-LOG_MARGIN = 1e-9
 #: grid cells (carriers x points) `BlockSum` transforms in one batch:
 #: eight carriers on 2^14 points, 2 MB
 EVAL_BATCH_CELLS = 2 ** 17
@@ -80,7 +80,7 @@ class LazyRate:
     """Positive integer mult * base**exp, never materialized.
 
     Supports exactly what the block machinery needs: residues mod M,
-    parity, multiplication by small integers, and log2-based ordering.
+    parity, and log2-based ordering.
     """
 
     __slots__ = ("mult", "base", "exp", "log2")
@@ -95,9 +95,6 @@ class LazyRate:
 
     def __mod__(self, m: int) -> int:
         return (self.mult * pow(self.base, self.exp, m)) % m
-
-    def times(self, k: int) -> "LazyRate":
-        return LazyRate(self.mult * k, self.base, self.exp)
 
     @property
     def is_odd(self) -> bool:
@@ -132,11 +129,7 @@ def rate_is_odd(r: Rate) -> bool:
 
 @total_ordering
 class Freq:
-    """Signed frequency magnitude in log2 space.
-
-    Exact for small integers; beyond 2^52 the ordering carries a ulp-level
-    ambiguity, which the layout validators guard with explicit margins.
-    """
+    """Signed frequency magnitude in log2 space, ordered as the numbers."""
 
     __slots__ = ("sign", "log2")
 
@@ -169,45 +162,35 @@ class Freq:
     def __abs__(self):
         return Freq(abs(self.sign), self.log2)
 
-    def __float__(self):
-        if self.sign == 0:
-            return 0.0
-        if self.log2 > 1020:
-            return math.inf * self.sign
-        return self.sign * 2.0 ** self.log2
-
-    def clearly_below(self, other: "Freq", margin: float = LOG_MARGIN) -> bool:
-        """True when self < other with a relative log2 margin."""
-        o = Freq.of(other)
-        if self.sign != o.sign:
-            return self.sign < o.sign
-        if self.sign == 0:
-            return False
-        if self.sign > 0:
-            return self.log2 < o.log2 - margin
-        return self.log2 > o.log2 + margin
-
     def __repr__(self):
         return f"Freq({'+' if self.sign > 0 else '-' if self.sign < 0 else '0'}2^{self.log2:.3f})"
 
 
+def _log2_margin(x: float) -> float:
+    """16 eps (x + 1), above the float error of a log2 magnitude x
+    computed as a sum of nonnegative logs (LazyRate.log2, log2|k| plus a
+    rate's, log2 deg Q plus a rate's), each a log2 within one ulp or an
+    integer times one, which stays below a few eps x; the 1 covers the
+    absolute rounding of log2(1 + 2^-d) in the bounds below."""
+    return 16 * sys.float_info.epsilon * (x + 1.0)
+
+
 def log2_sum_upper(a: float, b: float) -> float:
-    """Upper bound on log2(2^a + 2^b), kept in log space; the 1e-12 covers
-    float rounding."""
+    """Upper bound on log2(2^A + 2^B) for any A, B within `_log2_margin`
+    of a, b (interval reasoning, Moore 1966): both move up by the margin,
+    and the result once more for its own rounding."""
     hi, lo = max(a, b), min(a, b)
-    return hi + math.log2(1.0 + 2.0 ** (lo - hi)) + 1e-12
+    return hi + math.log2(1.0 + 2.0 ** (lo - hi)) + 2 * _log2_margin(hi)
 
 
 def log2_diff_lower(a: float, b: float) -> float:
-    """Lower bound on log2(2^a - 2^b), -inf when 2^b >= 2^a."""
-    gap = 1.0 - 2.0 ** (b - a)
-    return a + math.log2(gap) - 1e-12 if gap > 0.0 else -math.inf
-
-
-def freq_times_rate(k: int, r: Rate) -> Freq:
-    if k == 0:
-        return Freq(0, -math.inf)
-    return Freq(1 if k > 0 else -1, math.log2(abs(k)) + rate_log2(r))
+    """Lower bound on log2(2^A - 2^B) for any A, B within `_log2_margin`
+    of a, b: a moves down and b up by the margin, and the result down once
+    more; -inf when 2^B may reach 2^A.  Certified where 2^b <= 2^a / 2: a
+    difference of nearer magnitudes loses the bits of its gap."""
+    m = _log2_margin(a)
+    gap = 1.0 - 2.0 ** (b - a + 2 * m)
+    return a + math.log2(gap) - 2 * m if gap > 0.0 else -math.inf
 
 
 def contracted_index_map(rate: Rate, grid: CircleGrid) -> np.ndarray:
@@ -288,7 +271,7 @@ class BlockTerm:
         if self.payload[0] != 0:
             raise ValueError("payload must have zero mean coefficient")
         lo, hi = self.carrier_span()
-        if not Freq.of(hi - lo).clearly_below(Freq.of(self.rate), 0.0):
+        if not Freq.of(hi - lo) < self.rate:
             raise ValueError("rate must exceed the carrier spectral spread")
 
     @property
@@ -298,17 +281,27 @@ class BlockTerm:
     def carrier_span(self) -> Tuple[int, int]:
         return _ends(self.carrier._k)
 
-    def _corner(self, k: int, off: int):
-        """Frequency k * rate + off, exact int or Freq for lazy rates."""
-        if self.lazy:
-            base = freq_times_rate(k, self.rate)
-            return base if k != 0 else Freq.of(off)
-        return k * self.rate + off
+    def _corner(self, k: int, off: int, outer: bool):
+        """Frequency k * rate + off of a segment end (k != 0: payloads have
+        no frequency 0).
 
-    def degree(self):
-        lo_c, hi_c = self.carrier_span()
-        return max(abs(self._corner(k, off)) for k in _ends(self.payload._k)
-                   for off in (lo_c, hi_c))
+        An integer rate gives the exact int.  A lazy rate gives a Freq that
+        bounds it, from the log2 magnitudes of k * rate and off and their
+        float error (`_log2_margin`): at a segment's outer end |k rate| +
+        |off| with k's sign, away from 0; at its inner end |k rate| - |off|
+        with k's sign, toward 0, or, where |off| may pass |k rate| / 2 and
+        that difference is badly conditioned, |off| on the other side of 0.
+        """
+        if not self.lazy:
+            return k * self.rate + off
+        sign = 1 if k > 0 else -1
+        mag = math.log2(abs(k)) + self.rate.log2
+        o = Freq.of(off).log2
+        if outer:
+            return Freq(sign, log2_sum_upper(mag, o))
+        if o + 1.0 < mag:
+            return Freq(sign, log2_diff_lower(mag, o))
+        return Freq(-sign, o + _log2_margin(o))
 
     def segments(self) -> List[dict]:
         """Frequency intervals of the two payload halves."""
@@ -318,8 +311,8 @@ class BlockTerm:
         for sign, group in ((-1, ks[ks < 0]), (+1, ks[ks > 0])):
             if group.size:
                 lo, hi = _ends(group)
-                out.append({"sign": sign, "lo": self._corner(lo, lo_c),
-                            "hi": self._corner(hi, hi_c)})
+                out.append({"sign": sign, "lo": self._corner(lo, lo_c, sign < 0),
+                            "hi": self._corner(hi, hi_c, sign > 0)})
         return out
 
 
@@ -365,27 +358,18 @@ class BlockSum:
         for i, term in enumerate(self.terms):
             for seg in term.segments():
                 seg["term"] = i
-                if self.lazy:
-                    seg["lo"] = Freq.of(seg["lo"])
-                    seg["hi"] = Freq.of(seg["hi"])
                 segs.append(seg)
         segs.sort(key=lambda s: s["lo"])
         return segs
 
-    def _require_below(self, a, b, what: str):
-        if self.lazy:
-            if not Freq.of(a).clearly_below(Freq.of(b)):
-                raise ValueError(what)
-        elif a >= b:
-            raise ValueError(what)
-
     def _validate_segments(self):
         # disjoint segment intervals: any frequency window then decomposes
-        # into complete segments plus at most two cut blocks
+        # into complete segments plus at most two cut blocks; the ends are
+        # ints, or Freq bounds of lazy terms (`BlockTerm._corner`)
         for a, b in zip(self._segments, self._segments[1:]):
-            self._require_below(
-                a["hi"], b["lo"],
-                f"block segments overlap: terms {a['term']} and {b['term']}")
+            if not a["hi"] < b["lo"]:
+                raise ValueError(
+                    f"block segments overlap: terms {a['term']} and {b['term']}")
 
     def _validate_subblocks(self):
         if self.lazy:
@@ -505,18 +489,13 @@ class BlockSum:
     # -- basic stats ---------------------------------------------------------
 
     def degree(self):
-        degs = [t.degree() for t in self.terms]
-        if self.lazy:
-            return max(Freq.of(d) for d in degs)
-        return max(degs)
+        # each segment lies between its ends (ints, or Freq bounds)
+        return max(max(abs(s["lo"]), abs(s["hi"])) for s in self._segments)
 
     def degree_log2(self) -> float:
-        d = self.degree()
-        return d.log2 if isinstance(d, Freq) else math.log2(max(int(d), 1))
+        return Freq.of(self.degree()).log2
 
     def min_abs_freq(self):
-        # segment ends are ints, or Freq in a lazy sum (compared with 0
-        # through Freq.of)
         return min(0 if s["lo"] <= 0 <= s["hi"] else min(abs(s["lo"]), abs(s["hi"]))
                    for s in self._segments)
 
@@ -629,7 +608,7 @@ class ScaledProduct:
         self.rate = rate
         dp = Freq.of(p.degree())
         two_dp = Freq(dp.sign, dp.log2 + 1.0) if dp.sign else Freq.of(0)
-        if not two_dp.clearly_below(Freq.of(rate), 0.0):
+        if not two_dp < rate:
             raise ValueError("rate must exceed 2 * deg(inner)")
         if q.coeff_zero() != 0:
             raise ValueError("outer factor must have zero mean coefficient")
@@ -663,13 +642,8 @@ class ScaledProduct:
         return self.q.spectrum_size() * self.p.spectrum_size()
 
     def is_analytic(self) -> bool:
-        # the inner polynomial's degree must stay below minabs(Q) * rate
-        if not self.q.is_analytic():
-            return False
-        dp = Freq.of(self.p.degree())
-        mq = Freq.of(self.q.min_abs_freq())
-        return dp.sign == 0 or dp.clearly_below(
-            Freq(1, mq.log2 + rate_log2(self.rate)), 0.0)
+        # minabs(Q) R >= R > 2 deg P keeps k_q R + k_p on the side of k_q
+        return self.q.is_analytic()
 
     def coeff_linf(self):
         return self.q.coeff_linf() * self.p.coeff_linf()

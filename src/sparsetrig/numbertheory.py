@@ -31,11 +31,15 @@ def is_prime(n: int) -> bool:
 
 
 def primes_from(start: int):
-    n = max(2, start)
+    """The primes >= start in increasing order; after 2, odd numbers only
+    are tried."""
+    if start <= 2:
+        yield 2
+    n = max(3, start | 1)
     while True:
         if is_prime(n):
             yield n
-        n += 1
+        n += 2
 
 
 def legendre(a: int, p: int) -> int:

@@ -24,6 +24,20 @@ def test_legendre_multiplicative():
             assert nt.legendre(x * y, p) == nt.legendre(x, p) * nt.legendre(y, p)
 
 
+def test_primes_from_matches_a_sieve():
+    limit = 20000
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for f in range(2, int(limit ** 0.5) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = False
+    primes = np.flatnonzero(sieve).tolist()
+    for start in (-5, 0, 1, 2, 3, 4, 8, 9, 97, 98, 7919, 7920, 10 ** 4 + 1):
+        gen = nt.primes_from(start)
+        want = [p for p in primes if p >= start][:50]
+        assert [next(gen) for _ in want] == want
+
+
 def test_nonresidue_run_base():
     assert nt.find_nonresidue_run(2) == (5, 1)
 
