@@ -578,6 +578,41 @@ def _budget_tiled_dip(eps: float, delta: float, tiles: int,
 # analytic variant with exceptional set
 # ---------------------------------------------------------------------------
 
+#: grid steps by which each tile's index window reaches past its interval,
+#: far above the rounding of the angle test it still runs on the window
+TILE_WINDOW_SLACK = 3
+
+
+def _pullback_bad_set(g_vals: np.ndarray, rates: List[int], grid: CircleGrid,
+                      threshold: float) -> np.ndarray:
+    """Mask of the grid points t in some tile interval
+    I_s = [2 pi (s-1)/K, 2 pi (s+1)/K] with |G(rates[s-1] t) - 1| >=
+    threshold, for s = 1, ..., K = len(rates) and G's grid values `g_vals`.
+
+    Membership is the angle test |angle(e^{i(t - 2 pi s/K)})| <= 2 pi/K,
+    run only on the index window of I_s widened by TILE_WINDOW_SLACK grid
+    steps on each side (the whole circle when that covers it), so it
+    decides every point as a test over the whole circle does; the index
+    map and G are taken only at the points inside.
+    """
+    m, count = grid.size, len(rates)
+    h = m // 2
+    tile_width = 2.0 * math.pi / count
+    t = grid.points
+    bad = np.zeros(m, dtype=bool)
+    for s in range(1, count + 1):
+        center = 2.0 * math.pi * s / count
+        # t_j = 2 pi (j - h) / M: I_s spans j - h = M (s - 1)/K .. M (s + 1)/K
+        lo = h + m * (s - 1) // count - TILE_WINDOW_SLACK
+        hi = h - (-m * (s + 1) // count) + TILE_WINDOW_SLACK
+        j = np.arange(m) if hi - lo + 1 >= m else np.arange(lo, hi + 1) % m
+        d = np.angle(np.exp(1j * (t[j] - center)))
+        j = j[np.abs(d) <= tile_width]
+        index = contracted_index_map(rates[s - 1], grid, j)
+        bad[j[np.abs(g_vals[index] - 1.0) >= threshold]] = True
+    return bad
+
+
 def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
                     unit_floor: float = 0.2, k_cap: int = 41,
                     strict: bool = True) -> ApproximantReport:
@@ -639,10 +674,6 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
     q = _tiled_sum(tile, g_poly, rates, "segments")
 
     # exceptional set: inside each tile interval, remove the pullback bad set
-    t = grid.points
-    two_pi = 2.0 * math.pi
-    g_vals = g_rep.values
-    bad = np.zeros(grid.size, dtype=bool)
     u_threshold = eps / 4.0
     if g_target > eps / 4.0:
         # with a clamped unit approximant the eps/4 cut would empty E;
@@ -651,13 +682,7 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
         deviations.append(
             f"exceptional-set threshold raised to {u_threshold} to match "
             "the clamped unit approximant")
-    for s in range(1, K + 1):
-        center = two_pi * s / K
-        # I_s = [2 pi (s-1)/K, 2 pi (s+1)/K] on the circle
-        d = np.angle(np.exp(1j * (t - center)))
-        in_interval = np.abs(d) <= tile_width
-        pull = np.abs(g_vals[contracted_index_map(rates[s - 1], grid)] - 1.0) >= u_threshold
-        bad |= in_interval & pull
+    bad = _pullback_bad_set(g_rep.values, rates, grid, u_threshold)
     e_mask = ~bad
 
     report = ApproximantReport(q, exceptional_set=e_mask,

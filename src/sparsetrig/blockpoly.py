@@ -9,7 +9,7 @@ Supports multiply out to sizes (and degrees) that cannot be materialized,
 so this module represents W structurally and provides
 
   * exact values at grid points through modular index arithmetic
-    (e^{i r t_j} only depends on r mod M and the parity of r);
+    (e^{i r t_j} only depends on r mod M);
   * exact coefficient norms from per-block products, valid because the
     frequency blocks k*r_i + spec C_i are validated pairwise disjoint;
   * certified pointwise brackets for the partial-sum maxima S* and S**,
@@ -62,9 +62,10 @@ WIDTH_DIRECTIONS = 16
 #: bracket instead of the exact O(S^2 M) sweep: the crossover measured on
 #: 2^14, 2*8191 and 1022 points, where both take the same time
 WIDTH_BRACKET_ROWS = 16
-#: prefix cells (rows x columns) per chunk of the width bracket, so its
-#: projections hold D * 8 B * 2^14 = 2 MB for any row count
-WIDTH_CHUNK_CELLS = 2 ** 14
+#: grid columns per block of the width bracket: a block's running prefix
+#: sum, projections, extremes and their differences hold about 0.7 MB for
+#: any row count
+WIDTH_BLOCK_COLUMNS = 1024
 #: the width bracket's rounding margin, relative to max_i |P_i| per column
 WIDTH_MARGIN = 1e-12
 #: the width bracket's absolute margin: sixteen subnormal steps, above the
@@ -79,8 +80,8 @@ _WIDTH_COS = math.cos(math.pi / (2 * WIDTH_DIRECTIONS))
 class LazyRate:
     """Positive integer mult * base**exp, never materialized.
 
-    Supports exactly what the block machinery needs: residues mod M,
-    parity, and log2-based ordering.
+    Supports exactly what the block machinery needs: residues mod M and
+    log2-based ordering.
     """
 
     __slots__ = ("mult", "base", "exp", "log2")
@@ -95,10 +96,6 @@ class LazyRate:
 
     def __mod__(self, m: int) -> int:
         return (self.mult * pow(self.base, self.exp, m)) % m
-
-    @property
-    def is_odd(self) -> bool:
-        return self.mult % 2 == 1 and (self.base % 2 == 1 or self.exp == 0)
 
     def __repr__(self):
         return f"LazyRate({self.mult}*{self.base}^{self.exp})"
@@ -119,12 +116,6 @@ def rate_log2(r: Rate) -> float:
     if isinstance(r, LazyRate):
         return r.log2
     return math.log2(r)
-
-
-def rate_is_odd(r: Rate) -> bool:
-    if isinstance(r, LazyRate):
-        return r.is_odd
-    return r % 2 == 1
 
 
 @total_ordering
@@ -193,9 +184,11 @@ def log2_diff_lower(a: float, b: float) -> float:
     return a + math.log2(gap) - 2 * m if gap > 0.0 else -math.inf
 
 
-def contracted_index_map(rate: Rate, grid: CircleGrid) -> np.ndarray:
-    """sigma with theta_{sigma(j)} = rate * t_j (mod 2 pi), exact for any rate."""
-    return grid.contracted_indices(rate % grid.size, rate_is_odd(rate))
+def contracted_index_map(rate: Rate, grid: CircleGrid,
+                         j: Optional[np.ndarray] = None) -> np.ndarray:
+    """sigma with t_{sigma(j)} = rate * t_j (mod 2 pi), exact for any rate,
+    at the indices `j` (all grid points when None)."""
+    return grid.contracted_indices(rate % grid.size, j)
 
 
 def orbit_fraction(rate: Rate, grid: CircleGrid) -> float:
@@ -223,20 +216,31 @@ def window_gap_bracket(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     far above the few ulps of max_i |P_i| by which the projections, and
     the exact sweep's differences, round, plus the rounding model's
     underflow term WIDTH_UNDERFLOW for subnormal values.  Columns go in
-    chunks of WIDTH_CHUNK_CELLS prefix cells.
+    blocks of WIDTH_BLOCK_COLUMNS, each streamed over the rows: the running
+    prefix sum takes one row at a time, and its projections are folded
+    into running extremes over the directions.  A last block of one column
+    joins the block before it: numpy projects a single point through BLAS's
+    matrix-vector kernel, which rounds differently from the matrix one.
     """
     count, m = rows.shape
     lower, upper = np.empty(m), np.empty(m)
-    step = max(1, WIDTH_CHUNK_CELLS // (count + 1))
-    for lo in range(0, m, step):
-        cols = slice(lo, min(lo + step, m))
-        prefix = np.cumsum(rows[:, cols], axis=0)
-        proj = prefix.view(float).reshape(count, -1, 2) @ _WIDTH_UNITS
+    edges = list(range(0, m, WIDTH_BLOCK_COLUMNS)) + [m]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    for lo, hi in zip(edges, edges[1:]):
+        cols = slice(lo, hi)
+        prefix = rows[0, cols].copy()
+        pairs = prefix.view(float).reshape(-1, 2)
+        proj = np.empty((len(prefix), WIDTH_DIRECTIONS))
         # P_0 = 0 projects to 0
-        top = np.maximum(proj.max(axis=0), 0.0)
-        bottom = np.minimum(proj.min(axis=0), 0.0)
-        # free the chunk before the next one is built
-        del prefix, proj
+        top = np.zeros_like(proj)
+        bottom = np.zeros_like(proj)
+        for i in range(count):
+            if i:
+                prefix += rows[i, cols]
+            np.matmul(pairs, _WIDTH_UNITS, out=proj)
+            np.maximum(top, proj, out=top)
+            np.minimum(bottom, proj, out=bottom)
         width = (top - bottom).max(axis=1)
         # max_i |P_i| <= largest |projection| / cos(pi/2D), by the same
         # argument
@@ -245,6 +249,15 @@ def window_gap_bracket(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         lower[cols] = np.maximum(width - margin, 0.0)
         upper[cols] = width / _WIDTH_COS + margin
     return lower, upper
+
+
+def _times_gathered(cv: np.ndarray, gathered: np.ndarray) -> np.ndarray:
+    """cv * gathered, written into `gathered` and rounded as numpy rounds
+    `cv * h[index]`: from 256 KiB on numpy computes that product in place
+    in the indexed temporary, as gathered * cv, and under FMA that operand
+    order decides the last bit (see trigpoly._term)."""
+    a, b = (gathered, cv) if gathered.nbytes >= 256 * 1024 else (cv, gathered)
+    return np.multiply(a, b, out=gathered)
 
 
 def _half(p: TrigPoly, sign: int) -> TrigPoly:
@@ -339,8 +352,7 @@ class BlockSum:
         self.terms = list(terms)
         self.layout = layout
         #: distinct payloads by identity: terms usually share one payload,
-        #: whose values are then computed once per grid, its norms once
-        #: per call
+        #: whose values are then computed once per grid
         self._payloads = {id(t.payload): t.payload for t in self.terms}
         self.lazy = any(t.lazy for t in self.terms)
         #: grid size -> the read-only (values, lower, upper) of `_evaluate`
@@ -415,7 +427,8 @@ class BlockSum:
         the pointwise bound on a rectangular cut inside each of its
         segments into the two largest bounds, which do not depend on their
         order.  Each distinct payload is evaluated once, and each payload
-        half once, unless it is the whole payload.
+        half once, unless it is the whole payload: such a half's segment
+        row is the term's values, gathered and multiplied once.
         """
         m = grid.size
         pv = {i: h.values(grid, allow_alias=True) for i, h in self._payloads.items()}
@@ -424,7 +437,7 @@ class BlockSum:
         rows = {}  # term index -> positions of its segments, home row last
         for pos, seg in enumerate(self._segments if segments else ()):
             rows.setdefault(seg["term"], []).append(pos)
-        halves = self._halves(grid, pv) if segments else {}
+        halves = self._halves(grid) if segments else {}
         h_linf = {i: coeff_norms(h).linf for i, h in self._payloads.items()}
         segs = np.empty((len(self._segments) if segments else 0, m), dtype=complex)
         top1 = np.zeros(m)
@@ -441,11 +454,8 @@ class BlockSum:
             for i, cv in zip(batch, buf):
                 t = self.terms[i]
                 index = contracted_index_map(t.rate, grid)
-                # one expression each: numpy computes it in place on the
-                # indexed temporary once the row reaches 256 KiB, and under
-                # FMA that operand order decides the last bit (see
-                # trigpoly._term)
-                out += cv * pv[id(t.payload)][index]
+                term = _times_gathered(cv, pv[id(t.payload)][index])
+                out += term
                 if not segments:
                     continue
                 acv = np.abs(cv)
@@ -453,14 +463,15 @@ class BlockSum:
                 for pos in rows[i]:
                     half, half_l1 = halves[id(t.payload), self._segments[pos]["sign"]]
                     # the home row comes last, so cv is read before it goes
-                    segs[pos] = cv * half[index]
+                    segs[pos] = term if half is None else _times_gathered(cv, half[index])
                     cut = acv * half_l1 + h_linf[id(t.payload)] * c_l1
                     swap = cut > top1
-                    top2 = np.where(swap, top1, np.maximum(top2, np.minimum(cut, top1)))
-                    top1 = np.where(swap, cut, top1)
+                    np.maximum(top2, np.minimum(cut, top1), out=top2)
+                    np.copyto(top2, top1, where=swap)
+                    np.copyto(top1, cut, where=swap)
                 # free this term's arrays before the next term's
                 del acv, half, cut, swap
-            del buf, cv, index
+            del buf, cv, index, term
         if not segments:
             return out, None, None
         # the window pass then holds the rows, the values and two bounds
@@ -471,18 +482,20 @@ class BlockSum:
         dmid = max_window_gap(lambda i, cols: segs[i][cols], len(segs), m)
         return out, dmid, dmid + top1 + top2
 
-    def _halves(self, grid: CircleGrid, pv: dict) -> dict:
+    def _halves(self, grid: CircleGrid) -> dict:
         """(payload id, sign) -> (values, l1 norm) of each payload half a
         segment uses (an analytic payload has no negative half); a half
-        that is the whole payload takes its values `pv`."""
+        that is the whole payload has values None: its rows are the term's
+        values."""
         halves = {}
         for seg in self._segments:
             key = id(self.terms[seg["term"]].payload), seg["sign"]
             if key not in halves:
                 h = self._payloads[key[0]]
                 p = _half(h, key[1])
-                halves[key] = (pv[key[0]] if len(p) == len(h)
-                               else p.values(grid, allow_alias=True),
+                if len(p) == len(h):
+                    p = h
+                halves[key] = (None if p is h else p.values(grid, allow_alias=True),
                                coeff_norms(p).l1)
         return halves
 
@@ -600,6 +613,10 @@ class ScaledProduct:
     block decomposition: any window value is P(t) * (window of Q)(Rt) plus
     at most two cut outer blocks, each a coefficient of Q times a window
     of P.
+
+    P's values are computed on the first call per grid size and kept as a
+    read-only array (`inner_values`), so `values` and `sstar_upper` share
+    one transform of P.
     """
 
     def __init__(self, q, rate: Rate, p):
@@ -614,6 +631,8 @@ class ScaledProduct:
             raise ValueError("outer factor must have zero mean coefficient")
         #: scalar bound for sup_t sup_windows |S(Q)|: the crude l1
         self.q_sstar_bound = q.coeff_l1()
+        #: grid size -> P's read-only values
+        self._inner = {}
 
     @property
     def lazy(self) -> bool:
@@ -654,14 +673,22 @@ class ScaledProduct:
     def coeff_zero(self):
         return 0j
 
+    def inner_values(self, grid: CircleGrid) -> np.ndarray:
+        """P's values on the grid (read-only), kept per grid size."""
+        pv = self._inner.get(grid.size)
+        if pv is None:
+            pv = self.p.values(grid, allow_alias=True)
+            pv.flags.writeable = False
+            self._inner[grid.size] = pv
+        return pv
+
     def values(self, grid: CircleGrid, allow_alias: bool = True) -> np.ndarray:
         qv = self.q.values(grid, allow_alias=True)
-        pv = self.p.values(grid, allow_alias=True)
-        return qv[contracted_index_map(self.rate, grid)] * pv
+        return qv[contracted_index_map(self.rate, grid)] * self.inner_values(grid)
 
     def sstar_upper(self, grid: CircleGrid) -> np.ndarray:
         """Pointwise certified bound on sup over windows of |S_{n,m}|."""
-        pv = np.abs(self.p.values(grid, allow_alias=True))
+        pv = np.abs(self.inner_values(grid))
         inner = self.p.sstar_upper(grid)
         return pv * self.q_sstar_bound + 2.0 * self.q.coeff_linf() * inner
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -44,16 +45,21 @@ class CircleGrid:
     def points(self) -> np.ndarray:
         return -math.pi + 2.0 * math.pi * np.arange(self.size) / self.size
 
-    def contracted_indices(self, residue: int, odd: bool) -> np.ndarray:
-        """sigma with t_{sigma(j)} = r * t_j (mod 2 pi) for any integer rate r
-        with r = residue (mod M) and the given parity.
+    def contracted_indices(self, residue: int,
+                           j: Optional[np.ndarray] = None) -> np.ndarray:
+        """sigma(j) with t_{sigma(j)} = r * t_j (mod 2 pi) for any integer
+        rate r with r = residue (mod M), at the int64 indices `j` (all M
+        when None).
 
-        e^{i r t_j} = (-1)^r omega^{r j}: the half-turn lands on index M/2
-        when r is even, 0 otherwise.
+        t_j = 2 pi (j - h) / M with h = M // 2 the index of t = 0, so
+        r * t_j is the angle of index h + r (j - h) (mod M), whatever r's
+        parity.  The constant h - r h is reduced as a Python int, so the
+        array takes one product, one sum and one remainder.
         """
         m = self.size
-        base = 0 if odd else m // 2
-        return (base + residue * np.arange(m, dtype=np.int64)) % m
+        h = m // 2
+        j = np.arange(m, dtype=np.int64) if j is None else j
+        return (residue * j + (h - residue * h) % m) % m
 
 
 @dataclass(frozen=True)

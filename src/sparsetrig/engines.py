@@ -319,13 +319,14 @@ def _analytic_stage(f_target: np.ndarray, n: int, grid: CircleGrid,
         stage.ok = False
         stage.note = f"residual approximation stalled: {gdiag}"
         return stage, None, None, prev_deg
-    d_mask = np.abs(g_n.values(grid, allow_alias=True) - resid) <= tol
     g_l1 = g_n.coeff_l1()
     eps_n = tol / (g_l1 + 1.0)
     q_rep = analytic_korner(eps_n, grid=grid, strict=False)
     q = q_rep.poly
     r_n = (prev_deg + 2 * g_n.degree() + 1) | 1
     poly = ScaledProduct(q, r_n, g_n)
+    # g_n's values, transformed once for the mask, the values and the bound
+    d_mask = np.abs(poly.inner_values(grid) - resid) <= tol
     e_mask = q_rep.exceptional_set[contracted_index_map(r_n, grid)] & d_mask
     stage.block = {"kind": "analytic", "r_log2": math.log2(r_n),
                    "eps_n": eps_n, "korner_failures": q_rep.failures()}

@@ -19,6 +19,7 @@ multiply may fuse them into FMA instructions.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import types
@@ -97,7 +98,8 @@ def _cmul(z: np.ndarray, wr, wi) -> np.ndarray:
 class TrigPoly:
     """Immutable sparse trigonometric polynomial sum c_k e^{ikt}."""
 
-    __slots__ = ("_k", "_c")
+    #: _norms: the `coeff_norms` of the polynomial, once computed
+    __slots__ = ("_k", "_c", "_norms")
 
     def __init__(self, coeffs: Mapping[int, complex] | Iterable[Tuple[int, complex]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -114,6 +116,7 @@ class TrigPoly:
                 d[kk] = c
         self._k = _freq_array(list(d))
         self._c = np.fromiter(d.values(), dtype=complex, count=len(d))
+        self._norms = None
 
     @classmethod
     def _of_arrays(cls, ks: np.ndarray, cs: np.ndarray) -> "TrigPoly":
@@ -124,6 +127,7 @@ class TrigPoly:
         out = cls.__new__(cls)
         out._k = ks if ks.dtype != object else _freq_array(ks)
         out._c = cs
+        out._norms = None
         return out
 
     @classmethod
@@ -365,9 +369,13 @@ def _fft_smooth(m: int) -> bool:
     return m == 1
 
 
+@functools.lru_cache(maxsize=2)
 def _roots(m: int) -> np.ndarray:
-    """exp(2 pi i j / m) for 0 <= j < m, built per call and never kept."""
-    return np.exp(1j * (2.0 * math.pi / m) * np.arange(m))
+    """exp(2 pi i j / m) for 0 <= j < m, as a read-only table; the tables
+    of the last two grid sizes are kept."""
+    roots = np.exp(1j * (2.0 * math.pi / m) * np.arange(m))
+    roots.flags.writeable = False
+    return roots
 
 
 def _term(roots: np.ndarray, k: int, c: complex, j: np.ndarray) -> np.ndarray:
@@ -552,22 +560,31 @@ def special_product_window(p: TrigPoly, q: TrigPoly, r: int, n: int) -> TrigPoly
 # -- coefficient norms -------------------------------------------------------
 
 class CoeffNorms:
-    """l_inf, l_1 and requested l_p norms of the coefficient sequence."""
+    """l_inf, l_1 and requested l_p norms of the coefficient sequence; the
+    l_p norms are a read-only map p -> norm."""
 
     def __init__(self, p: TrigPoly, ps: Sequence[float] = ()):
         # np.hypot is Python's abs(complex) bit for bit; np.abs is not
         a = np.hypot(p._c.real, p._c.imag) if len(p) else np.zeros(1)
         self.linf = float(a.max(initial=0.0))
         self.l1 = float(a.sum())
-        self.lp = {}
+        lp = {}
         for q in ps:
             if q < 1:
                 raise ValueError("p-norms require p >= 1")
-            self.lp[q] = float(np.power(np.power(a, q).sum(), 1.0 / q))
+            lp[q] = float(np.power(np.power(a, q).sum(), 1.0 / q))
+        self.lp = types.MappingProxyType(lp)
 
     def __repr__(self):
-        return f"CoeffNorms(linf={self.linf}, l1={self.l1}, lp={self.lp})"
+        return f"CoeffNorms(linf={self.linf}, l1={self.l1}, lp={dict(self.lp)})"
 
 
 def coeff_norms(p: TrigPoly, ps: Sequence[float] = ()) -> CoeffNorms:
-    return CoeffNorms(p, ps)
+    """The norms of p.  Without `ps` they are computed once per polynomial
+    and kept (a TrigPoly is immutable); a request for l_p norms is computed
+    per call."""
+    if len(ps):
+        return CoeffNorms(p, ps)
+    if p._norms is None:
+        p._norms = CoeffNorms(p)
+    return p._norms

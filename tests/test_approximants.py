@@ -14,6 +14,7 @@ from sparsetrig import blocks as bl
 from sparsetrig import trigpoly as tp
 from sparsetrig.approximants import (OUTER_PEAK_LOG_CAP, CertificateError,
                                      ConstructionInfeasible,
+                                     _pullback_bad_set,
                                      _structural_containment,
                                      analytic_block_approximant,
                                      analytic_korner, analytic_unit,
@@ -23,7 +24,8 @@ from sparsetrig.approximants import (OUTER_PEAK_LOG_CAP, CertificateError,
 from sparsetrig.circle import (CircleGrid, SampledFunction, l0_of_abs,
                                measure_fraction, triangle_coeff,
                                triangle_coeff_array)
-from sparsetrig.blockpoly import BlockSum, BlockTerm, ScaledProduct
+from sparsetrig.blockpoly import BlockSum, BlockTerm, LazyRate, ScaledProduct
+from tile_oracle import ref_pullback_bad_set
 from sparsetrig.numbertheory import primes_from
 from sparsetrig.targets import const, step, zero
 
@@ -475,6 +477,37 @@ def test_analytic_korner_report_shape():
                                  "sup_n_tail_measure"}
     assert any("clamped" in d for d in rep.deviations)
     assert not rep.all_passed()  # the documented float barrier
+
+
+@st.composite
+def tile_configs(draw):
+    """K odd tiles of 9-41, a grid among the stage and test sizes, a small
+    one the windows cover, or one where every tile end is a grid point
+    (K | M), K rates (ints up to 10^30 or lazy), unit values with points
+    on the threshold circle, and the threshold."""
+    count = 2 * draw(st.integers(4, 20)) + 1
+    m = draw(st.one_of(st.sampled_from([2 * 8191, 2 ** 14, 4078, 14014]),
+                       st.integers(4, 40).map(lambda h: 2 * h),
+                       st.integers(1, 40).map(lambda c: 2 * count * c)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        rates = [int(x) for x in rng.integers(1, 10 ** 15, size=count)
+                 * rng.integers(1, 10 ** 15, size=count).astype(object)]
+    else:
+        rates = [LazyRate(int(a), int(b), int(e)) for a, b, e in zip(
+            rng.integers(1, 50, count), rng.integers(2, 50, count),
+            rng.integers(0, 400, count))]
+    threshold = draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
+    g_vals = 1.0 + rng.exponential(threshold, m) * np.exp(2j * np.pi * rng.random(m))
+    on = rng.random(m) < 0.2
+    g_vals[on] = 1.0 + threshold * np.exp(2j * np.pi * rng.random(on.sum()))
+    return g_vals, rates, CircleGrid(m), threshold
+
+
+@settings(max_examples=80, deadline=None)
+@given(tile_configs())
+def test_windowed_exceptional_set_matches_full_grid_loop(config):
+    assert np.array_equal(_pullback_bad_set(*config), ref_pullback_bad_set(*config))
 
 
 def test_analytic_korner_transforms_its_unit_payload_twice(monkeypatch):

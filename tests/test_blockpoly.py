@@ -7,23 +7,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocksum_oracle import ref_bracket, ref_values
 from coeff_oracle import bits, oracle_iter_coeffs
 from structure_loader import load_structure
-from window_oracle import ref_s_star_star, ref_window_gap
+from tile_oracle import ref_contracted_indices
+from window_oracle import ref_s_star_star, ref_width_bracket, ref_window_gap
 from sparsetrig import cli
 from sparsetrig import trigpoly as tp
 from sparsetrig.approximants import analytic_korner, korner_polynomial
-from sparsetrig.blockpoly import (WIDTH_BRACKET_ROWS, WIDTH_DIRECTIONS,
-                                  WIDTH_MARGIN, WIDTH_UNDERFLOW, BlockSum,
+from sparsetrig.blockpoly import (WIDTH_BLOCK_COLUMNS, WIDTH_BRACKET_ROWS,
+                                  WIDTH_DIRECTIONS, WIDTH_MARGIN,
+                                  WIDTH_UNDERFLOW, BlockSum,
                                   BlockTerm, Freq, LazyRate, ScaledProduct,
                                   contracted_index_map, orbit_fraction,
                                   window_gap_bracket)
 from sparsetrig.circle import CircleGrid
-from sparsetrig.engines import _Modulated
+from sparsetrig.engines import _Modulated, run_asymptotic_l2_engine
+from sparsetrig.targets import cosk
 from sparsetrig.trigpoly import TrigPoly
 
 
@@ -104,6 +107,63 @@ def test_width_bracket_encloses_window_maximum(count, m, kind, scale, seed):
     assert np.all(upper <= exact / WIDTH_COS + 2 * margin)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(16, 130),
+       st.one_of(st.integers(1, 3 * WIDTH_BLOCK_COLUMNS + 7),
+                 st.sampled_from([WIDTH_BLOCK_COLUMNS - 1, WIDTH_BLOCK_COLUMNS + 1,
+                                  2 * 8191, 1022])),
+       st.sampled_from(["normal", "zero", "subnormal", "mixed"]),
+       st.integers(0, 2 ** 32 - 1))
+@example(20, WIDTH_BLOCK_COLUMNS + 1, "zero", 4)  # a last block of one column
+@example(16, 964, "normal", 0)  # a last oracle chunk of one column
+def test_width_bracket_matches_chunked_oracle(count, m, kind, seed):
+    # the row-streamed blocks give the bits of whole prefix chunks
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(count, m)) + 1j * rng.normal(size=(count, m))
+    if kind == "zero":
+        rows[rng.random(count) < 0.5] = 0
+    elif kind == "subnormal":
+        rows *= 2.0 ** -1060
+    elif kind == "mixed":
+        # zero, subnormal and signed-zero rows between normal ones
+        pick = rng.integers(4, size=count)
+        rows[pick == 0] = 0
+        rows[pick == 1] *= 2.0 ** -1065
+        rows[pick == 2] = -0.0 - 0.0j
+    lower, upper = window_gap_bracket(rows)
+    ref_lower, ref_upper = ref_width_bracket(rows)
+    # where the chunks left the last column alone, the oracle projected it
+    # through BLAS's matrix-vector kernel, which may round it differently
+    alone = m > 1 and m % max(1, 2 ** 14 // (count + 1)) == 1
+    same = slice(0, m - 1 if alone else m)
+    assert np.array_equal(lower[same], ref_lower[same])
+    assert np.array_equal(upper[same], ref_upper[same])
+    if alone:
+        radius = np.abs(np.cumsum(rows[:, -1])).max()
+        for a, b in ((lower, ref_lower), (upper, ref_upper)):
+            assert abs(a[-1] - b[-1]) <= 4 * np.finfo(float).eps * radius
+
+
+def test_width_bracket_temporaries_do_not_grow_with_rows():
+    # the bracket holds its two results and one block's prefix,
+    # projections and extremes, whatever the row count
+    m = 2 ** 14
+    peaks = []
+    for count in (16, 128):
+        rows = np.ones((count, m), dtype=complex)
+        tracemalloc.start()
+        try:
+            window_gap_bracket(rows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    results = 2 * m * 8
+    # the prefix, and six arrays of one value per column and direction
+    block = WIDTH_BLOCK_COLUMNS * (16 + 6 * WIDTH_DIRECTIONS * 8)
+    assert peaks[1] <= peaks[0] + 4096
+    assert peaks[1] <= results + block
+
+
 def test_bracket_contains_truth_on_width_path():
     # eight two-sided terms give sixteen segment rows, the width
     # threshold; materialized, the sum has 160 coefficients
@@ -140,8 +200,7 @@ def bracket_peak(q, grid):
 def test_bracket_memory_holds_rows_and_two_bounds():
     # 41 tiles of one 2048-coefficient unit approximant: the segment rows
     # take 10.7 MB, and the width bracket with the values from the same
-    # pass peaks at 14.1 MB.  The rows set that peak, not the payload: a
-    # 65536-coefficient unit reads the same 14.1 MB.
+    # pass peaks at 12.5 MB.  The rows set that peak, not the payload.
     grid = CircleGrid(2 * 8191)
     q = analytic_korner(0.3, grid=grid, strict=False).poly
     assert len(q.terms) == 41
@@ -149,10 +208,8 @@ def test_bracket_memory_holds_rows_and_two_bounds():
     assert peak < 16e6
     # values after the bracket come from the same pass: no M-point array
     assert values_peak < grid.size * 8
-    # 64 segment rows take 16.8 MB on 2^14 and the width bracket peaks at
-    # 19.8 MB (22.4 MB with the exact sweep), 20.0 MB with the values;
-    # chunks of a fixed 2048 columns would hold 17 MB of projections at 64
-    # rows
+    # 64 segment rows take 16.8 MB on 2^14, and the pass with the values and
+    # the width bracket peaks at 19.0 MB (22.4 MB with the exact sweep)
     grid = CircleGrid(2 ** 14)
     q = korner_polynomial(0.21, 0.22, grid=grid, strict=False).poly
     assert len(q._segments) == 64
@@ -207,6 +264,23 @@ def test_one_pass_bit_identical_to_two(w, m):
     assert w.values(grid) is values
 
 
+def test_scaled_product_transforms_inner_once(monkeypatch):
+    transformed, _ = _count_transforms(monkeypatch)
+    w = small_blocksum()
+    p = TrigPoly({-1: 0.5, 1: 0.5j})
+    sp = ScaledProduct(w, 4 * w.degree() + 1, p)
+    for m in (2048, 1022):
+        grid = CircleGrid(m)
+        expected = (w.values(grid)[contracted_index_map(sp.rate, grid)]
+                    * p.values(grid))
+        transformed.clear()
+        assert np.array_equal(sp.values(grid), expected)
+        sp.sstar_upper(grid)
+        assert sp.inner_values(grid) is sp.inner_values(grid)
+        assert not sp.inner_values(grid).flags.writeable
+        assert [g for q, g in transformed if q is p] == [m]
+
+
 def test_evaluations_are_read_only():
     grid = CircleGrid(2048)
     w = small_blocksum()
@@ -238,6 +312,16 @@ def _count_transforms(monkeypatch):
         carriers.extend(t.carrier for t in self.terms)
     monkeypatch.setattr(BlockSum, "__init__", collect)
     return transformed, carriers
+
+
+def test_analytic_stage_transforms_fejer_polynomial_twice(monkeypatch):
+    # once in fejer_until's own check, once kept by the stage's product for
+    # its values, its window bound and the stage's mask
+    transformed, _ = _count_transforms(monkeypatch)
+    grid = CircleGrid(2 * 8191)
+    run = run_asymptotic_l2_engine(cosk(grid, 1), 1)
+    g_n = run.stages[0].poly.p
+    assert [m for q, m in transformed if q is g_n] == [grid.size] * 2
 
 
 @pytest.mark.parametrize("job", [
@@ -303,13 +387,35 @@ def test_scaled_product_preconditions():
         ScaledProduct(TrigPoly({0: 1.0, 1: 1.0}), 100, p)  # mean not zero
 
 
+def _check_contraction(rate):
+    for m in (8, 4078, 14014, 2 * 8191, 2 ** 14):
+        grid = CircleGrid(m)
+        sigma = contracted_index_map(rate, grid)
+        assert np.array_equal(sigma, ref_contracted_indices(rate, m))
+        j = np.arange(m)[::3]
+        assert np.array_equal(contracted_index_map(rate, grid, j), sigma[::3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10 ** 30))
+def test_contraction_formula_matches_parity_form_ints(rate):
+    _check_contraction(rate)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60), st.integers(2, 60), st.integers(0, 500))
+def test_contraction_formula_matches_parity_form_lazy(mult, base, exp):
+    _check_contraction(LazyRate(mult, base, exp))
+
+
 def test_lazy_rate_mod_parity_log():
     r = LazyRate(3, 10, 50)  # 3 * 10^50
     exact = 3 * 10 ** 50
     for m in (7, 64, 16382):
         assert r % m == exact % m
-    assert not r.is_odd
-    assert LazyRate(3, 3, 7).is_odd
+    # parity is a residue like any other
+    assert r % 2 == 0
+    assert LazyRate(3, 3, 7) % 2 == 1
     assert r.log2 == pytest.approx(math.log2(exact))
     assert LazyRate(15, 10, 50) % 97 == (5 * exact) % 97
 

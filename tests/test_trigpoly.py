@@ -333,6 +333,54 @@ def test_coeff_norms():
     assert single.l1 == single.linf == single.lp[2] == single.lp[3] == 1.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 300))
+def test_cached_norms_equal_fresh_ones(seed, size):
+    rng = np.random.default_rng(seed)
+    p = TrigPoly({int(k): complex(*rng.normal(size=2)) * 10.0 ** rng.integers(-300, 300)
+                  for k in rng.integers(-10 ** 6, 10 ** 6, size=size)})
+    for q in (p, p.scale(0.5j), tp.partial_sum(p, 5000), tp.contract(p, 3)):
+        kept = tp.coeff_norms(q)
+        assert tp.coeff_norms(q) is kept
+        fresh = tp.CoeffNorms(q)
+        assert (kept.linf.hex(), kept.l1.hex()) == (fresh.linf.hex(), fresh.l1.hex())
+        assert (q.coeff_l1(), q.coeff_linf()) == (kept.l1, kept.linf)
+        assert kept.lp == {}
+
+
+def test_norm_requests_with_ps_are_not_kept():
+    p = TrigPoly({1: 3, 2: 4})
+    first = tp.coeff_norms(p, [2])
+    assert tp.coeff_norms(p, [2]) is not first
+    # the plain norms are neither taken from nor left as a p-norm request
+    plain = tp.coeff_norms(p)
+    assert plain is not first and plain.lp == {}
+    assert tp.coeff_norms(p, (3,)).lp == {3: pytest.approx(91 ** (1 / 3))}
+    assert tp.coeff_norms(p) is plain
+
+
+def test_kept_norms_cannot_be_changed_through_lp():
+    p = TrigPoly({1: 3, 2: 4})
+    for n in (tp.coeff_norms(p), tp.coeff_norms(p, [2])):
+        with pytest.raises(TypeError):
+            n.lp[2] = 1.0
+    assert tp.coeff_norms(p).lp == {}
+
+
+def test_roots_table_is_read_only_and_kept_for_two_sizes():
+    table = tp._roots(64)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0
+    assert tp._roots(64) is table
+    assert np.array_equal(table, np.exp(1j * (2.0 * math.pi / 64) * np.arange(64)))
+    tp._roots(128)
+    assert tp._roots(64) is table
+    tp._roots(128)
+    tp._roots(256)
+    assert tp._roots(64) is not table
+
+
 def test_coeff_norm_product_law():
     rng = np.random.default_rng(31)
     for _ in range(10):
@@ -543,7 +591,7 @@ def test_blocksum_evaluates_shared_payload_once(monkeypatch):
         w = BlockSum([BlockTerm(c, payload, r) for c, r in zip(carriers, (11, 101))])
         g = CircleGrid(m)
         expected = sum(c.values(g) * payload.values(g, allow_alias=True)[
-            g.contracted_indices(r % g.size, r % 2 == 1)]
+            g.contracted_indices(r % g.size)]
             for c, r in zip(carriers, (11, 101)))
         transformed.clear()
         assert np.array_equal(w.values(g), expected)

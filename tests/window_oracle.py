@@ -43,3 +43,26 @@ def ref_s_star_star(p: TrigPoly, m: int) -> np.ndarray:
     the window gap of the term rows in increasing frequency."""
     return ref_window_gap([ref_values_direct(TrigPoly({k: p[k]}), m)
                            for k in p.spectrum()], m)
+
+
+def ref_width_bracket(rows: np.ndarray, chunk_cells: int = 2 ** 14):
+    """The width bracket of `blockpoly.window_gap_bracket` from whole
+    prefix chunks of `chunk_cells` cells: every prefix row of a chunk is
+    projected onto the 16 directions at once."""
+    from sparsetrig.blockpoly import (_WIDTH_COS, _WIDTH_UNITS, WIDTH_MARGIN,
+                                      WIDTH_UNDERFLOW)
+    count, m = rows.shape
+    lower, upper = np.empty(m), np.empty(m)
+    step = max(1, chunk_cells // (count + 1))
+    for lo in range(0, m, step):
+        cols = slice(lo, min(lo + step, m))
+        prefix = np.cumsum(rows[:, cols], axis=0)
+        proj = prefix.view(float).reshape(count, -1, 2) @ _WIDTH_UNITS
+        top = np.maximum(proj.max(axis=0), 0.0)
+        bottom = np.minimum(proj.min(axis=0), 0.0)
+        width = (top - bottom).max(axis=1)
+        margin = (WIDTH_MARGIN / _WIDTH_COS * np.maximum(top, -bottom).max(axis=1)
+                  + WIDTH_UNDERFLOW)
+        lower[cols] = np.maximum(width - margin, 0.0)
+        upper[cols] = width / _WIDTH_COS + margin
+    return lower, upper
