@@ -435,7 +435,7 @@ def _dip_payload(dip_width: float, degree: int) -> TrigPoly:
 def _segment_rates(K: int, deg_tile: int, deg_payload: int) -> List[int]:
     """Rates (K B^s) | 1, s = 1..K, with B = (2 deg_tile + deg_payload + 2) | 1:
     each block follows the previous one, and odd rates keep full sampling
-    orbits on even grids."""
+    orbits on power-of-two grids."""
     base = (2 * deg_tile + deg_payload + 2) | 1
     rates = []
     r = K

@@ -28,8 +28,8 @@ TrigPoly, BlockSum and ScaledProduct answer one polynomial protocol:
 values(grid, allow_alias), degree, degree_log2, min_abs_freq, is_analytic,
 spectrum_size, coeff_zero/coeff_l1/coeff_linf, sstar_upper(grid),
 min_orbit_fraction(grid), structure(part) and the `lazy` flag.  TrigPoly and
-BlockSum also list their coefficients: coeff_arrays(limit) with its row
-view iter_coeffs(limit).
+BlockSum also list their coefficients: coeff_arrays() with its row view
+iter_coeffs().
 
 Sampling health: values are exact pointwise regardless of gcd(r_i, M),
 but a small orbit M/gcd means the grid sees few distinct payload samples;
@@ -47,7 +47,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .circle import CircleGrid
-from .trigpoly import (TrigPoly, _cmul, _freq_array, _limit, _outer_freqs,
+from .trigpoly import (TrigPoly, _cmul, _freq_array, _outer_freqs,
                        coeff_norms, max_window_gap, partial_sum_rect,
                        values_rows)
 
@@ -515,35 +515,25 @@ class BlockSum:
     def spectrum_size(self) -> int:
         return sum(len(t.carrier) * len(t.payload) for t in self.terms)
 
-    def coeff_arrays(self, limit: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """The first `limit` (all when None) coefficients: term by term,
-        payload coefficient by carrier coefficient, both in storage order.
+    def coeff_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The coefficients term by term, payload coefficient by carrier
+        coefficient, both in storage order, each term as one outer product.
         Frequencies k * rate + c follow `_freq_array`'s int64/object rule,
         and each coefficient is the product of its payload and carrier
-        coefficients, rounded as Python's complex product.  A term builds
-        only the payload rows the limit reaches, as one outer product.
-        Integer rates only; lazy rates raise OverflowError."""
+        coefficients, rounded as Python's complex product.  Integer rates
+        only; lazy rates raise OverflowError."""
         if self.lazy:
             raise OverflowError("lazy rates: frequencies not materializable")
-        left = _limit(limit)
-        ks, cs = [], []
-        for t in self.terms:
-            if left == 0:
-                break
-            ck, cc = t.carrier._k, t.carrier._c
-            rows = len(t.payload) if left is None else -(-left // ck.size)
-            hk, hc = t.payload._k[:rows], t.payload._c[:rows]
-            ks.append(_outer_freqs(hk, t.rate, ck, left))
-            cs.append(_cmul(hc[:, None], cc.real, cc.imag).ravel()[:left])
-            if left is not None:
-                left -= ks[-1].size
+        ks = [_outer_freqs(t.payload._k, t.rate, t.carrier._k) for t in self.terms]
+        cs = [_cmul(t.payload._c[:, None], t.carrier._c.real, t.carrier._c.imag).ravel()
+              for t in self.terms]
         # int64 terms join object ones as Python ints
         return (np.concatenate(ks) if ks else _freq_array([]),
                 np.concatenate(cs) if cs else np.zeros(0, dtype=complex))
 
-    def iter_coeffs(self, limit: Optional[int] = None) -> Iterator[Tuple[object, complex]]:
+    def iter_coeffs(self) -> Iterator[Tuple[object, complex]]:
         """`coeff_arrays` as (frequency, coefficient) Python numbers."""
-        return zip(*(a.tolist() for a in self.coeff_arrays(limit)))
+        return zip(*(a.tolist() for a in self.coeff_arrays()))
 
     def coeff_zero(self) -> complex:
         return 0j  # payloads exclude frequency 0 and rates exceed carriers

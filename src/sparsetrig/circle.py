@@ -3,7 +3,10 @@
 The circle is identified with [-pi, pi) and sampled on M uniform points
 t_j = -pi + 2*pi*j/M.  Normalized Lebesgue measure is replaced throughout
 by counting fractions of grid points, so every measure-based quantity in
-this package carries an implicit O(1/M) grid slack.
+this package is a grid estimate.  For a set of a few intervals its error
+is O(1/M); on sets cut out by contracted factors it is far wider: the
+exceptional set of `analytic_korner(0.2)` measures 0.3200 to 0.3276
+across M = 4096, 4078, 16384, 16382 and 32768, about 30 times 1/4096.
 """
 
 from __future__ import annotations

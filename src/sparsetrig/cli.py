@@ -30,7 +30,6 @@ from .engines import (ENGINE_GRID_SIZE, run_ae_engine,
 from .targets import make_target
 from .trigpoly import TrigPoly
 
-STREAM_COEFF_CAP = 200000
 CSV_CHUNK_ROWS = 16384
 STRUCTURE_FORMAT = "sparsetrig-structure/1"
 #: config keys each approximant kind reads, besides "kind"
@@ -58,55 +57,19 @@ def _write_json(path: Path, payload) -> None:
                     + "\n")
 
 
-def _coeff_rows(poly: TrigPoly):
-    """The first STREAM_COEFF_CAP coefficients of poly in frequency order:
-    the frequencies (int64, or Python ints in an object array once some
-    |k| >= FREQ_INT64_LIMIT) and the float64 real and imaginary parts."""
-    ks, cs = poly.coeff_arrays(STREAM_COEFF_CAP)
-    return ks, cs.real, cs.imag
-
-
-def _render_rows(rows, idx) -> list:
-    """The `_coeff_rows` rows at positions `idx` as lines k,re,im.  These
-    are the lines csv.writer's default dialect writes for these fields:
-    "\\r\\n" line ends, and no quoting, since neither str of an int nor repr
-    of a float contains a delimiter, a quote or a line break."""
-    fields = (col[idx].tolist() for col in rows)
-    return list(map("%d,%r,%r\r\n".__mod__, zip(*fields)))
-
-
-def _write_sorted_rows(rows, order, plain=None, indexed=None, start=0) -> None:
-    """Write the `_coeff_rows` rows taken in `order`, CSV_CHUNK_ROWS rows at
-    a time, as lines k,re,im to `plain` and as lines order_index,k,re,im to
-    `indexed`, the index running from `start`.  Each chunk is rendered once
-    for both sinks."""
-    for lo in range(0, len(order), CSV_CHUNK_ROWS):
-        lines = _render_rows(rows, order[lo:lo + CSV_CHUNK_ROWS])
-        if plain is not None:
-            plain.write("".join(lines))
-        if indexed is not None:
-            numbered = zip(range(start + lo, start + lo + len(lines)), lines)
-            indexed.write("".join(map("%d,%s".__mod__, numbered)))
-
-
-def _write_rows_csv(path: Path, rows, merged=None, start=0) -> None:
-    """Coefficient CSV of `_coeff_rows` output, in frequency order.  With
-    `merged`, the rows also go to that merged stream by |k| (ties in
-    `coeff_arrays` order), numbered from `start`.  Where the two orders
-    agree, as on every stage with no negative frequency, each row is
-    rendered once for both files."""
+def _write_rows_csv(path: Path, ks: np.ndarray, cs: np.ndarray) -> None:
+    """Coefficient CSV of the frequencies `ks` and coefficients `cs`, rows
+    k,re,im written CSV_CHUNK_ROWS at a time.  These are the lines
+    csv.writer's default dialect writes for these fields: "\\r\\n" line
+    ends, and no quoting, since neither str of an int nor repr of a float
+    contains a delimiter, a quote or a line break."""
     with open(path, "w", newline="") as fh:
         fh.write("k,re,im\r\n")
-        order = np.argsort(rows[0], kind="stable")
-        if merged is None:
-            _write_sorted_rows(rows, order, fh)
-            return
-        by_abs = np.argsort(np.abs(rows[0]), kind="stable")
-        if np.array_equal(order, by_abs):
-            _write_sorted_rows(rows, order, fh, merged, start)
-        else:
-            _write_sorted_rows(rows, order, fh)
-            _write_sorted_rows(rows, by_abs, indexed=merged, start=start)
+        for lo in range(0, len(ks), CSV_CHUNK_ROWS):
+            rows = slice(lo, lo + CSV_CHUNK_ROWS)
+            fields = (ks[rows].tolist(), cs.real[rows].tolist(),
+                      cs.imag[rows].tolist())
+            fh.write("".join(map("%d,%r,%r\r\n".__mod__, zip(*fields))))
 
 
 def _write_structure(out: Path, name: str, poly) -> dict:
@@ -133,19 +96,18 @@ def _write_structure(out: Path, name: str, poly) -> dict:
             "spectrum_size": poly.spectrum_size()}
 
 
-def _write_poly(out: Path, name: str, poly, merged=None, start=0) -> dict:
+def _write_poly(out: Path, name: str, poly) -> dict:
     """Write poly under `name` and return its manifest entry.  A TrigPoly
     whose frequencies int-to-str can print becomes the coefficient CSV
-    `<name>.csv`, cut at STREAM_COEFF_CAP rows, which also go to the merged
-    stream `merged` from `start`; any other polynomial its structure
+    `<name>.csv`, in frequency order; any other polynomial its structure
     record."""
     max_digits = sys.get_int_max_str_digits()
     if not isinstance(poly, TrigPoly) or (
             max_digits and poly.degree_log2() * math.log10(2.0) + 1.0 > max_digits):
         return _write_structure(out, name, poly)
-    rows = _coeff_rows(poly)
-    _write_rows_csv(out / f"{name}.csv", rows, merged, start)
-    return {"files": [f"{name}.csv"], "coeff_rows": len(rows[0]),
+    ks, cs = poly.coeff_arrays()
+    _write_rows_csv(out / f"{name}.csv", ks, cs)
+    return {"files": [f"{name}.csv"], "coeff_rows": len(ks),
             "spectrum_size": poly.spectrum_size()}
 
 
@@ -298,22 +260,10 @@ def cmd_represent(cfg: dict, out: Path, grid_size: int, seed: int) -> int:
 
 
 def _write_stage_outputs(out: Path, run) -> list:
-    """`_write_poly` output `stage_<n>` for each stage with a polynomial,
-    and the merged coefficient stream `merged_stream.csv` of the stages
-    written as CSV, in the engine's partial-sum order (stages in turn, each
-    by |k|, ties in `coeff_arrays` order).  Each stage's rows are built
-    once and serve both files.  Returns the stages' manifest entries."""
-    entries = []
-    with open(out / "merged_stream.csv", "w", newline="") as fh:
-        fh.write("order_index,k,re,im\r\n")
-        start = 0
-        for st in run.stages:
-            if st.poly is None:
-                continue
-            entry = _write_poly(out, f"stage_{st.index}", st.poly, fh, start)
-            start += entry.get("coeff_rows", 0)
-            entries.append({"n": st.index, **entry})
-    return entries
+    """`_write_poly` output `stage_<n>` for each stage with a polynomial;
+    returns the stages' manifest entries."""
+    return [{"n": st.index, **_write_poly(out, f"stage_{st.index}", st.poly)}
+            for st in run.stages if st.poly is not None]
 
 
 def cmd_riesz(cfg: dict, out: Path, grid_size: int, seed: int) -> int:

@@ -7,8 +7,9 @@ contracted factors as quasi-independent.
 
 Frequencies grow far beyond any storable grid, so factors are sampled
 exactly at grid points through modular index arithmetic; this requires
-gcd(nu_k, M) = 1 (full sampling orbit), which the default schedule
-guarantees by keeping every frequency odd.  A full orbit per factor does
+gcd(nu_k, M) = 1 (full sampling orbit).  The schedule keeps every
+frequency odd, which guarantees it on power-of-two grids only: on 2*8191
+a frequency divisible by 8191 still collapses.  A full orbit per factor does
 not keep distinct factors apart mod M: congruent frequencies sample one
 function, so on 2^14 criterion 7's 200-term sums repeat a few of them.
 """
@@ -68,29 +69,25 @@ def default_ratio_rule(k: int) -> float:
     return 4.0 * 2.0 ** k
 
 
-def make_schedule(n: int, nu1: int = 9,
-                  force_odd: bool = True) -> RieszSchedule:
+def make_schedule(n: int, nu1: int = 9) -> RieszSchedule:
     """Build nu_1 < nu_2 < ... with nu_{k+1} the first admissible integer
     at or above nu_k * L_k, L_k = default_ratio_rule(k).
 
-    With force_odd (the default) every frequency is rounded up to the next
-    odd integer, keeping gcd(nu_k, M) = 1 on even grids so that sampled
-    diagnostics see the full factor rather than a collapsed orbit.
+    Every frequency is rounded up to the next odd integer, keeping
+    gcd(nu_k, M) = 1 on power-of-two grids so that sampled diagnostics see
+    the full factor rather than a collapsed orbit.  Other even grids get no
+    such promise: nu1 = 8191 fails the orbit check on 2*8191.
     """
     if n < 1:
         raise ValueError("schedule length must be >= 1")
     if nu1 < 1:
         raise ValueError("nu1 must be positive")
-    first = nu1 + 1 if (force_odd and nu1 % 2 == 0) else nu1
-    freqs = [first]
+    freqs = [nu1 | 1]
     floors = [0.0]
     for k in range(1, n):
         lk = float(default_ratio_rule(k))
         # integer arithmetic: frequencies quickly exceed float range
-        cand = freqs[-1] * max(1, math.ceil(lk))
-        if force_odd and cand % 2 == 0:
-            cand += 1
-        freqs.append(cand)
+        freqs.append(freqs[-1] * max(1, math.ceil(lk)) | 1)
         floors.append(lk)
     return RieszSchedule(tuple(freqs), tuple(floors))
 

@@ -56,27 +56,19 @@ def _freq_array(ks) -> np.ndarray:
     return np.array(ks, dtype=np.int64 if small else object)
 
 
-def _limit(limit: Optional[int]) -> Optional[int]:
-    """A row limit: None for all rows, else at most `limit` >= 0 rows."""
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
-    return limit
-
-
-def _outer_freqs(outer: np.ndarray, rate: int, inner: np.ndarray,
-                 count: Optional[int] = None) -> np.ndarray:
-    """The first `count` of outer[i] * rate + inner[j] in row-major (i, j)
-    order, under `_freq_array`'s int64/object rule.  Products are taken in
-    int64 when no |outer[i] * rate + inner[j]| can reach FREQ_INT64_LIMIT,
-    else as Python ints."""
+def _outer_freqs(outer: np.ndarray, rate: int, inner: np.ndarray) -> np.ndarray:
+    """outer[i] * rate + inner[j] in row-major (i, j) order, under
+    `_freq_array`'s int64/object rule.  Products are taken in int64 when no
+    |outer[i] * rate + inner[j]| can reach FREQ_INT64_LIMIT, else as Python
+    ints."""
     if not outer.size or not inner.size:
         return np.zeros(0, dtype=np.int64)
     bound = int(np.abs(outer).max()) * rate + int(np.abs(inner).max())
     if bound < FREQ_INT64_LIMIT:
         outer, inner = outer.astype(np.int64), inner.astype(np.int64)
-        return (outer[:, None] * rate + inner).ravel()[:count]
+        return (outer[:, None] * rate + inner).ravel()
     ks = (outer.astype(object)[:, None] * rate + inner.astype(object)).ravel()
-    return _freq_array(ks[:count])
+    return _freq_array(ks)
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -208,17 +200,16 @@ class TrigPoly:
         """Crude but always valid pointwise bound on S**: the l1 norm."""
         return np.full(grid.size, self.coeff_l1())
 
-    def coeff_arrays(self, limit: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """The first `limit` (all when None) coefficients in frequency
-        order: the frequencies under `_freq_array`'s int64/object rule and
-        the complex128 coefficients."""
-        order = np.argsort(self._k, kind="stable")[:_limit(limit)]
-        ks = self._k[order]
-        return (ks if ks.dtype != object else _freq_array(ks)), self._c[order]
+    def coeff_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The coefficients in frequency order: the frequencies, stored
+        under `_freq_array`'s int64/object rule, and the complex128
+        coefficients."""
+        order = np.argsort(self._k, kind="stable")
+        return self._k[order], self._c[order]
 
-    def iter_coeffs(self, limit: Optional[int] = None) -> Iterator[Tuple[int, complex]]:
+    def iter_coeffs(self) -> Iterator[Tuple[int, complex]]:
         """`coeff_arrays` as (frequency, coefficient) Python numbers."""
-        return zip(*(a.tolist() for a in self.coeff_arrays(limit)))
+        return zip(*(a.tolist() for a in self.coeff_arrays()))
 
     def min_orbit_fraction(self, grid: CircleGrid) -> float:
         return 1.0

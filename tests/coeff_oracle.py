@@ -3,9 +3,7 @@
 These are the `iter_coeffs` bodies of TrigPoly, BlockSum and ScaledProduct
 as they stood before coefficients were exported from arrays: one Python
 step per row, products taken as Python complex numbers.  Nested factors go
-through the oracle too, so it never calls the code it checks.  A limit of 0
-keeps their old meaning (all rows for a TrigPoly, one row for the block
-types); the array export reads it as "no rows".
+through the oracle too, so it never calls the code it checks.
 """
 
 import numpy as np
@@ -14,15 +12,15 @@ from sparsetrig.blockpoly import BlockSum, ScaledProduct
 from sparsetrig.trigpoly import TrigPoly
 
 
-def oracle_iter_coeffs(poly, limit=None):
+def oracle_iter_coeffs(poly):
     """(frequency, coefficient) rows of poly in export order; lazy rates and
     other polynomials raise OverflowError on the first row."""
     if isinstance(poly, TrigPoly):
-        return _trigpoly_rows(poly, limit)
+        return _trigpoly_rows(poly)
     if isinstance(poly, BlockSum):
-        return _blocksum_rows(poly, limit)
+        return _blocksum_rows(poly)
     if isinstance(poly, ScaledProduct):
-        return _scaled_rows(poly, limit)
+        return _scaled_rows(poly)
     return _unmaterializable()
 
 
@@ -31,17 +29,14 @@ def _unmaterializable():
     yield
 
 
-def _trigpoly_rows(p, limit):
+def _trigpoly_rows(p):
     order = np.argsort(p._k, kind="stable")
-    if limit:
-        order = order[:limit]
     return zip(p._k[order].tolist(), p._c[order].tolist())
 
 
-def _blocksum_rows(b, limit):
+def _blocksum_rows(b):
     if b.lazy:
         raise OverflowError("lazy rates: frequencies not materializable")
-    count = 0
     payload_items = {i: list(h.coeffs.items()) for i, h in b._payloads.items()}
     for t in b.terms:
         carrier = list(t.carrier.coeffs.items())
@@ -49,23 +44,16 @@ def _blocksum_rows(b, limit):
             base = k * t.rate
             for c, cc in carrier:
                 yield base + c, hk * cc
-                count += 1
-                if limit is not None and count >= limit:
-                    return
 
 
-def _scaled_rows(sp, limit):
+def _scaled_rows(sp):
     if sp.lazy:
         raise OverflowError("lazy rates: frequencies not materializable")
-    count = 0
-    p_items = list(oracle_iter_coeffs(sp.p, limit))
+    p_items = list(oracle_iter_coeffs(sp.p))
     for kq, cq in oracle_iter_coeffs(sp.q):
         base = kq * sp.rate
         for kp, cp in p_items:
             yield base + kp, cq * cp
-            count += 1
-            if limit is not None and count >= limit:
-                return
 
 
 def bits(rows):

@@ -536,26 +536,13 @@ def test_polynomial_protocol_conformance(name):
     assert x.min_orbit_fraction(grid) == 1.0
     if isinstance(x, ScaledProduct):
         return  # its coefficients are listed by no method, only written as structure
-    got = dict(x.iter_coeffs())
+    rows = list(x.iter_coeffs())
+    got = dict(rows)
+    assert len(rows) == len(got) == x.spectrum_size()
     assert sorted(got) == list(mat.spectrum())
     assert all(got[k] == pytest.approx(mat[k]) for k in got)
-    head = list(x.iter_coeffs(3))
-    assert len(head) == 3
-    if isinstance(x, TrigPoly):  # sorted, then truncated
-        assert head == sorted(mat.coeffs.items())[:3]
-
-
-@pytest.mark.parametrize("name", ["blocksum", "trigpoly"])
-def test_limit_means_at_most_limit_rows(name):
-    x = PROTOCOL_CASES[name]()
-    n = x.spectrum_size()
-    for limit in (0, 1, n - 1, n, n + 5, None):
-        want = n if limit is None else min(limit, n)
-        assert len(list(x.iter_coeffs(limit))) == want
-        ks, cs = x.coeff_arrays(limit)
-        assert len(ks) == len(cs) == want
-    with pytest.raises(ValueError):
-        x.coeff_arrays(-1)
+    if isinstance(x, TrigPoly):  # in frequency order
+        assert rows == sorted(mat.coeffs.items())
 
 
 # -- coefficient export against the per-row oracle ---------------------------
@@ -621,54 +608,42 @@ def scaled_products(draw, depth=2):
     return ScaledProduct(q, rate, p)
 
 
-def _limits(x):
-    """Row limits that cut inside a term, inside a payload row and at a
-    term (or row) boundary, plus one past the end."""
-    total = x.spectrum_size()
-    cuts = {1, total, total + 1}
-    offset = 0
-    for t in x.terms:
-        for row in range(len(t.payload) + 1):
-            cuts.update({offset + row * len(t.carrier),
-                         offset + row * len(t.carrier) + 1})
-        offset += len(t.carrier) * len(t.payload)
-    return st.sampled_from(sorted(c for c in cuts if c >= 1)) | st.none()
-
-
 @settings(max_examples=150, deadline=None)
-@given(block_sums(), st.data())
-def test_coeff_arrays_match_row_oracle(x, data):
-    limit = data.draw(_limits(x))
-    rows = list(oracle_iter_coeffs(x, limit))
+@given(block_sums())
+def test_coeff_arrays_match_row_oracle(x):
+    rows = list(oracle_iter_coeffs(x))
     want_ks = [k for k, _ in rows]
-    ks, cs = x.coeff_arrays(limit)
+    ks, cs = x.coeff_arrays()
     assert ks.dtype == tp._freq_array(want_ks).dtype
     got_ks = ks.tolist()
     assert got_ks == want_ks
     assert all(type(k) is int for k in got_ks)
     assert cs.dtype == np.complex128
     assert cs.tobytes() == np.array([c for _, c in rows], dtype=complex).tobytes()
-    assert bits(x.iter_coeffs(limit)) == bits(rows)
+    assert bits(x.iter_coeffs()) == bits(rows)
 
 
 def test_coeff_arrays_freq_dtype_follows_the_rows_taken():
-    # rows on both sides of 2^62 inside one term and one payload row: int64
-    # while the rows taken stay below it, else Python ints
+    # int64 while every frequency stays below 2^62, else Python ints: the
+    # first polynomial of each pair stays below, the second has one term
+    # (and one payload row) on both sides of it
     rate = 2 ** 61 + 1
+    carrier, payload = TrigPoly({0: 1.0, 1: 0.5}), TrigPoly({1: 1.0, -1: 0.25j})
     cases = [
-        (TrigPoly({1: 1.0, 2 ** 70: 2.0}), 1, [1]),
-        (BlockSum([BlockTerm(TrigPoly({0: 1.0, 1: 0.5}),
-                             TrigPoly({1: 1.0, 3: 2.0, -1: 0.25j}), rate)]),
-         2, [rate, rate + 1]),
-        (BlockSum([BlockTerm(TrigPoly({-2: 1.0, 2: 0.5}), TrigPoly({1: 1.0}),
-                             2 ** 62 - 1)]), 1, [2 ** 62 - 3]),
+        (TrigPoly({1: 1.0, 2 ** 62 - 1: 2.0}), TrigPoly({1: 1.0, 2 ** 70: 2.0})),
+        (BlockSum([BlockTerm(carrier, payload, rate)]),
+         BlockSum([BlockTerm(carrier, payload + TrigPoly({3: 2.0}), rate)])),
+        # |k| * rate + |c| reaches 2^62 in both, though no frequency of the
+        # first does
+        (BlockSum([BlockTerm(TrigPoly({-2: 1.0}), TrigPoly({1: 1.0}), 2 ** 62 - 1)]),
+         BlockSum([BlockTerm(TrigPoly({-2: 1.0, 2: 0.5}), TrigPoly({1: 1.0}),
+                             2 ** 62 - 1)])),
     ]
-    for x, limit, head in cases:
-        ks, _ = x.coeff_arrays(limit)
-        assert ks.dtype == np.int64 and ks.tolist() == head
-        ks, _ = x.coeff_arrays()
-        assert ks.dtype == object
-        assert ks.tolist() == [k for k, _ in oracle_iter_coeffs(x)]
+    for below, astride in cases:
+        for x, dtype in ((below, np.int64), (astride, object)):
+            ks, _ = x.coeff_arrays()
+            assert ks.dtype == dtype
+            assert ks.tolist() == [k for k, _ in oracle_iter_coeffs(x)]
 
 
 def lazy_terms(terms) -> list:

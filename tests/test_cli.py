@@ -225,19 +225,16 @@ def _oracle_flat(poly):
 
 def _oracle_coeff_rows(poly):
     ks, real, imag = [], array("d"), array("d")
-    for k, c in oracle_iter_coeffs(poly, cli.STREAM_COEFF_CAP):
+    for k, c in oracle_iter_coeffs(poly):
         ks.append(k)
         real.append(c.real)
         imag.append(c.imag)
     return ks, real, imag
 
 
-def _oracle_sorted_rows(rows, key=None):
+def _oracle_sorted_rows(rows):
     ks, real, imag = rows
-    order = np.array(ks, dtype=object)
-    if key is not None:
-        order = key(order)
-    for i in np.argsort(order, kind="stable"):
+    for i in np.argsort(np.array(ks, dtype=object), kind="stable"):
         yield ks[i], repr(real[i]), repr(imag[i])
 
 
@@ -249,18 +246,10 @@ def _oracle_write_rows_csv(path, rows):
 
 
 def _oracle_write_stage_csvs(out, run):
-    with open(out / "merged_stream.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["order_index", "k", "re", "im"])
-        order = 0
-        for stage in run.stages:
-            if not _oracle_flat(stage.poly):
-                continue
-            rows = _oracle_coeff_rows(stage.poly)
-            _oracle_write_rows_csv(out / f"stage_{stage.index}.csv", rows)
-            for row in _oracle_sorted_rows(rows, key=np.abs):
-                w.writerow([order, *row])
-                order += 1
+    for stage in run.stages:
+        if _oracle_flat(stage.poly):
+            _oracle_write_rows_csv(out / f"stage_{stage.index}.csv",
+                                   _oracle_coeff_rows(stage.poly))
 
 
 def assert_same_values(x, y, grids=(1022, 16382)):
@@ -321,14 +310,11 @@ def csv_polys(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(csv_polys(), min_size=2, max_size=3), st.integers(1, 7),
-       st.integers(1, 40))
-def test_coefficient_csvs_match_oracle(polys, chunk_rows, cap):
-    # small chunks and a small row cap, so order_index runs on across
-    # chunks and stages and the cap truncates before sorting
+@given(st.lists(csv_polys(), min_size=2, max_size=3), st.integers(1, 7))
+def test_coefficient_csvs_match_oracle(polys, chunk_rows):
+    # small chunks, so a file's rows run on across chunks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
-        mp.setattr(cli, "STREAM_COEFF_CAP", cap)
         assert_csvs_match_oracle(polys)
 
 
@@ -351,8 +337,7 @@ def _scaled_product():
 
 def _one_sided(sign):
     """The coefficients of a BlockSum with frequencies of one sign only, and
-    of a ScaledProduct of it, in export order: no ties in |k|, and the k and
-    |k| orders agree (sign > 0) or run opposite (sign < 0)."""
+    of a ScaledProduct of it, in export order."""
     payload = TrigPoly({sign * 2: 0.5, sign: -1.0, sign * 3: 0.25j})
     blocks = BlockSum([BlockTerm(TrigPoly({0: 1.0, sign: 0.5}), payload, 11),
                        BlockTerm(TrigPoly({sign: -0.25j}), payload, 101)])
@@ -377,27 +362,6 @@ def test_coefficient_csvs_match_oracle_for_block_polys(name):
     assert_csvs_match_oracle(CSV_ORACLE_CASES[name]())
 
 
-@pytest.mark.parametrize("name, renders", [("nonnegative", 1), ("negative", 2)])
-def test_stage_rows_rendered_once_where_orders_agree(tmp_path, name, renders):
-    # a stage whose k and |k| orders agree renders each row once for both
-    # its stage file and the merged stream; otherwise once for each
-    polys = CSV_ORACLE_CASES[name]()
-    run = SimpleNamespace(stages=[SimpleNamespace(index=i + 1, poly=p)
-                                  for i, p in enumerate(polys)])
-    rendered = []
-    render = cli._render_rows
-
-    def counting(rows, idx):
-        rendered.append(len(idx))
-        return render(rows, idx)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_render_rows", counting)
-        mp.setattr(cli, "CSV_CHUNK_ROWS", 5)
-        cli._write_stage_outputs(tmp_path, run)
-    assert sum(rendered) == renders * sum(p.spectrum_size() for p in polys)
-
-
 def test_unprintable_exact_frequencies_write_structure(tmp_path):
     # exact rate 10^5000, and a TrigPoly frequency of that size: more
     # decimal digits than int-to-str allows, so both go to structure
@@ -416,9 +380,7 @@ def test_unprintable_exact_frequencies_write_structure(tmp_path):
     assert record["poly"]["terms"][0]["rate"] == hex(10 ** 5000)
     with np.load(tmp_path / "stage_1.npz", allow_pickle=False) as z:
         assert z["k0"].tolist() == [hex(10 ** 5000), "-0x3"]
-    assert not list(tmp_path.glob("poly.csv")) and not list(tmp_path.glob("stage_1.csv"))
-    assert (tmp_path / "merged_stream.csv").read_text().splitlines() == \
-        ["order_index,k,re,im"]
+    assert not list(tmp_path.glob("*.csv"))
     assert_same_values(load_structure(tmp_path / "poly.json"), huge)
     assert_same_values(load_structure(tmp_path / "stage_1.json"), flat)
 
@@ -473,18 +435,17 @@ def test_structure_records_rebuild_the_polynomial(tmp_path, name):
 
 
 def test_manifests_record_what_each_file_holds(tmp_path):
-    # a CSV says how many rows it holds of how many coefficients; a
-    # structure record how many parts
+    # a CSV says how many rows it holds, every coefficient; a structure
+    # record how many parts
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"kind": "analytic_unit", "eps": 0.45}))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "STREAM_COEFF_CAP", 100)
-        assert run_cli(["approximate", "--config", cfg, "--out", tmp_path / "u",
-                        "--grid", "1024"]) == 0
+    assert run_cli(["approximate", "--config", cfg, "--out", tmp_path / "u",
+                    "--grid", "1024"]) == 0
     entry = json.loads((tmp_path / "u" / "manifest.json").read_text())["poly"]
-    assert entry["files"] == ["poly.csv"] and entry["coeff_rows"] == 100
-    assert entry["spectrum_size"] > 100
-    assert len((tmp_path / "u" / "poly.csv").read_text().splitlines()) == 101
+    assert entry["files"] == ["poly.csv"]
+    assert entry["coeff_rows"] == entry["spectrum_size"] > 100
+    assert len((tmp_path / "u" / "poly.csv").read_text().splitlines()) == \
+        entry["coeff_rows"] + 1
     cfg.write_text(json.dumps({"engine": "squares", "target": "const",
                                "stages": 1}))
     run_cli(["represent", "--config", cfg, "--out", tmp_path / "r",

@@ -14,9 +14,14 @@ from sparsetrig.riesz import (C_UPPER, LOG_SINGULARITY_FLOOR, NEG_LOG_2, PHI_L2_
 
 
 def test_schedule_example():
-    sched = riesz.make_schedule(3, nu1=8, force_odd=False)
-    assert sched.frequencies == (8, 64, 1024)
-    assert sched.ratio_floor[1:] == (8.0, 16.0)
+    # L_1 = 8 and L_2 = 16, each product rounded up to odd
+    sched = riesz.make_schedule(3, nu1=8)
+    assert sched.frequencies == (9, 73, 1169)
+    assert sched.ratio_floor == (0.0, 8.0, 16.0)
+    # the ratio floors hold with equality for even frequencies too
+    assert len(RieszSchedule((8, 64, 1024), (0.0, 8.0, 16.0))) == 3
+    with pytest.raises(ValueError):
+        RieszSchedule((8, 63, 1024), (0.0, 8.0, 16.0))
 
 
 def test_schedule_default_odd_hadamard():
@@ -43,7 +48,7 @@ def test_contracted_indices_exact():
 
 def test_orbit_guard():
     grid = CircleGrid(64)
-    sched = riesz.make_schedule(1, nu1=32, force_odd=False)
+    sched = RieszSchedule((32,), (0.0,))
     with pytest.raises(riesz.OrbitError):
         riesz.almost_orthogonality(sched, grid)
 
