@@ -633,6 +633,14 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
     exp(C/eps) (see analytic_unit); below `unit_floor` the G quality is
     clamped with a recorded deviation, which generally costs certificates
     2 and 3 at small eps.
+
+    With the default `unit_floor` and `k_cap`, every eps in (0, 1/2) builds
+    the same sum and exceptional set: eps/4 < 1/8 clamps the unit quality,
+    and with it the exceptional-set threshold, to 0.2; the tile-count rule
+    (2 l1(G) / eps)^2 asks for far more than 41 tiles (l1(G) is about
+    7.6e4); and the tile accuracy eps / (10 K l1(G)) stays below its floor
+    1e-4.  Only the certificate bounds and the deviation strings depend on
+    eps.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")

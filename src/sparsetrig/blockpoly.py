@@ -51,9 +51,11 @@ from .trigpoly import (TrigPoly, _cmul, _freq_array, _outer_freqs,
                        coeff_norms, max_window_gap, partial_sum_rect,
                        values_rows)
 
-#: grid cells (carriers x points) `BlockSum` transforms in one batch:
-#: eight carriers on 2^14 points, 2 MB
-EVAL_BATCH_CELLS = 2 ** 17
+#: grid cells (carriers x points) `BlockSum` transforms in one batch, and
+#: the segment rows a streamed pass holds: four carriers on 2^14 points,
+#: 1 MB.  At 2^17 cells (eight carriers) the `analytic` benchmark's peak
+#: RSS read 65.7 MB in 4 of 6 paired runs, against 58.1-59.4 MB here.
+EVAL_BATCH_CELLS = 2 ** 16
 
 #: directions pi d / D of the width bracket (`window_gap_bracket`); its
 #: upper bound sits at most 1/cos(pi/2D) - 1 = 0.48 % above the exact one
@@ -202,6 +204,67 @@ def _ends(ks: np.ndarray) -> Tuple[int, int]:
     return int(ks.min()), int(ks.max())
 
 
+def _width_blocks(m: int) -> List[slice]:
+    """The column blocks of the width bracket: WIDTH_BLOCK_COLUMNS each,
+    and a last block of one column joins the block before it, since numpy
+    projects a single point through BLAS's matrix-vector kernel, which
+    rounds differently from the matrix one."""
+    edges = list(range(0, m, WIDTH_BLOCK_COLUMNS)) + [m]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+class WidthBracket:
+    """`window_gap_bracket` of rows that arrive a batch at a time.
+
+    It keeps the running prefix sum and, for every column, the top and
+    bottom projection over the WIDTH_DIRECTIONS directions (2 D + 2 floats
+    per column, whatever the row count).  `add` folds the next rows in
+    column blocks (`_width_blocks`), one row at a time within a block, and
+    `bounds` turns the extremes into the bracket, block by block; any split
+    of the rows into batches gives the bits of one batch of all of them.
+    """
+
+    def __init__(self, m: int):
+        self.prefix = None  # P_1 is the first row itself
+        # P_0 = 0 projects to 0
+        self.top = np.zeros((m, WIDTH_DIRECTIONS))
+        self.bottom = np.zeros((m, WIDTH_DIRECTIONS))
+
+    def add(self, rows: np.ndarray):
+        """Fold the next rows, a (count, M) array, into the extremes."""
+        fresh = self.prefix is None
+        if fresh:
+            self.prefix = rows[0].copy()
+        for cols in _width_blocks(len(self.prefix)):
+            prefix = self.prefix[cols]
+            pairs = prefix.view(float).reshape(-1, 2)
+            proj = np.empty((len(prefix), WIDTH_DIRECTIONS))
+            top, bottom = self.top[cols], self.bottom[cols]
+            for i, row in enumerate(rows):
+                if i or not fresh:
+                    prefix += row[cols]
+                np.matmul(pairs, _WIDTH_UNITS, out=proj)
+                np.maximum(top, proj, out=top)
+                np.minimum(bottom, proj, out=bottom)
+
+    def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) on the window maximum of the rows added so far."""
+        m = len(self.top)
+        lower, upper = np.empty(m), np.empty(m)
+        for cols in _width_blocks(m):
+            top, bottom = self.top[cols], self.bottom[cols]
+            width = (top - bottom).max(axis=1)
+            # max_i |P_i| <= largest |projection| / cos(pi/2D), by the
+            # argument of `window_gap_bracket`
+            margin = (WIDTH_MARGIN / _WIDTH_COS * np.maximum(top, -bottom).max(axis=1)
+                      + WIDTH_UNDERFLOW)
+            lower[cols] = np.maximum(width - margin, 0.0)
+            upper[cols] = width / _WIDTH_COS + margin
+        return lower, upper
+
+
 def window_gap_bracket(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Certified (lower, upper) on max over 0 <= i < l <= S of |P_l - P_i|
     per column, P_i the sum of the first i of the S rows (P_0 = 0), in
@@ -216,38 +279,15 @@ def window_gap_bracket(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     far above the few ulps of max_i |P_i| by which the projections, and
     the exact sweep's differences, round, plus the rounding model's
     underflow term WIDTH_UNDERFLOW for subnormal values.  Columns go in
-    blocks of WIDTH_BLOCK_COLUMNS, each streamed over the rows: the running
-    prefix sum takes one row at a time, and its projections are folded
-    into running extremes over the directions.  A last block of one column
-    joins the block before it: numpy projects a single point through BLAS's
-    matrix-vector kernel, which rounds differently from the matrix one.
+    the blocks of `_width_blocks`, each streamed over the rows by its own
+    `WidthBracket`, so only one block's extremes are held at a time.
     """
-    count, m = rows.shape
+    m = rows.shape[1]
     lower, upper = np.empty(m), np.empty(m)
-    edges = list(range(0, m, WIDTH_BLOCK_COLUMNS)) + [m]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    for lo, hi in zip(edges, edges[1:]):
-        cols = slice(lo, hi)
-        prefix = rows[0, cols].copy()
-        pairs = prefix.view(float).reshape(-1, 2)
-        proj = np.empty((len(prefix), WIDTH_DIRECTIONS))
-        # P_0 = 0 projects to 0
-        top = np.zeros_like(proj)
-        bottom = np.zeros_like(proj)
-        for i in range(count):
-            if i:
-                prefix += rows[i, cols]
-            np.matmul(pairs, _WIDTH_UNITS, out=proj)
-            np.maximum(top, proj, out=top)
-            np.minimum(bottom, proj, out=bottom)
-        width = (top - bottom).max(axis=1)
-        # max_i |P_i| <= largest |projection| / cos(pi/2D), by the same
-        # argument
-        margin = (WIDTH_MARGIN / _WIDTH_COS * np.maximum(top, -bottom).max(axis=1)
-                  + WIDTH_UNDERFLOW)
-        lower[cols] = np.maximum(width - margin, 0.0)
-        upper[cols] = width / _WIDTH_COS + margin
+    for cols in _width_blocks(m):
+        block = WidthBracket(cols.stop - cols.start)
+        block.add(rows[:, cols])
+        lower[cols], upper[cols] = block.bounds()
     return lower, upper
 
 
@@ -341,7 +381,11 @@ class BlockSum:
     Values and, in the segments layout, the S** bracket come from one pass
     over the terms, run on the first call per grid size and kept on the
     instance as read-only arrays (three M-point arrays, 0.5 MB at 2^14),
-    so each carrier is transformed once per grid.
+    so each carrier is transformed once per grid.  Besides the values and
+    two cut bounds, the pass holds one batch of carriers, the running
+    prefix sum and 2 * 16 extremes per column of a `WidthBracket` where
+    the segment rows come in term order (segment p is term p's only one,
+    from 16 segments on), and all S segment rows otherwise (`_evaluate`).
     """
 
     def __init__(self, terms: Sequence[BlockTerm], layout: str = "segments"):
@@ -429,6 +473,15 @@ class BlockSum:
         order.  Each distinct payload is evaluated once, and each payload
         half once, unless it is the whole payload: such a half's segment
         row is the term's values, gathered and multiplied once.
+
+        Where segment p is term p's only segment (one-sided payloads whose
+        rates rise with the term index, as in `analytic_korner`) and the
+        width bracket applies, the rows come in segment order: the segment
+        rows are one batch buffer, reused from batch to batch, and each
+        filled batch goes into a running `WidthBracket` before the next.
+        The pass then holds the values, two cut bounds, one batch and the
+        bracket's prefix sum and 2 D extremes per column.  Any other layout
+        keeps all S segment rows for the window pass.
         """
         m = grid.size
         pv = {i: h.values(grid, allow_alias=True) for i, h in self._payloads.items()}
@@ -439,13 +492,18 @@ class BlockSum:
             rows.setdefault(seg["term"], []).append(pos)
         halves = self._halves(grid) if segments else {}
         h_linf = {i: coeff_norms(h).linf for i, h in self._payloads.items()}
-        segs = np.empty((len(self._segments) if segments else 0, m), dtype=complex)
+        count = len(self._segments) if segments else 0
+        step = max(1, EVAL_BATCH_CELLS // m)
+        in_order = count >= WIDTH_BRACKET_ROWS and all(
+            rows[i] == [i] for i in range(len(self.terms)))
+        width = WidthBracket(m) if in_order else None
+        segs = np.empty((min(step, count) if in_order else count, m), dtype=complex)
         top1 = np.zeros(m)
         top2 = np.zeros(m)
-        step = max(1, EVAL_BATCH_CELLS // m)
         for lo in range(0, len(self.terms), step):
             batch = range(lo, min(lo + step, len(self.terms)))
-            home = [rows[i][-1] for i in batch] if segments else []
+            first = lo if in_order else 0  # the segment position of segs[0]
+            home = [rows[i][-1] - first for i in batch] if segments else []
             if home and home == list(range(home[0], home[0] + len(batch))):
                 buf = segs[home[0]:home[0] + len(batch)]
             else:
@@ -463,7 +521,8 @@ class BlockSum:
                 for pos in rows[i]:
                     half, half_l1 = halves[id(t.payload), self._segments[pos]["sign"]]
                     # the home row comes last, so cv is read before it goes
-                    segs[pos] = term if half is None else _times_gathered(cv, half[index])
+                    segs[pos - first] = (term if half is None
+                                         else _times_gathered(cv, half[index]))
                     cut = acv * half_l1 + h_linf[id(t.payload)] * c_l1
                     swap = cut > top1
                     np.maximum(top2, np.minimum(cut, top1), out=top2)
@@ -471,16 +530,22 @@ class BlockSum:
                     np.copyto(top1, cut, where=swap)
                 # free this term's arrays before the next term's
                 del acv, half, cut, swap
+            if in_order:
+                width.add(buf)
             del buf, cv, index, term
         if not segments:
             return out, None, None
-        # the window pass then holds the rows, the values and two bounds
         del pv, halves
-        if len(segs) >= WIDTH_BRACKET_ROWS:
+        if in_order:
+            del segs  # the last batch
+            lower, upper = width.bounds()
+        elif count >= WIDTH_BRACKET_ROWS:
+            # the window pass then holds the rows, the values and two bounds
             lower, upper = window_gap_bracket(segs)
-            return out, lower, upper + top1 + top2
-        dmid = max_window_gap(lambda i, cols: segs[i][cols], len(segs), m)
-        return out, dmid, dmid + top1 + top2
+        else:
+            dmid = max_window_gap(lambda i, cols: segs[i][cols], count, m)
+            return out, dmid, dmid + top1 + top2
+        return out, lower, upper + top1 + top2
 
     def _halves(self, grid: CircleGrid) -> dict:
         """(payload id, sign) -> (values, l1 norm) of each payload half a

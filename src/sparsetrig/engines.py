@@ -545,7 +545,11 @@ def transform_series_shift(run: RepresentationRun, n: int) -> RepresentationRun:
     Only materializable runs (stage polynomials stored as TrigPoly) are
     transformable; the finite partial sums of the result agree with the
     original's times e^{-int} up to the re-indexing window, which is
-    verified on the grid by the caller's tests.
+    verified on the grid by the caller's tests.  No engine run with a
+    non-zero stage is: each engine's only TrigPoly stage is the zero
+    polynomial, the others being `_Modulated`, `BlockSum` or
+    `ScaledProduct`, so this raises ValueError on them, and only
+    synthetic runs of TrigPoly stages reach it.
     """
     grid = run.grid
     new_target = SampledFunction(
@@ -572,7 +576,10 @@ def transform_series_divide(run: RepresentationRun, m: int) -> RepresentationRun
 
     The target moves to the coarse grid M/m through
     f(t) = (1/m) sum_{r<m} g((t + 2 pi r)/m), evaluated exactly on grid
-    points; the full finite sums then agree pointwise (decimation).
+    points; the full finite sums then agree pointwise (decimation).  Like
+    `transform_series_shift` it needs TrigPoly stages, and so raises
+    ValueError on every engine run with a non-zero stage; only synthetic
+    runs of TrigPoly stages reach it.
     """
     grid = run.grid
     if grid.size % m != 0 or (grid.size // m) % 2 != 0:

@@ -467,9 +467,13 @@ def translate(p: TrigPoly, shift: float) -> TrigPoly:
         return TrigPoly({k: c * cmath.exp(1j * k * shift) for k, c in p._items()})
     # np.exp agrees with cmath.exp here; the product is CPython's
     phase = np.exp(1j * p._k * shift)
-    c = _cmul(p._c, phase.real, phase.imag)
-    keep = c != 0
-    return TrigPoly._of_arrays(p._k[keep], c[keep])
+    # every coefficient stays nonzero, so p's frequencies are shared, as
+    # `contract` shares p's coefficients.  With w = c + id, |c| or |d|
+    # exceeds 1/2, and its product with a nonzero a or b never rounds to 0;
+    # a zero (a + ib) w would then need fl(ac) = fl(bd) and
+    # fl(ad) = -fl(bc), all four nonzero, whose signs give
+    # sign(cd) = -sign(cd)
+    return TrigPoly._of_arrays(p._k, _cmul(p._c, phase.real, phase.imag))
 
 
 def multiply(p: TrigPoly, q: TrigPoly) -> TrigPoly:

@@ -479,6 +479,22 @@ def test_analytic_korner_report_shape():
     assert not rep.all_passed()  # the documented float barrier
 
 
+def test_analytic_korner_builds_one_sum_for_every_eps():
+    # with the default unit_floor and k_cap the unit quality clamps to 0.2,
+    # K to 41 and the tile accuracy to 1e-4 for every eps in (0, 1/2):
+    # only the certificate bounds and the deviation strings move with eps
+    grid = CircleGrid(1022)
+    hi, lo = (analytic_korner(eps, grid=grid, strict=False) for eps in (0.45, 0.01))
+    assert len(hi.poly.terms) == len(lo.poly.terms) == 41
+    for a, b in zip(hi.poly.terms, lo.poly.terms):
+        assert a.rate == b.rate
+        for p, q in ((a.carrier, b.carrier), (a.payload, b.payload)):
+            assert np.array_equal(p._k, q._k)
+            assert np.array_equal(p._c, q._c)
+    assert np.array_equal(hi.exceptional_set, lo.exceptional_set)
+    assert hi.deviations != lo.deviations
+
+
 @st.composite
 def tile_configs(draw):
     """K odd tiles of 9-41, a grid among the stage and test sizes, a small

@@ -15,15 +15,15 @@ from coeff_oracle import bits, oracle_iter_coeffs
 from structure_loader import load_structure
 from tile_oracle import ref_contracted_indices
 from window_oracle import ref_s_star_star, ref_width_bracket, ref_window_gap
-from sparsetrig import cli
+from sparsetrig import blockpoly, cli
 from sparsetrig import trigpoly as tp
 from sparsetrig.approximants import analytic_korner, korner_polynomial
 from sparsetrig.blockpoly import (WIDTH_BLOCK_COLUMNS, WIDTH_BRACKET_ROWS,
                                   WIDTH_DIRECTIONS, WIDTH_MARGIN,
                                   WIDTH_UNDERFLOW, BlockSum,
                                   BlockTerm, Freq, LazyRate, ScaledProduct,
-                                  contracted_index_map, orbit_fraction,
-                                  window_gap_bracket)
+                                  WidthBracket, contracted_index_map,
+                                  orbit_fraction, window_gap_bracket)
 from sparsetrig.circle import CircleGrid
 from sparsetrig.engines import _Modulated, run_asymptotic_l2_engine
 from sparsetrig.targets import cosk
@@ -144,6 +144,46 @@ def test_width_bracket_matches_chunked_oracle(count, m, kind, seed):
             assert abs(a[-1] - b[-1]) <= 4 * np.finfo(float).eps * radius
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(16, 130),
+       st.one_of(st.integers(1, 3 * WIDTH_BLOCK_COLUMNS + 7),
+                 st.sampled_from([WIDTH_BLOCK_COLUMNS - 1, WIDTH_BLOCK_COLUMNS + 1,
+                                  2 * 8191, 1022])),
+       st.sampled_from(["normal", "zero", "subnormal", "mixed"]),
+       st.sampled_from(["ones", "random", "whole"]),
+       st.integers(0, 2 ** 32 - 1))
+@example(20, WIDTH_BLOCK_COLUMNS + 1, "mixed", "ones", 4)  # a last block of one column
+@example(41, 2 * 8191, "normal", "random", 0)
+def test_streamed_width_bracket_matches_one_shot(count, m, kind, split, seed):
+    # rows fed a batch at a time give the bits of one batch of all of them
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(count, m)) + 1j * rng.normal(size=(count, m))
+    if kind == "zero":
+        rows[rng.random(count) < 0.5] = 0
+    elif kind == "subnormal":
+        rows *= 2.0 ** -1060
+    elif kind == "mixed":
+        # zero, subnormal and signed-zero rows between normal ones
+        pick = rng.integers(4, size=count)
+        rows[pick == 0] = 0
+        rows[pick == 1] *= 2.0 ** -1065
+        rows[pick == 2] = -0.0 - 0.0j
+    if split == "ones":
+        cuts = range(1, count)
+    elif split == "random":
+        cuts = sorted(rng.choice(np.arange(1, count), int(rng.integers(1, count)),
+                                 replace=False))
+    else:
+        cuts = []
+    streamed = WidthBracket(m)
+    for batch in np.split(rows, cuts):
+        streamed.add(batch)
+    lower, upper = streamed.bounds()
+    ref_lower, ref_upper = window_gap_bracket(rows)
+    assert np.array_equal(lower, ref_lower)
+    assert np.array_equal(upper, ref_upper)
+
+
 def test_width_bracket_temporaries_do_not_grow_with_rows():
     # the bracket holds its two results and one block's prefix,
     # projections and extremes, whatever the row count
@@ -197,19 +237,22 @@ def bracket_peak(q, grid):
         tracemalloc.stop()
 
 
-def test_bracket_memory_holds_rows_and_two_bounds():
-    # 41 tiles of one 2048-coefficient unit approximant: the segment rows
-    # take 10.7 MB, and the width bracket with the values from the same
-    # pass peaks at 12.5 MB.  The rows set that peak, not the payload.
+def test_bracket_memory_holds_a_batch_in_order_and_every_row_out_of_order():
+    # 41 tiles of one 2048-coefficient unit approximant, whose rows come in
+    # segment order: they stream into the width bracket one batch at a
+    # time, and the pass peaks at 7.1 MB, below the 10.7 MB the 41 segment
+    # rows alone would take
     grid = CircleGrid(2 * 8191)
     q = analytic_korner(0.3, grid=grid, strict=False).poly
     assert len(q.terms) == 41
     peak, values_peak = bracket_peak(q, grid)
-    assert peak < 16e6
+    assert peak < 8e6
     # values after the bracket come from the same pass: no M-point array
     assert values_peak < grid.size * 8
-    # 64 segment rows take 16.8 MB on 2^14, and the pass with the values and
-    # the width bracket peaks at 19.0 MB (22.4 MB with the exact sweep)
+    # two-sided tiles put their negative halves in reverse term order, so
+    # all 64 segment rows are kept: they take 16.8 MB on 2^14, and the pass
+    # with the values and the width bracket peaks at 19.0 MB (22.4 MB with
+    # the exact sweep)
     grid = CircleGrid(2 ** 14)
     q = korner_polynomial(0.21, 0.22, grid=grid, strict=False).poly
     assert len(q._segments) == 64
@@ -247,11 +290,28 @@ def block_sums(draw):
     return BlockSum(terms, layout=draw(st.sampled_from(["segments", "subblocks"])))
 
 
+def in_order_block_sum(count=20):
+    """`count` one-sided terms at rising rates 61 * 9^i: segment p is term
+    p's only segment, so from 16 terms on the rows stream into the width
+    bracket (`block_sums` almost never draws that)."""
+    rng = np.random.default_rng(29)
+
+    def poly(ks):
+        return TrigPoly({int(k): complex(rng.normal(), rng.normal()) for k in ks})
+    return BlockSum([BlockTerm(poly(rng.choice(np.arange(-30, 31), size, replace=False)),
+                               poly(rng.choice(np.arange(1, 7), 3, replace=False)),
+                               61 * 9 ** i)
+                     for i, size in enumerate(rng.integers(1, 61, count))])
+
+
 # 2^14 points make 256 KiB rows, where numpy's temporary elision applies;
 # 2*8191 points have a large prime factor, so carriers of support <= 18
 # take the direct sum
 @settings(max_examples=60, deadline=None)
 @given(block_sums(), st.sampled_from([2 ** 14, 2 * 8191, 1022]))
+@example(in_order_block_sum(), 2 ** 14)
+@example(in_order_block_sum(), 2 * 8191)
+@example(in_order_block_sum(), 1022)
 def test_one_pass_bit_identical_to_two(w, m):
     grid = CircleGrid(m)
     values = w.values(grid)
@@ -262,6 +322,25 @@ def test_one_pass_bit_identical_to_two(w, m):
         assert np.array_equal(lower, ref_lower)
         assert np.array_equal(upper, ref_upper)
     assert w.values(grid) is values
+
+
+def test_only_in_order_rows_skip_the_row_matrix(monkeypatch):
+    # the path follows the segment order: in-order one-sided rows never
+    # reach the one-shot bracket, and the same terms out of order do
+    called = []
+    bracket = blockpoly.window_gap_bracket
+    monkeypatch.setattr(blockpoly, "window_gap_bracket",
+                        lambda rows: called.append(len(rows)) or bracket(rows))
+    grid = CircleGrid(1022)
+    w = in_order_block_sum()
+    lower, upper = w.sstar_star_bracket(grid)
+    assert called == []
+    # the same rows in the same segment order, kept whole
+    shuffled = BlockSum(w.terms[1:] + w.terms[:1])
+    shuffled_lower, shuffled_upper = shuffled.sstar_star_bracket(grid)
+    assert called == [len(w.terms)]
+    assert np.array_equal(shuffled_lower, lower)
+    assert np.array_equal(shuffled_upper, upper)
 
 
 def test_scaled_product_transforms_inner_once(monkeypatch):

@@ -228,6 +228,21 @@ def test_contract_translate():
         assert twice[k] == pytest.approx(once[k])
 
 
+def test_translate_shares_frequencies_and_keeps_every_coefficient():
+    # no rotation rounds a nonzero coefficient to 0, down to the smallest
+    # subnormal ones: each translate shares p's frequency array and equals
+    # the dict form, which would drop a zero product
+    tiny = 5e-324
+    cs = [complex(a * tiny, b * tiny) for a in range(-4, 5) for b in range(-4, 5)
+          if a or b]
+    p = TrigPoly({**{k: c for k, c in enumerate(cs, start=1)}, -3: 2.0, 99: 0.5 - 1j})
+    for shift in np.linspace(-7.0, 7.0, 501):
+        q = tp.translate(p, shift)
+        assert q._k is p._k
+        assert q == TrigPoly({k: c * cmath.exp(1j * k * shift) for k, c in p.coeffs.items()})
+        assert len(q) == len(p)
+
+
 def test_multiply():
     p = TrigPoly({-1: 1, 1: 1})
     assert tp.multiply(p, TrigPoly({0: 1})) == p
