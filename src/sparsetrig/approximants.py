@@ -14,7 +14,6 @@ them; `strict=True` turns a failed certificate into an exception.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -45,6 +44,9 @@ OUTER_PEAK_LOG_CAP = 27.0
 UNIT_ARC_FRACTION = 0.9
 UNIT_DEPTH_DIVISOR = 1.2
 UNIT_RAMP_FRACTION = 0.35
+#: prime candidates `disjoint_prime_rates` tries: over 10x the 521 of its
+#: widest test draw (8 rates, degree 60, spread 31); `twosided` takes <= 135
+RATE_WALK_CANDIDATES = 6000
 
 
 class ConstructionInfeasible(RuntimeError):
@@ -167,7 +169,7 @@ def analytic_unit(eps: float, grid: Optional[CircleGrid] = None,
     # every FFT below has a smooth length and the refinement stops at 2^18
     m_work = 1 << (max(grid.size, 2 ** 12) - 1).bit_length()
     while True:
-        t = -math.pi + 2.0 * math.pi * np.arange(m_work) / m_work
+        t = CircleGrid(m_work).points
         # plateau at `depth` off the arc, smooth bump inside; bump height
         # fixed by the exact zero-mean constraint
         bump = _smoothstep((half_width - np.abs(t))
@@ -250,7 +252,7 @@ def jackson_dip(half_degree: int) -> TrigPoly:
     if n < 2:
         raise ValueError("half_degree must be >= 2")
     m = 1 << max(8, (4 * n - 1).bit_length())
-    t = -math.pi + 2.0 * math.pi * np.arange(m) / m
+    t = CircleGrid(m).points
     s = np.sin(t / 2.0)
     num = np.sin(n * t / 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -352,17 +354,20 @@ def fejer_until(f: SampledFunction, delta: float, eps: float,
 # payload rate selection (disjoint layouts)
 # ---------------------------------------------------------------------------
 
-def _first_clash(used: List[int], cand: int, payload_deg: int,
+def _first_clash(used: np.ndarray, cand: int, payload_deg: int,
                  gap: int) -> Optional[Tuple[int, int]]:
     """(k, u) for the first multiple k * cand, 1 <= k <= payload_deg,
-    within `gap` of a used multiple u (the larger such u), or None."""
-    for k in range(1, payload_deg + 1):
-        v = k * cand
-        i = bisect.bisect_left(used, v)
-        if i < len(used) and used[i] - v <= gap:
-            return k, used[i]
-        if i and v - used[i - 1] <= gap:
-            return k, used[i - 1]
+    within `gap` of a used multiple u (the larger such u), or None.  The
+    sorted int64 `used` starts at the sentinel -2^62 and its entries lie
+    more than `gap` apart, so that u is the largest <= k * cand + gap;
+    the multiples are looked up 4096 at a time."""
+    for lo in range(1, payload_deg + 1, 4096):
+        v = np.arange(lo, min(lo + 4096, payload_deg + 1)) * cand
+        u = used[used.searchsorted(v + gap, "right") - 1]
+        hit = u >= v - gap
+        n = int(hit.argmax())
+        if hit[n]:
+            return lo + n, int(u[n])
     return None
 
 
@@ -376,24 +381,31 @@ def disjoint_prime_rates(count: int, payload_deg: int,
     increasing order and keeps the first whose multiples clear every used
     one; a candidate whose k-th multiple comes within the gap of a used u
     is left at that multiple, and since every N' <= (u + gap) // k clashes
-    with u at the same k, the walk jumps past them.
+    with u at the same k, the walk jumps past them.  It gives up after
+    RATE_WALK_CANDIDATES candidates, or at multiples past 2^62.
     """
     gap = 2 * carrier_spread + 2
-    used: List[int] = []  # sorted multiples k * N_i
+    used = np.array([-2 ** 62])  # the sorted multiples k * N_i follow
     rates: List[int] = []
     cand = next(primes_from(max(2 * carrier_spread + 3,
                                 2 * payload_deg * (carrier_spread + 2))))
-    while len(rates) < count:
+    for _ in range(RATE_WALK_CANDIDATES):
+        if len(rates) == count or payload_deg * cand >= 2 ** 62:
+            break
         clash = _first_clash(used, cand, payload_deg, gap)
         if clash is None:
             rates.append(cand)
-            # two sorted runs: the sort merges them in linear time
-            used.extend(range(cand, payload_deg * cand + 1, cand))
-            used.sort()
+            used = np.sort(np.concatenate([used, np.arange(1, payload_deg + 1) * cand]))
             cand = next(primes_from(cand + 2))
         else:
             k, u = clash
             cand = next(primes_from((u + gap) // k + 1))
+    if len(rates) < count:
+        raise ConstructionInfeasible(
+            f"found {len(rates)} of {count} prime rates in RATE_WALK_CANDIDATES = "
+            f"{RATE_WALK_CANDIDATES} candidates with multiples below 2^62",
+            {"candidate_cap": RATE_WALK_CANDIDATES, "rates_found": len(rates),
+             "payload_deg": payload_deg, "carrier_spread": carrier_spread})
     return rates
 
 
@@ -501,7 +513,8 @@ def korner_polynomial(eps: float, delta: float,
     rates = _segment_rates(K, deg_f, dip.degree())
     deviations.append(
         "block rates follow the geometric growth K*(2 deg F + deg G + 2)^s "
-        "rounded to odd values (full sampling orbits on even grids)"
+        "rounded to odd values (full sampling orbits on power-of-two grids; "
+        "extras.min_orbit_fraction reports the orbit on other grids)"
     )
     q = _tiled_sum(tile, dip, rates, "segments")
 

@@ -52,12 +52,12 @@ from .trigpoly import (TrigPoly, _cmul, _freq_array, _outer_freqs,
                        values_rows)
 
 #: grid cells (carriers x points) `BlockSum` transforms in one batch, and
-#: the segment rows a streamed pass holds: four carriers on 2^14 points,
-#: 1 MB.  At 2^17 cells (eight carriers) the `analytic` benchmark's peak
+#: the segment rows of each side a pass holds: four carriers on 2^14
+#: points, 1 MB.  At 2^17 cells (eight carriers) the `analytic` benchmark's peak
 #: RSS read 65.7 MB in 4 of 6 paired runs, against 58.1-59.4 MB here.
 EVAL_BATCH_CELLS = 2 ** 16
 
-#: directions pi d / D of the width bracket (`window_gap_bracket`); its
+#: directions pi d / D of the width bracket (`WidthBracket`); its
 #: upper bound sits at most 1/cos(pi/2D) - 1 = 0.48 % above the exact one
 WIDTH_DIRECTIONS = 16
 #: segment rows from which `BlockSum.sstar_star_bracket` takes the width
@@ -68,7 +68,8 @@ WIDTH_BRACKET_ROWS = 16
 #: sum, projections, extremes and their differences hold about 0.7 MB for
 #: any row count
 WIDTH_BLOCK_COLUMNS = 1024
-#: the width bracket's rounding margin, relative to max_i |P_i| per column
+#: the width bracket's rounding margin, relative to its largest |point|
+#: per column
 WIDTH_MARGIN = 1e-12
 #: the width bracket's absolute margin: sixteen subnormal steps, above the
 #: underflow of two products and a difference in each projected width
@@ -216,38 +217,57 @@ def _width_blocks(m: int) -> List[slice]:
 
 
 class WidthBracket:
-    """`window_gap_bracket` of rows that arrive a batch at a time.
+    """Certified (lower, upper) on the window maximum of segment rows that
+    arrive a batch at a time, in O(D S M) work where `max_window_gap`
+    takes O(S^2 M).
 
-    It keeps the running prefix sum and, for every column, the top and
-    bottom projection over the WIDTH_DIRECTIONS directions (2 D + 2 floats
-    per column, whatever the row count).  `add` folds the next rows in
-    column blocks (`_width_blocks`), one row at a time within a block, and
-    `bounds` turns the extremes into the bracket, block by block; any split
-    of the rows into batches gives the bits of one batch of all of them.
+    The rows come in a `BlockSum`'s segment order: negative halves in
+    reverse term order, then positive halves in term order.  The window
+    maximum is the diameter of their prefix sums P_i (P_0 = 0).  Less the
+    negative-half total N, those are the points -Q_k and R_j, with Q_k and
+    R_j the sums of the first k negative- and j positive-half rows in term
+    order, and a translation keeps every width.  So `add` keeps -Q and R
+    running and folds the projections of the points into a top and a
+    bottom extreme per column and direction: 2 D floats per column and
+    the two prefixes, whatever the row count.
+
+    The width along any direction is at most the diameter, and the
+    diameter lies within pi/2D of one of the D directions pi d / D, along
+    which the width is then at least diam * cos(pi/2D); so the widest
+    width W gives W <= diam <= W / cos(pi/2D).  Both bounds move out by
+    WIDTH_MARGIN times the largest |point|, far above the few ulps of it
+    by which the projections round, and by which the exact sweep's
+    differences do (|P_i| = |point - (-N)| is at most twice the largest),
+    plus the rounding model's underflow term WIDTH_UNDERFLOW.  Rows fold
+    in column blocks (`_width_blocks`), one row at a time within a block,
+    so any split of the rows into batches gives the same bits.
     """
 
     def __init__(self, m: int):
-        self.prefix = None  # P_1 is the first row itself
-        # P_0 = 0 projects to 0
-        self.top = np.zeros((m, WIDTH_DIRECTIONS))
-        self.bottom = np.zeros((m, WIDTH_DIRECTIONS))
+        self.prefix = {}  # side -> its running point: R (1) or -Q (-1)
+        # one allocation, P_0 = 0 projecting to 0
+        self.top, self.bottom = np.zeros((2, m, WIDTH_DIRECTIONS))
 
-    def add(self, rows: np.ndarray):
-        """Fold the next rows, a (count, M) array, into the extremes."""
-        fresh = self.prefix is None
-        if fresh:
-            self.prefix = rows[0].copy()
-        for cols in _width_blocks(len(self.prefix)):
-            prefix = self.prefix[cols]
-            pairs = prefix.view(float).reshape(-1, 2)
-            proj = np.empty((len(prefix), WIDTH_DIRECTIONS))
+    def add(self, rows: Sequence[np.ndarray], neg: Sequence[np.ndarray] = ()):
+        """Fold the next positive-half `rows` and negative-half rows `neg`,
+        each side in term order."""
+        sides = [(sign, side) for sign, side in ((1, rows), (-1, neg)) if len(side)]
+        for sign, _ in sides:
+            if sign not in self.prefix:
+                self.prefix[sign] = np.zeros(len(self.top), dtype=complex)
+        for cols in _width_blocks(len(self.top)):
+            proj = np.empty((cols.stop - cols.start, WIDTH_DIRECTIONS))
             top, bottom = self.top[cols], self.bottom[cols]
-            for i, row in enumerate(rows):
-                if i or not fresh:
-                    prefix += row[cols]
-                np.matmul(pairs, _WIDTH_UNITS, out=proj)
-                np.maximum(top, proj, out=top)
-                np.minimum(bottom, proj, out=bottom)
+            for sign, side in sides:
+                prefix = self.prefix[sign][cols]
+                pairs = prefix.view(float).reshape(-1, 2)
+                # -Q is kept: negation is exact, so it rounds as Q does
+                fold = np.add if sign > 0 else np.subtract
+                for row in side:
+                    fold(prefix, row[cols], out=prefix)
+                    np.matmul(pairs, _WIDTH_UNITS, out=proj)
+                    np.maximum(top, proj, out=top)
+                    np.minimum(bottom, proj, out=bottom)
 
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """(lower, upper) on the window maximum of the rows added so far."""
@@ -255,40 +275,16 @@ class WidthBracket:
         lower, upper = np.empty(m), np.empty(m)
         for cols in _width_blocks(m):
             top, bottom = self.top[cols], self.bottom[cols]
-            width = (top - bottom).max(axis=1)
-            # max_i |P_i| <= largest |projection| / cos(pi/2D), by the
-            # argument of `window_gap_bracket`
-            margin = (WIDTH_MARGIN / _WIDTH_COS * np.maximum(top, -bottom).max(axis=1)
-                      + WIDTH_UNDERFLOW)
+            # the widest width and the largest |projection| (>= cos(pi/2D)
+            # times the largest |point|), maxima over 2^4 directions by halving
+            both = np.stack((top - bottom, np.maximum(top, -bottom)))
+            while both.shape[2] > 1:
+                both = np.maximum(both[..., ::2], both[..., 1::2])
+            width, biggest = both[..., 0]
+            margin = WIDTH_MARGIN / _WIDTH_COS * biggest + WIDTH_UNDERFLOW
             lower[cols] = np.maximum(width - margin, 0.0)
             upper[cols] = width / _WIDTH_COS + margin
         return lower, upper
-
-
-def window_gap_bracket(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Certified (lower, upper) on max over 0 <= i < l <= S of |P_l - P_i|
-    per column, P_i the sum of the first i of the S rows (P_0 = 0), in
-    O(D S M) work where `max_window_gap` takes O(S^2 M).
-
-    The window maximum is the diameter of the points P_0, ..., P_S.  Their
-    width along any direction is at most the diameter, and the diameter
-    lies within pi/2D of one of the D directions pi d / D, along which the
-    width is then at least diam * cos(pi/2D).  So the widest width W gives
-    W <= diam <= W / cos(pi/2D).  The prefix sums are added in the exact
-    sweep's order, and both bounds move out by WIDTH_MARGIN * max_i |P_i|,
-    far above the few ulps of max_i |P_i| by which the projections, and
-    the exact sweep's differences, round, plus the rounding model's
-    underflow term WIDTH_UNDERFLOW for subnormal values.  Columns go in
-    the blocks of `_width_blocks`, each streamed over the rows by its own
-    `WidthBracket`, so only one block's extremes are held at a time.
-    """
-    m = rows.shape[1]
-    lower, upper = np.empty(m), np.empty(m)
-    for cols in _width_blocks(m):
-        block = WidthBracket(cols.stop - cols.start)
-        block.add(rows[:, cols])
-        lower[cols], upper[cols] = block.bounds()
-    return lower, upper
 
 
 def _times_gathered(cv: np.ndarray, gathered: np.ndarray) -> np.ndarray:
@@ -378,14 +374,20 @@ class BlockSum:
     are disjoint (segments may interleave); coefficient statistics remain
     exact but partial-sum control falls back to the crude l1 bound.
 
+    The terms are kept in rate order: they are sorted by Freq.of(rate) at
+    construction, stably, so a sum already in that order keeps it.  The
+    segments layout also needs its segments, in frequency order, to be the
+    negative halves in reverse term order, then the positive halves in
+    term order (`_validate_segments`); every program layout is.
+
     Values and, in the segments layout, the S** bracket come from one pass
     over the terms, run on the first call per grid size and kept on the
     instance as read-only arrays (three M-point arrays, 0.5 MB at 2^14),
     so each carrier is transformed once per grid.  Besides the values and
-    two cut bounds, the pass holds one batch of carriers, the running
-    prefix sum and 2 * 16 extremes per column of a `WidthBracket` where
-    the segment rows come in term order (segment p is term p's only one,
-    from 16 segments on), and all S segment rows otherwise (`_evaluate`).
+    two cut bounds, the pass holds one or two reused batches and, from 16
+    segments on, the two running prefixes and 2 * 16 extremes per column
+    of a `WidthBracket`, or the at most 15 segment rows below that
+    (`_evaluate`).
     """
 
     def __init__(self, terms: Sequence[BlockTerm], layout: str = "segments"):
@@ -393,7 +395,7 @@ class BlockSum:
             raise ValueError("need at least one term")
         if layout not in ("segments", "subblocks"):
             raise ValueError(f"unknown layout {layout!r}")
-        self.terms = list(terms)
+        self.terms = sorted(terms, key=lambda t: Freq.of(t.rate))
         self.layout = layout
         #: distinct payloads by identity: terms usually share one payload,
         #: whose values are then computed once per grid
@@ -426,6 +428,11 @@ class BlockSum:
             if not a["hi"] < b["lo"]:
                 raise ValueError(
                     f"block segments overlap: terms {a['term']} and {b['term']}")
+        # the segment order `WidthBracket` folds in term order
+        order = [(s["sign"], s["sign"] * s["term"]) for s in self._segments]
+        if order != sorted(order):
+            raise ValueError("block segments out of rate order: negative halves "
+                             "must fall, then positive halves rise, with the rate")
 
     def _validate_subblocks(self):
         if self.lazy:
@@ -462,106 +469,86 @@ class BlockSum:
         lower and upper are the S** bracket, None in the subblocks layout.
 
         Carriers are transformed EVAL_BATCH_CELLS at a time by
-        `values_rows`, each once.  Values are added term by term, in term
-        order.  In the segments layout a term's last segment row (its home
-        row) holds its carrier's values until the term fills that row, and
-        a batch whose home rows follow each other is transformed in place
-        there; any other batch goes through its own buffer.  A term fills
-        its segment rows (carrier times contracted payload half) and folds
-        the pointwise bound on a rectangular cut inside each of its
-        segments into the two largest bounds, which do not depend on their
-        order.  Each distinct payload is evaluated once, and each payload
-        half once, unless it is the whole payload: such a half's segment
-        row is the term's values, gathered and multiplied once.
-
-        Where segment p is term p's only segment (one-sided payloads whose
-        rates rise with the term index, as in `analytic_korner`) and the
-        width bracket applies, the rows come in segment order: the segment
-        rows are one batch buffer, reused from batch to batch, and each
-        filled batch goes into a running `WidthBracket` before the next.
-        The pass then holds the values, two cut bounds, one batch and the
-        bracket's prefix sum and 2 D extremes per column.  Any other layout
-        keeps all S segment rows for the window pass.
+        `values_rows`, in place in one reused batch buffer, and values are
+        added in term order.  In the segments layout a term then fills its
+        segment rows (carrier times contracted payload half; a half that
+        is the whole payload reuses the term's values) and folds the
+        pointwise bound on a rectangular cut inside each segment into the
+        two largest bounds.  Each distinct payload, and each payload half,
+        is evaluated once.  From WIDTH_BRACKET_ROWS segments on, each
+        batch's rows go into a `WidthBracket` a side at a time: a
+        positive-half row over its carrier, once the term has read it, and
+        a negative-half row into a second reused buffer.  Below that, the
+        at most WIDTH_BRACKET_ROWS - 1 rows are kept and swept exactly in
+        segment order.
         """
         m = grid.size
+        n = len(self.terms)
         pv = {i: h.values(grid, allow_alias=True) for i, h in self._payloads.items()}
         out = np.zeros(m, dtype=complex)
         segments = self.layout == "segments"
-        rows = {}  # term index -> positions of its segments, home row last
-        for pos, seg in enumerate(self._segments if segments else ()):
-            rows.setdefault(seg["term"], []).append(pos)
         halves = self._halves(grid) if segments else {}
-        h_linf = {i: coeff_norms(h).linf for i, h in self._payloads.items()}
         count = len(self._segments) if segments else 0
-        step = max(1, EVAL_BATCH_CELLS // m)
-        in_order = count >= WIDTH_BRACKET_ROWS and all(
-            rows[i] == [i] for i in range(len(self.terms)))
-        width = WidthBracket(m) if in_order else None
-        segs = np.empty((min(step, count) if in_order else count, m), dtype=complex)
-        top1 = np.zeros(m)
-        top2 = np.zeros(m)
-        for lo in range(0, len(self.terms), step):
-            batch = range(lo, min(lo + step, len(self.terms)))
-            first = lo if in_order else 0  # the segment position of segs[0]
-            home = [rows[i][-1] - first for i in batch] if segments else []
-            if home and home == list(range(home[0], home[0] + len(batch))):
-                buf = segs[home[0]:home[0] + len(batch)]
-            else:
-                buf = np.empty((len(batch), m), dtype=complex)
-            values_rows([self.terms[i].carrier for i in batch], grid, buf)
-            for i, cv in zip(batch, buf):
-                t = self.terms[i]
+        width = WidthBracket(m) if count >= WIDTH_BRACKET_ROWS else None
+        kept = {}  # (term, sign) -> segment row, below WIDTH_BRACKET_ROWS
+        buf = np.empty((min(max(1, EVAL_BATCH_CELLS // m), n), m), dtype=complex)
+        neg = (np.empty_like(buf) if width and any(s["sign"] < 0 for s in self._segments)
+               else None)
+        top1, top2 = np.zeros(m), np.zeros(m)
+        for lo in range(0, n, len(buf)):
+            batch = range(lo, min(lo + len(buf), n))
+            values_rows([self.terms[i].carrier for i in batch], grid, buf[:len(batch)])
+            streamed = {1: [], -1: []}  # the batch's rows of each side
+            for slot, i in enumerate(batch):
+                t, cv = self.terms[i], buf[slot]
                 index = contracted_index_map(t.rate, grid)
                 term = _times_gathered(cv, pv[id(t.payload)][index])
                 out += term
                 if not segments:
                     continue
                 acv = np.abs(cv)
-                c_l1 = coeff_norms(t.carrier).l1
-                for pos in rows[i]:
-                    half, half_l1 = halves[id(t.payload), self._segments[pos]["sign"]]
-                    # the home row comes last, so cv is read before it goes
-                    segs[pos - first] = (term if half is None
-                                         else _times_gathered(cv, half[index]))
-                    cut = acv * half_l1 + h_linf[id(t.payload)] * c_l1
+                base = coeff_norms(t.payload).linf * coeff_norms(t.carrier).l1
+                # the negative half first: the positive one goes over cv
+                for sign, half, half_l1 in halves[id(t.payload)]:
+                    row = term if half is None else _times_gathered(cv, half[index])
+                    if width is None:
+                        kept[i, sign] = row
+                    else:
+                        dest = (buf if sign > 0 else neg)[slot]
+                        dest[...] = row
+                        streamed[sign].append(dest)
+                    cut = acv * half_l1 + base
                     swap = cut > top1
                     np.maximum(top2, np.minimum(cut, top1), out=top2)
                     np.copyto(top2, top1, where=swap)
                     np.copyto(top1, cut, where=swap)
                 # free this term's arrays before the next term's
-                del acv, half, cut, swap
-            if in_order:
-                width.add(buf)
-            del buf, cv, index, term
+                del acv, half, row, cut, swap
+            if width is not None:
+                width.add(streamed[1], streamed[-1])
+            del cv, index, term
         if not segments:
             return out, None, None
-        del pv, halves
-        if in_order:
-            del segs  # the last batch
-            lower, upper = width.bounds()
-        elif count >= WIDTH_BRACKET_ROWS:
-            # the window pass then holds the rows, the values and two bounds
-            lower, upper = window_gap_bracket(segs)
-        else:
-            dmid = max_window_gap(lambda i, cols: segs[i][cols], count, m)
+        del pv, halves, buf, neg
+        if width is None:
+            rows = [kept[s["term"], s["sign"]] for s in self._segments]
+            dmid = max_window_gap(lambda i, cols: rows[i][cols], count, m)
             return out, dmid, dmid + top1 + top2
+        lower, upper = width.bounds()
         return out, lower, upper + top1 + top2
 
     def _halves(self, grid: CircleGrid) -> dict:
-        """(payload id, sign) -> (values, l1 norm) of each payload half a
-        segment uses (an analytic payload has no negative half); a half
-        that is the whole payload has values None: its rows are the term's
-        values."""
-        halves = {}
-        for seg in self._segments:
-            key = id(self.terms[seg["term"]].payload), seg["sign"]
-            if key not in halves:
-                h = self._payloads[key[0]]
-                p = _half(h, key[1])
+        """payload id -> (sign, values, l1 norm) of each nonempty half of
+        the payload, the negative half first; a half that is the whole
+        payload has values None: its rows are the term's values."""
+        halves = {i: [] for i in self._payloads}
+        for i, h in self._payloads.items():
+            for sign in (-1, 1):
+                p = _half(h, sign)
                 if len(p) == len(h):
-                    p = h
-                halves[key] = (None if p is h else p.values(grid, allow_alias=True),
-                               coeff_norms(p).l1)
+                    halves[i].append((sign, None, coeff_norms(h).l1))
+                elif len(p):
+                    halves[i].append((sign, p.values(grid, allow_alias=True), coeff_norms(p).l1))
         return halves
 
     # -- basic stats ---------------------------------------------------------
@@ -635,10 +622,9 @@ class BlockSum:
         rows.  Below WIDTH_BRACKET_ROWS rows, lower is the exact maximum
         over that family (`max_window_gap`) and upper adds a certified
         bound on the at most two cut blocks any other window adds.  From
-        WIDTH_BRACKET_ROWS rows on, `window_gap_bracket` brackets the
-        family's maximum instead: lower is its width W less the margin,
-        and upper adds the same cut bound to W / cos(pi/2D) plus the
-        margin.
+        WIDTH_BRACKET_ROWS rows on, `WidthBracket` brackets the family's
+        maximum instead: lower is its width W less the margin, and upper
+        adds the same cut bound to W / cos(pi/2D) plus the margin.
 
         The brackets come from the pass that gives `values` (`_evaluate`),
         run once per grid; both arrays are read-only.

@@ -274,12 +274,12 @@ class TrigPoly:
         """The coefficients folded onto the m residues, into `out` (a new
         array when None): the values are m times its inverse FFT."""
         # e^{ik t_j} = (-1)^k * omega^{k j}, t_j = -pi + 2*pi*j/m; bincount
-        # adds each residue's terms in storage order, starting from 0.0
-        r = (self._k % m).astype(np.intp)
-        signed = np.where((self._k % 2).astype(bool), -self._c, self._c)
+        # adds each residue's terms in storage order from 0.0, a part at a time
+        r = (self._k % m).astype(np.intp, copy=False)
+        odd = (self._k % 2).astype(bool)
         out = np.empty(m, dtype=complex) if out is None else out
-        out.real = np.bincount(r, weights=signed.real, minlength=m)
-        out.imag = np.bincount(r, weights=signed.imag, minlength=m)
+        for part, dest in ((self._c.real, out.real), (self._c.imag, out.imag)):
+            dest[...] = np.bincount(r, weights=np.where(odd, -part, part), minlength=m)
         return out
 
     def _values_fft(self, m: int) -> np.ndarray:

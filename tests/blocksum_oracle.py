@@ -4,16 +4,18 @@
 `ref_bracket` builds the segment rows and cut bounds in segment order,
 each carrier evaluated by its own `TrigPoly.values` call in each pass, as
 `BlockSum.values` and `BlockSum.sstar_star_bracket` computed them before
-one memoized pass with batched carrier transforms gave both.  Nothing
-here calls `trigpoly.values_rows` or `BlockSum._evaluate`, so a fault
-there cannot hide in both the program and its check.
+one memoized pass with batched carrier transforms gave both.  From
+WIDTH_BRACKET_ROWS rows on, it folds the rows into the width bracket with
+`window_oracle.ref_width_bracket`: whole cumulative sums of the positive
+and of the negative halves, each in term order.  Nothing here calls
+`trigpoly.values_rows`, `BlockSum._evaluate` or `blockpoly.WidthBracket`,
+so a fault there cannot hide in both the program and its check.
 """
 
 import numpy as np
 
-from window_oracle import ref_window_gap
-from sparsetrig.blockpoly import (WIDTH_BRACKET_ROWS, _half,
-                                  contracted_index_map, window_gap_bracket)
+from window_oracle import ref_width_bracket, ref_window_gap
+from sparsetrig.blockpoly import WIDTH_BRACKET_ROWS, _half, contracted_index_map
 from sparsetrig.trigpoly import coeff_norms
 
 
@@ -29,26 +31,39 @@ def ref_values(w, grid) -> np.ndarray:
     return out
 
 
-def ref_bracket(w, grid):
-    """(lower, upper): the segment rows' window maximum (exact below
-    WIDTH_BRACKET_ROWS rows, else the width bracket) plus the two largest
-    cut bounds |C| l1(half) + linf(H) l1(C) on top."""
-    m = grid.size
-    segs = np.empty((len(w._segments), m), dtype=complex)
+def ref_segment_rows(w, grid):
+    """(rows, cuts): the segment rows in segment order, and each segment's
+    cut bound |C| l1(half) + linf(H) l1(C)."""
+    rows = np.empty((len(w._segments), grid.size), dtype=complex)
     cuts = []
     for pos, seg in enumerate(w._segments):
         t = w.terms[seg["term"]]
         cv = t.carrier.values(grid, allow_alias=True)
         half = _half(t.payload, seg["sign"])
         hv = half.values(grid, allow_alias=True)
-        segs[pos] = cv * hv[contracted_index_map(t.rate, grid)]
+        rows[pos] = cv * hv[contracted_index_map(t.rate, grid)]
         cuts.append(np.abs(cv) * coeff_norms(half).l1
                     + coeff_norms(t.payload).linf * coeff_norms(t.carrier).l1)
+    return rows, cuts
+
+
+def ref_bracket(w, grid):
+    """(lower, upper): the segment rows' window maximum (exact below
+    WIDTH_BRACKET_ROWS rows, else the width bracket) plus the two largest
+    cut bounds on top."""
+    m = grid.size
+    segs, cuts = ref_segment_rows(w, grid)
     two_largest = np.sort(cuts, axis=0)[-2:]
     top1 = two_largest[-1]
     top2 = two_largest[0] if len(cuts) > 1 else np.zeros(m)
     if len(segs) >= WIDTH_BRACKET_ROWS:
-        lower, upper = window_gap_bracket(segs)
+        # negative halves come first, in reverse term order
+        negative = np.array([seg["sign"] < 0 for seg in w._segments])
+        # 500-column chunks leave no last column alone on the test grids,
+        # where numpy would project it through another BLAS kernel
+        lower, upper = ref_width_bracket(segs[~negative],
+                                         segs[negative][::-1],
+                                         chunk_cells=500 * (len(segs) + 1))
         return lower, upper + top1 + top2
     dmid = ref_window_gap(list(segs), m)
     return dmid, dmid + top1 + top2

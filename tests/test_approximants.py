@@ -405,6 +405,38 @@ def test_disjoint_prime_rates_on_the_tiled_dip_configurations():
         assert ap.disjoint_prime_rates(*c) == _ref_disjoint_prime_rates(*c), c
 
 
+def test_disjoint_prime_rates_stop_at_the_candidate_cap(monkeypatch):
+    # (4, 36, 42), the widest tiled dip of the two-sided block jobs, takes
+    # 135 candidates: a cap of 135 keeps its rates, one fewer raises
+    monkeypatch.setattr(ap, "RATE_WALK_CANDIDATES", 135)
+    assert ap.disjoint_prime_rates(4, 36, 42) == _ref_disjoint_prime_rates(4, 36, 42)
+    monkeypatch.setattr(ap, "RATE_WALK_CANDIDATES", 134)
+    with pytest.raises(ConstructionInfeasible, match="RATE_WALK_CANDIDATES") as info:
+        ap.disjoint_prime_rates(4, 36, 42)
+    assert info.value.diagnostics["candidate_cap"] == 134
+    assert info.value.diagnostics["rates_found"] < 4
+
+
+def test_disjoint_prime_rates_refuse_multiples_past_int64():
+    # the first candidate's 2^30-th multiple passes 2^62
+    with pytest.raises(ConstructionInfeasible, match="2\\^62") as info:
+        ap.disjoint_prime_rates(1, 2 ** 30, 1)
+    assert info.value.diagnostics["rates_found"] == 0
+
+
+def test_block_approximant_at_a_huge_budget_reaches_the_walk_cap(monkeypatch):
+    # at s = 10^210 the tiled dip keeps payload degree 76726, where almost
+    # every prime candidate clashes; with the cap at 50 both tile counts
+    # give up at once, and the stage names the cap
+    monkeypatch.setattr(ap, "RATE_WALK_CANDIDATES", 50)
+    with pytest.raises(ConstructionInfeasible) as info:
+        block_approximant(const(CircleGrid(2 * 8191), 1.0), 0.3, 0.3,
+                          s=10 ** 210, a=3, strict=False)
+    inner = info.value.diagnostics["inner"]
+    assert inner["candidate_cap"] == 50
+    assert inner["payload_deg"] == 76726
+
+
 def test_structural_containment_rejects_another_block():
     # the s = 8000, a = 3 product checked against the block of a = 5
     f = const(CircleGrid(2 * 509), 1.0)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blocksum_oracle import ref_bracket, ref_values
+from blocksum_oracle import ref_bracket, ref_segment_rows, ref_values
 from coeff_oracle import bits, oracle_iter_coeffs
 from structure_loader import load_structure
 from tile_oracle import ref_contracted_indices
@@ -23,7 +23,7 @@ from sparsetrig.blockpoly import (WIDTH_BLOCK_COLUMNS, WIDTH_BRACKET_ROWS,
                                   WIDTH_UNDERFLOW, BlockSum,
                                   BlockTerm, Freq, LazyRate, ScaledProduct,
                                   WidthBracket, contracted_index_map,
-                                  orbit_fraction, window_gap_bracket)
+                                  orbit_fraction)
 from sparsetrig.circle import CircleGrid
 from sparsetrig.engines import _Modulated, run_asymptotic_l2_engine
 from sparsetrig.targets import cosk
@@ -73,13 +73,24 @@ def test_bracket_contains_truth():
 WIDTH_COS = math.cos(math.pi / (2 * WIDTH_DIRECTIONS))
 
 
+def width_bracket(rows, neg=()):
+    """`WidthBracket` bounds of positive-half `rows` and negative-half
+    `neg`, each side added in one batch."""
+    bracket = WidthBracket(rows.shape[1])
+    bracket.add(rows, neg)
+    return bracket.bounds()
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(WIDTH_BRACKET_ROWS, 100), st.integers(1, 40),
        st.sampled_from(["complex", "real", "collinear", "zero", "repeated", "ties"]),
        # scales 1e-323..1e-305 reach subnormal values
        st.one_of(st.integers(-300, 300), st.integers(-323, -305)),
+       st.one_of(st.just(0), st.integers(0, 100)),
        st.integers(0, 2 ** 32 - 1))
-def test_width_bracket_encloses_window_maximum(count, m, kind, scale, seed):
+def test_width_bracket_encloses_window_maximum(count, m, kind, scale, neg, seed):
+    # the first `neg` rows are negative halves, in reverse term order
+    neg %= count + 1
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(count, m)) + 1j * rng.normal(size=(count, m))
     if kind == "real":
@@ -99,10 +110,13 @@ def test_width_bracket_encloses_window_maximum(count, m, kind, scale, seed):
         rows[rng.random(count) < 0.3] = 0
     rows = rows * 10.0 ** scale
     exact = ref_window_gap(list(rows), m)
-    lower, upper = window_gap_bracket(rows)
+    lower, upper = width_bracket(rows[neg:], rows[:neg][::-1])
     assert np.all(lower <= exact)
     assert np.all(exact <= upper)
-    radius = np.abs(np.cumsum(rows, axis=0)).max(axis=0)
+    # the points the bracket projects: the prefix sums less the
+    # negative-half total
+    prefixes = np.cumsum(rows, axis=0)
+    radius = np.abs(prefixes - (prefixes[neg - 1] if neg else 0)).max(axis=0)
     margin = WIDTH_MARGIN / WIDTH_COS * radius + WIDTH_UNDERFLOW
     assert np.all(upper <= exact / WIDTH_COS + 2 * margin)
 
@@ -113,11 +127,15 @@ def test_width_bracket_encloses_window_maximum(count, m, kind, scale, seed):
                  st.sampled_from([WIDTH_BLOCK_COLUMNS - 1, WIDTH_BLOCK_COLUMNS + 1,
                                   2 * 8191, 1022])),
        st.sampled_from(["normal", "zero", "subnormal", "mixed"]),
+       st.one_of(st.just(0), st.integers(0, 130)),
        st.integers(0, 2 ** 32 - 1))
-@example(20, WIDTH_BLOCK_COLUMNS + 1, "zero", 4)  # a last block of one column
-@example(16, 964, "normal", 0)  # a last oracle chunk of one column
-def test_width_bracket_matches_chunked_oracle(count, m, kind, seed):
-    # the row-streamed blocks give the bits of whole prefix chunks
+@example(20, WIDTH_BLOCK_COLUMNS + 1, "zero", 0, 4)  # a last block of one column
+@example(16, 964, "normal", 0, 0)  # a last oracle chunk of one column
+@example(64, 2 ** 14, "normal", 32, 0)  # two-sided, as in a Korner sum
+def test_width_bracket_matches_chunked_oracle(count, m, kind, neg, seed):
+    # the row-streamed blocks give the bits of whole prefix chunks; the
+    # first `neg` rows are negative halves, in reverse term order
+    neg %= count + 1
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(count, m)) + 1j * rng.normal(size=(count, m))
     if kind == "zero":
@@ -130,8 +148,8 @@ def test_width_bracket_matches_chunked_oracle(count, m, kind, seed):
         rows[pick == 0] = 0
         rows[pick == 1] *= 2.0 ** -1065
         rows[pick == 2] = -0.0 - 0.0j
-    lower, upper = window_gap_bracket(rows)
-    ref_lower, ref_upper = ref_width_bracket(rows)
+    lower, upper = width_bracket(rows[neg:], rows[:neg][::-1])
+    ref_lower, ref_upper = ref_width_bracket(rows[neg:], rows[:neg][::-1])
     # where the chunks left the last column alone, the oracle projected it
     # through BLAS's matrix-vector kernel, which may round it differently
     alone = m > 1 and m % max(1, 2 ** 14 // (count + 1)) == 1
@@ -139,7 +157,7 @@ def test_width_bracket_matches_chunked_oracle(count, m, kind, seed):
     assert np.array_equal(lower[same], ref_lower[same])
     assert np.array_equal(upper[same], ref_upper[same])
     if alone:
-        radius = np.abs(np.cumsum(rows[:, -1])).max()
+        radius = 2 * np.abs(np.cumsum(rows[:, -1])).max()
         for a, b in ((lower, ref_lower), (upper, ref_upper)):
             assert abs(a[-1] - b[-1]) <= 4 * np.finfo(float).eps * radius
 
@@ -151,11 +169,17 @@ def test_width_bracket_matches_chunked_oracle(count, m, kind, seed):
                                   2 * 8191, 1022])),
        st.sampled_from(["normal", "zero", "subnormal", "mixed"]),
        st.sampled_from(["ones", "random", "whole"]),
+       st.one_of(st.just(0), st.integers(0, 130)),
        st.integers(0, 2 ** 32 - 1))
-@example(20, WIDTH_BLOCK_COLUMNS + 1, "mixed", "ones", 4)  # a last block of one column
-@example(41, 2 * 8191, "normal", "random", 0)
-def test_streamed_width_bracket_matches_one_shot(count, m, kind, split, seed):
-    # rows fed a batch at a time give the bits of one batch of all of them
+@example(20, WIDTH_BLOCK_COLUMNS + 1, "mixed", "ones", 0, 4)  # a last block of one column
+@example(41, 2 * 8191, "normal", "random", 0, 0)
+@example(64, 2 ** 14, "normal", "random", 32, 0)
+def test_streamed_width_bracket_matches_one_shot(count, m, kind, split, neg, seed):
+    # rows fed a batch at a time, the two sides' batches interleaved, give
+    # the bits of one batch of each side; the first `neg` rows are
+    # negative halves in reverse term order, so the terms run backwards
+    # through them
+    neg %= count + 1
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(count, m)) + 1j * rng.normal(size=(count, m))
     if kind == "zero":
@@ -176,32 +200,35 @@ def test_streamed_width_bracket_matches_one_shot(count, m, kind, split, seed):
     else:
         cuts = []
     streamed = WidthBracket(m)
-    for batch in np.split(rows, cuts):
-        streamed.add(batch)
+    terms = np.split(np.arange(count), cuts)
+    for batch in terms:
+        streamed.add(rows[batch[batch >= neg]], rows[neg - 1 - batch[batch < neg]])
     lower, upper = streamed.bounds()
-    ref_lower, ref_upper = window_gap_bracket(rows)
+    ref_lower, ref_upper = width_bracket(rows[neg:], rows[:neg][::-1])
     assert np.array_equal(lower, ref_lower)
     assert np.array_equal(upper, ref_upper)
 
 
 def test_width_bracket_temporaries_do_not_grow_with_rows():
-    # the bracket holds its two results and one block's prefix,
-    # projections and extremes, whatever the row count
+    # the bracket holds its extremes, its two prefixes, its two results
+    # and one block's temporaries, whatever the row count
     m = 2 ** 14
     peaks = []
     for count in (16, 128):
         rows = np.ones((count, m), dtype=complex)
         tracemalloc.start()
         try:
-            window_gap_bracket(rows)
+            width_bracket(rows[count // 2:], rows[:count // 2])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    results = 2 * m * 8
-    # the prefix, and six arrays of one value per column and direction
-    block = WIDTH_BLOCK_COLUMNS * (16 + 6 * WIDTH_DIRECTIONS * 8)
+    extremes = 2 * m * WIDTH_DIRECTIONS * 8
+    prefixes_and_results = 2 * m * 16 + 2 * m * 8
+    # four arrays of one value per column and direction, and a few of one
+    # value per column
+    block = WIDTH_BLOCK_COLUMNS * (4 * WIDTH_DIRECTIONS * 8 + 6 * 8)
     assert peaks[1] <= peaks[0] + 4096
-    assert peaks[1] <= results + block
+    assert peaks[1] <= extremes + prefixes_and_results + block
 
 
 def test_bracket_contains_truth_on_width_path():
@@ -237,28 +264,28 @@ def bracket_peak(q, grid):
         tracemalloc.stop()
 
 
-def test_bracket_memory_holds_a_batch_in_order_and_every_row_out_of_order():
-    # 41 tiles of one 2048-coefficient unit approximant, whose rows come in
-    # segment order: they stream into the width bracket one batch at a
-    # time, and the pass peaks at 7.1 MB, below the 10.7 MB the 41 segment
-    # rows alone would take
+def test_bracket_memory_holds_batches_not_rows():
+    # 41 tiles of one 2048-coefficient unit approximant: their rows stream
+    # into the width bracket one batch at a time, and the pass peaks at
+    # 7.1 MB, below the 10.7 MB the 41 segment rows alone would take
     grid = CircleGrid(2 * 8191)
     q = analytic_korner(0.3, grid=grid, strict=False).poly
     assert len(q.terms) == 41
     peak, values_peak = bracket_peak(q, grid)
-    assert peak < 8e6
+    assert peak < 7.2e6
     # values after the bracket come from the same pass: no M-point array
     assert values_peak < grid.size * 8
-    # two-sided tiles put their negative halves in reverse term order, so
-    # all 64 segment rows are kept: they take 16.8 MB on 2^14, and the pass
-    # with the values and the width bracket peaks at 19.0 MB (22.4 MB with
-    # the exact sweep)
+    # two-sided tiles stream too, their negative halves through a second
+    # batch: 9.3 MB at 64 segment rows on 2^14 and 11.4 MB at 256, whose
+    # 131073-coefficient carriers fold for 3.3 MB (the 64 rows alone take
+    # 16.8 MB, the 256 rows 67.1 MB)
     grid = CircleGrid(2 ** 14)
-    q = korner_polynomial(0.21, 0.22, grid=grid, strict=False).poly
-    assert len(q._segments) == 64
-    peak, values_peak = bracket_peak(q, grid)
-    assert peak < 21e6
-    assert values_peak < grid.size * 8
+    for eps, delta, rows in ((0.21, 0.22, 64), (0.05, 0.06, 256)):
+        q = korner_polynomial(eps, delta, grid=grid, strict=False).poly
+        assert len(q._segments) == rows
+        peak, values_peak = bracket_peak(q, grid)
+        assert peak < 12e6
+        assert values_peak < grid.size * 8
 
 
 @st.composite
@@ -266,8 +293,8 @@ def block_sums(draw):
     """A BlockSum of 1-17 terms: carriers of support 1-60 within [-30, 30],
     one-sided or two-sided payloads of degree <= 6, shared by every term or
     one per term, and rates 61 B^i with B = 9, so segments and sub-blocks
-    are disjoint in either layout.  Terms may come out of rate order, so
-    their last segment rows do not follow each other."""
+    are disjoint in either layout.  Terms may be drawn out of rate order;
+    the sum keeps them sorted."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     count = draw(st.integers(1, 17))
     kinds = draw(st.lists(st.sampled_from(["analytic", "twosided"]),
@@ -290,17 +317,20 @@ def block_sums(draw):
     return BlockSum(terms, layout=draw(st.sampled_from(["segments", "subblocks"])))
 
 
-def in_order_block_sum(count=20):
-    """`count` one-sided terms at rising rates 61 * 9^i: segment p is term
-    p's only segment, so from 16 terms on the rows stream into the width
-    bracket (`block_sums` almost never draws that)."""
+def rising_block_sum(count=20, two_sided=False):
+    """`count` terms at rising rates 61 * 9^i with one-sided payloads of
+    three frequencies in [1, 6], or two-sided ones of three a side: from
+    16 segments on, their rows stream into the width bracket."""
     rng = np.random.default_rng(29)
 
     def poly(ks):
         return TrigPoly({int(k): complex(rng.normal(), rng.normal()) for k in ks})
+
+    def payload():
+        ks = rng.choice(np.arange(1, 7), 3, replace=False)
+        return poly(np.r_[-ks, ks] if two_sided else ks)
     return BlockSum([BlockTerm(poly(rng.choice(np.arange(-30, 31), size, replace=False)),
-                               poly(rng.choice(np.arange(1, 7), 3, replace=False)),
-                               61 * 9 ** i)
+                               payload(), 61 * 9 ** i)
                      for i, size in enumerate(rng.integers(1, 61, count))])
 
 
@@ -309,9 +339,11 @@ def in_order_block_sum(count=20):
 # take the direct sum
 @settings(max_examples=60, deadline=None)
 @given(block_sums(), st.sampled_from([2 ** 14, 2 * 8191, 1022]))
-@example(in_order_block_sum(), 2 ** 14)
-@example(in_order_block_sum(), 2 * 8191)
-@example(in_order_block_sum(), 1022)
+@example(rising_block_sum(), 2 ** 14)
+@example(rising_block_sum(), 2 * 8191)
+@example(rising_block_sum(), 1022)
+@example(rising_block_sum(two_sided=True), 2 ** 14)
+@example(rising_block_sum(two_sided=True), 2 * 8191)
 def test_one_pass_bit_identical_to_two(w, m):
     grid = CircleGrid(m)
     values = w.values(grid)
@@ -324,23 +356,90 @@ def test_one_pass_bit_identical_to_two(w, m):
     assert w.values(grid) is values
 
 
-def test_only_in_order_rows_skip_the_row_matrix(monkeypatch):
-    # the path follows the segment order: in-order one-sided rows never
-    # reach the one-shot bracket, and the same terms out of order do
-    called = []
-    bracket = blockpoly.window_gap_bracket
-    monkeypatch.setattr(blockpoly, "window_gap_bracket",
-                        lambda rows: called.append(len(rows)) or bracket(rows))
-    grid = CircleGrid(1022)
-    w = in_order_block_sum()
+@st.composite
+def two_sided_block_sums(draw):
+    """A segments-layout BlockSum of 16-70 segments, at least one term
+    two-sided: one- and two-sided payloads of degree <= 6 interleave at
+    rates 61 * 9^i, on carriers of support 1-60 within [-30, 30]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    two = draw(st.integers(1, 35))
+    one = draw(st.integers(max(0, 16 - 2 * two), 70 - 2 * two))
+    kinds = rng.permutation([True] * two + [False] * one)
+
+    def poly(ks):
+        return TrigPoly({int(k): complex(rng.normal(), rng.normal()) for k in ks})
+
+    def payload(two_sided):
+        ks = rng.choice(np.arange(1, 7), int(rng.integers(1, 7)), replace=False)
+        if not two_sided:
+            return poly(ks)
+        neg = rng.choice(np.arange(1, 7), int(rng.integers(1, 7)), replace=False)
+        return poly(np.r_[-neg, ks])
+    return BlockSum([BlockTerm(poly(rng.choice(np.arange(-30, 31),
+                                               int(rng.integers(1, 61)), replace=False)),
+                               payload(kind), 61 * 9 ** i)
+                     for i, kind in enumerate(kinds)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_sided_block_sums(), st.sampled_from([2 ** 14, 2 * 8191, 1022]))
+def test_two_sided_stream_encloses_the_exact_sweep(w, m):
+    # the bracket of the rows folded in term order, a side at a time,
+    # holds the exact sweep over the rows in segment order
+    grid = CircleGrid(m)
+    rows, cuts = ref_segment_rows(w, grid)
+    assert WIDTH_BRACKET_ROWS <= len(rows) <= 70
+    exact = ref_window_gap(list(rows), m)
+    two_largest = np.sort(cuts, axis=0)[-2:]
     lower, upper = w.sstar_star_bracket(grid)
-    assert called == []
-    # the same rows in the same segment order, kept whole
-    shuffled = BlockSum(w.terms[1:] + w.terms[:1])
-    shuffled_lower, shuffled_upper = shuffled.sstar_star_bracket(grid)
-    assert called == [len(w.terms)]
-    assert np.array_equal(shuffled_lower, lower)
-    assert np.array_equal(shuffled_upper, upper)
+    assert np.all(lower <= exact)
+    assert np.all(exact + two_largest[1] + two_largest[0] <= upper)
+
+
+def test_no_layout_builds_a_row_matrix(monkeypatch):
+    # one-sided and two-sided rows reach the width bracket a batch at a
+    # time, and the exact sweep is never run from 16 rows on
+    added, swept = [], []
+    add = WidthBracket.add
+
+    def counting_add(self, rows, neg=()):
+        added.append((len(rows), len(neg)))
+        add(self, rows, neg)
+    monkeypatch.setattr(WidthBracket, "add", counting_add)
+    monkeypatch.setattr(blockpoly, "max_window_gap",
+                        lambda *a: swept.append(a) or tp.max_window_gap(*a))
+    grid = CircleGrid(2 ** 14)
+    batch = blockpoly.EVAL_BATCH_CELLS // grid.size
+    for w in (rising_block_sum(), rising_block_sum(two_sided=True)):
+        added.clear()
+        lower, upper = w.sstar_star_bracket(grid)
+        assert swept == []
+        assert max(max(sides) for sides in added) <= batch
+        assert sum(map(sum, added)) == len(w._segments) >= 2 * batch
+        # the same terms given in reverse come out in rate order, with the
+        # same bracket bits
+        reverse = BlockSum(w.terms[::-1])
+        assert all(a is b for a, b in zip(reverse.terms, w.terms))
+        reverse_lower, reverse_upper = reverse.sstar_star_bracket(grid)
+        assert np.array_equal(reverse_lower, lower)
+        assert np.array_equal(reverse_upper, upper)
+
+
+def test_segments_out_of_rate_order_rejected():
+    # disjoint segments, but the positive half of the faster term lies
+    # below the slower term's: the width bracket's term order would not be
+    # the segment order
+    carrier = TrigPoly({0: 1.0})
+    with pytest.raises(ValueError, match="rate order"):
+        BlockSum([BlockTerm(carrier, TrigPoly({5: 1.0}), 10),
+                  BlockTerm(carrier, TrigPoly({1: 1.0}), 20)])
+    # so are negative halves that do not fall with the rate
+    with pytest.raises(ValueError, match="rate order"):
+        BlockSum([BlockTerm(carrier, TrigPoly({-5: 1.0, 1: 1.0}), 10),
+                  BlockTerm(carrier, TrigPoly({-1: 1.0, 5: 1.0}), 20)])
+    # the same halves in rate order are accepted
+    BlockSum([BlockTerm(carrier, TrigPoly({-1: 1.0, 1: 1.0}), 10),
+              BlockTerm(carrier, TrigPoly({-5: 1.0, 5: 1.0}), 20)])
 
 
 def test_scaled_product_transforms_inner_once(monkeypatch):

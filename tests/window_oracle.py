@@ -8,6 +8,7 @@ program and its check.
 """
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -45,21 +46,29 @@ def ref_s_star_star(p: TrigPoly, m: int) -> np.ndarray:
                            for k in p.spectrum()], m)
 
 
-def ref_width_bracket(rows: np.ndarray, chunk_cells: int = 2 ** 14):
-    """The width bracket of `blockpoly.window_gap_bracket` from whole
-    prefix chunks of `chunk_cells` cells: every prefix row of a chunk is
-    projected onto the 16 directions at once."""
-    from sparsetrig.blockpoly import (_WIDTH_COS, _WIDTH_UNITS, WIDTH_MARGIN,
-                                      WIDTH_UNDERFLOW)
-    count, m = rows.shape
+def ref_width_bracket(rows: np.ndarray, neg: Optional[np.ndarray] = None,
+                      chunk_cells: int = 2 ** 14):
+    """The width bracket of `blockpoly.WidthBracket` from whole prefix
+    chunks of `chunk_cells` cells: every prefix row of a chunk is projected
+    onto the 16 directions at once.  `rows` are positive-half rows and
+    `neg` negative-half rows, each in term order: the points are 0, the
+    prefix sums of `rows` and the negated prefix sums of `neg`."""
+    from sparsetrig.blockpoly import (_WIDTH_COS, _WIDTH_UNITS, WIDTH_DIRECTIONS,
+                                      WIDTH_MARGIN, WIDTH_UNDERFLOW)
+    m = rows.shape[1]
+    neg = np.zeros((0, m), dtype=complex) if neg is None else neg
     lower, upper = np.empty(m), np.empty(m)
-    step = max(1, chunk_cells // (count + 1))
+    step = max(1, chunk_cells // (len(rows) + len(neg) + 1))
     for lo in range(0, m, step):
         cols = slice(lo, min(lo + step, m))
-        prefix = np.cumsum(rows[:, cols], axis=0)
-        proj = prefix.view(float).reshape(count, -1, 2) @ _WIDTH_UNITS
-        top = np.maximum(proj.max(axis=0), 0.0)
-        bottom = np.minimum(proj.min(axis=0), 0.0)
+        top = np.zeros((cols.stop - lo, WIDTH_DIRECTIONS))
+        bottom = np.zeros_like(top)
+        for side, sign in ((rows, 1.0), (neg, -1.0)):
+            if len(side):
+                prefix = sign * np.cumsum(side[:, cols], axis=0)
+                proj = prefix.view(float).reshape(len(side), -1, 2) @ _WIDTH_UNITS
+                top = np.maximum(proj.max(axis=0), top)
+                bottom = np.minimum(proj.min(axis=0), bottom)
         width = (top - bottom).max(axis=1)
         margin = (WIDTH_MARGIN / _WIDTH_COS * np.maximum(top, -bottom).max(axis=1)
                   + WIDTH_UNDERFLOW)
