@@ -459,18 +459,23 @@ def _segment_rates(K: int, deg_tile: int, deg_payload: int) -> List[int]:
 
 def _tiled_sum(tile: TrigPoly, payload: TrigPoly, rates: List[int],
                layout: str) -> BlockSum:
-    """sum_s (tile translated by 2 pi s / K) * payload(N_s t), K = len(rates)."""
+    """sum_s (tile translated by 2 pi s / K) * payload(N_s t), K = len(rates).
+
+    Term s holds the tile itself with the shift (s, K) (`BlockTerm`), so
+    the sum keeps one tile: its translates are formed only while the sum
+    is evaluated or its coefficients are listed, and its structure record
+    writes the tile once."""
     K = len(rates)
-    return BlockSum([BlockTerm(tp.translate(tile, 2.0 * math.pi * s / K),
-                               payload, r)
+    return BlockSum([BlockTerm(tile, payload, r, shift=(s, K))
                      for s, r in enumerate(rates, start=1)], layout=layout)
 
 
 def _tiled_setup(eps: float, delta: float, K: int,
                  tile_l1_tol: float) -> Tuple[TrigPoly, float, int, List[str]]:
     """(tile, dip width, dip degree, deviations) shared by both tiled dips:
-    the K-tile triangle partial sum with l1 tail < tile_l1_tol and the
-    zero-mean dip's width eps/4 and degree for delta."""
+    the K-tile triangle partial sum with l1 tail < tile_l1_tol, or a
+    deviation where `_triangle_partial` stopped at its degree cap above
+    that tail, and the zero-mean dip's width eps/4 and degree for delta."""
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ValueError("eps and delta must lie in (0, 1)")
     tile = _triangle_partial(2.0 * math.pi / K, tile_l1_tol)
@@ -485,6 +490,10 @@ def _tiled_setup(eps: float, delta: float, K: int,
         f"tile count K = {K} chosen from the exact coefficient bound "
         "|Q^|_inf = |F^|_inf |G^|_inf rather than the crude l1 chain",
     ]
+    if triangle_coeff_tail(2.0 * math.pi / K, tile.degree()) >= tile_l1_tol:
+        deviations.append(
+            f"tile l1 accuracy capped at degree {tile.degree()} "
+            f"(rule wants tail < {tile_l1_tol:.3g})")
     return tile, dip_width, deg_dip, deviations
 
 
@@ -538,6 +547,18 @@ def korner_polynomial(eps: float, delta: float,
     return report
 
 
+#: decimal digits up to which messages print a payload budget in full; a
+#: larger one is printed as 10^<log10>
+BUDGET_DIGITS = 30
+
+
+def _budget_text(budget: int) -> str:
+    """The budget in full up to BUDGET_DIGITS digits, else as 10^<log10>."""
+    if budget < 10 ** BUDGET_DIGITS:
+        return str(budget)
+    return f"10^{math.log10(budget):.4g}"
+
+
 def _budget_tiled_dip(eps: float, delta: float, tiles: int,
                       budget: int) -> Tuple[BlockSum, Tuple[str, ...]]:
     """The block approximant's tiled dip Q3, of total degree <= budget.
@@ -555,14 +576,14 @@ def _budget_tiled_dip(eps: float, delta: float, tiles: int,
     fit = int(math.sqrt(budget / max(2.2 * (2 * deg_f + 2), 1.0)))
     if fit < 8:
         raise ConstructionInfeasible(
-            f"payload budget {budget} below the minimal tiled-dip size",
+            f"payload budget {_budget_text(budget)} below the minimal tiled-dip size",
             {"budget": budget, "deg_tile": deg_f},
         )
     if fit < deg_dip:
         deg_dip = fit
         dip_width = max(dip_width, min(2.0, 12.0 / deg_dip))
         deviations.append(
-            f"dip degree capped at {deg_dip} (budget {budget}); dip "
+            f"dip degree capped at {deg_dip} (budget {_budget_text(budget)}); dip "
             f"widened to {dip_width:.3g} to stay resolvable"
         )
     dip = _dip_payload(dip_width, deg_dip)
@@ -575,7 +596,7 @@ def _budget_tiled_dip(eps: float, delta: float, tiles: int,
                              dip.degree() - 1))
         if new_deg == dip.degree():
             raise ConstructionInfeasible(
-                f"tiled dip polynomial cannot fit budget {budget}",
+                f"tiled dip polynomial cannot fit budget {_budget_text(budget)}",
                 {"budget": budget, "tiles": tiles, "deg_tile": deg_f,
                  "deg_dip": dip.degree(), "needed_degree": float(needed)},
             )
@@ -936,7 +957,8 @@ def block_approximant(f: SampledFunction, eps: float, delta: float,
             q3_exc = exc
     if q3 is None:
         raise ConstructionInfeasible(
-            f"tiled-dip stage does not fit inside payload budget s = {s}",
+            f"tiled-dip stage infeasible at payload budget s = {_budget_text(s)}: "
+            f"{q3_exc}",
             {"step": "Q3", "inner": q3_exc.diagnostics},
         ) from q3_exc
     # P = Q3(R t) * P2: the tiled dip's values sit near 1, so P tracks P2,
@@ -1010,7 +1032,7 @@ def analytic_block_approximant(f: SampledFunction, eps: float,
     q3 = q3_rep.poly
     if q3.degree() > s:
         raise ConstructionInfeasible(
-            f"analytic tiled stage degree exceeds s = {s}",
+            f"analytic tiled stage degree exceeds s = {_budget_text(s)}",
             {"step": "Q3", "required_order_exceeds": float(math.log2(q3.degree()))},
         )
     poly = ScaledProduct(q3, _scale_rate(rates, s + 2), p2)

@@ -47,9 +47,9 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .circle import CircleGrid
-from .trigpoly import (TrigPoly, _cmul, _freq_array, _outer_freqs,
-                       coeff_norms, max_window_gap, partial_sum_rect,
-                       values_rows)
+from .trigpoly import (TrigPoly, _cmul, _fill_row, _freq_array, _ifft_runs,
+                       _outer_freqs, _takes_fft, coeff_norms, max_window_gap,
+                       partial_sum_rect, translate, translate_parts)
 
 #: grid cells (carriers x points) `BlockSum` transforms in one batch, and
 #: the segment rows of each side a pass holds: four carriers on 2^14
@@ -308,11 +308,19 @@ class BlockTerm:
 
     The rate must exceed the carrier's spectral spread so the translated
     carrier copies k * rate + spec C stay disjoint within the term.
+
+    With an exact `shift` (s, K) the term's carrier is `carrier` translated
+    by 2 pi s / K, coefficients c_k e^{ik 2 pi s/K}: Korner's sums hold one
+    tile in each of their K terms this way.  The translate has the tile's
+    frequencies, and it is formed only while it is used (`translated`):
+    when the sum is evaluated and when its coefficients are listed.  Its
+    coefficient norms are taken as the tile's, since |c e^{i theta}| = |c|.
     """
 
     carrier: TrigPoly
     payload: TrigPoly
     rate: Rate
+    shift: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
         if not len(self.carrier) or not len(self.payload):
@@ -322,10 +330,25 @@ class BlockTerm:
         lo, hi = self.carrier_span()
         if not Freq.of(hi - lo) < self.rate:
             raise ValueError("rate must exceed the carrier spectral spread")
+        if self.shift is not None and self.carrier._k.dtype == object:
+            raise ValueError("a shifted carrier needs frequencies below 2^62")
 
     @property
     def lazy(self) -> bool:
         return isinstance(self.rate, LazyRate)
+
+    @property
+    def angle(self) -> Optional[float]:
+        """The shift's angle 2 pi s / K; None without a shift."""
+        if self.shift is None:
+            return None
+        s, k = self.shift
+        return 2.0 * math.pi * s / k
+
+    def translated(self) -> TrigPoly:
+        """The carrier translated by the shift,
+        `trigpoly.translate(carrier, angle)`; the carrier without one."""
+        return self.carrier if self.shift is None else translate(self.carrier, self.angle)
 
     def carrier_span(self) -> Tuple[int, int]:
         return _ends(self.carrier._k)
@@ -373,6 +396,10 @@ class BlockSum:
     layout="subblocks": only the individual sub-blocks k*r_i + spec C_i
     are disjoint (segments may interleave); coefficient statistics remain
     exact but partial-sum control falls back to the crude l1 bound.
+
+    A term may hold a shared tile with a shift (`BlockTerm`): the sum then
+    keeps one coefficient array per tile, and its translates exist only
+    inside the evaluation pass and `coeff_arrays`.
 
     The terms are kept in rate order: they are sorted by Freq.of(rate) at
     construction, stably, so a sum already in that order keeps it.  The
@@ -468,9 +495,9 @@ class BlockSum:
         """(values, lower, upper) on the grid from one pass over the terms;
         lower and upper are the S** bracket, None in the subblocks layout.
 
-        Carriers are transformed EVAL_BATCH_CELLS at a time by
-        `values_rows`, in place in one reused batch buffer, and values are
-        added in term order.  In the segments layout a term then fills its
+        Carriers are transformed EVAL_BATCH_CELLS at a time, in place in
+        one reused batch buffer (`_carrier_rows`), and values are added in
+        term order.  In the segments layout a term then fills its
         segment rows (carrier times contracted payload half; a half that
         is the whole payload reuses the term's values) and folds the
         pointwise bound on a rectangular cut inside each segment into the
@@ -495,21 +522,35 @@ class BlockSum:
         neg = (np.empty_like(buf) if width and any(s["sign"] < 0 for s in self._segments)
                else None)
         top1, top2 = np.zeros(m), np.zeros(m)
+        tiles = {}  # shifted carriers' tiles, by id: see _carrier_rows
         for lo in range(0, n, len(buf)):
             batch = range(lo, min(lo + len(buf), n))
-            values_rows([self.terms[i].carrier for i in batch], grid, buf[:len(batch)])
+            carrier_l1 = self._carrier_rows(batch, grid, buf[:len(batch)], tiles)
             streamed = {1: [], -1: []}  # the batch's rows of each side
             for slot, i in enumerate(batch):
                 t, cv = self.terms[i], buf[slot]
+                if segments:
+                    # the cut bounds first, and freed before the term's
+                    # rows: they read |cv|, and a positive-half row goes
+                    # over cv
+                    acv = np.abs(cv)
+                    base = coeff_norms(t.payload).linf * carrier_l1[slot]
+                    for _, _, half_l1 in halves[id(t.payload)]:
+                        cut = acv * half_l1
+                        cut += base
+                        swap = cut > top1
+                        np.maximum(top2, np.minimum(cut, top1), out=top2)
+                        np.copyto(top2, top1, where=swap)
+                        np.copyto(top1, cut, where=swap)
+                    del acv, cut, swap
                 index = contracted_index_map(t.rate, grid)
                 term = _times_gathered(cv, pv[id(t.payload)][index])
                 out += term
-                if not segments:
-                    continue
-                acv = np.abs(cv)
-                base = coeff_norms(t.payload).linf * coeff_norms(t.carrier).l1
+                rows_of = halves.get(id(t.payload), ())
+                if all(half is not None for _, half, _ in rows_of):
+                    term = None  # no segment row is the term's: free it now
                 # the negative half first: the positive one goes over cv
-                for sign, half, half_l1 in halves[id(t.payload)]:
+                for sign, half, _ in rows_of:
                     row = term if half is None else _times_gathered(cv, half[index])
                     if width is None:
                         kept[i, sign] = row
@@ -517,25 +558,57 @@ class BlockSum:
                         dest = (buf if sign > 0 else neg)[slot]
                         dest[...] = row
                         streamed[sign].append(dest)
-                    cut = acv * half_l1 + base
-                    swap = cut > top1
-                    np.maximum(top2, np.minimum(cut, top1), out=top2)
-                    np.copyto(top2, top1, where=swap)
-                    np.copyto(top1, cut, where=swap)
+                    row = None  # freed before the next half's row
                 # free this term's arrays before the next term's
-                del acv, half, row, cut, swap
+                del index, term
             if width is not None:
                 width.add(streamed[1], streamed[-1])
-            del cv, index, term
+            del cv
         if not segments:
             return out, None, None
-        del pv, halves, buf, neg
+        del pv, halves, buf, neg, tiles
         if width is None:
             rows = [kept[s["term"], s["sign"]] for s in self._segments]
             dmid = max_window_gap(lambda i, cols: rows[i][cols], count, m)
             return out, dmid, dmid + top1 + top2
         lower, upper = width.bounds()
         return out, lower, upper + top1 + top2
+
+    def _carrier_rows(self, batch: range, grid: CircleGrid, rows: np.ndarray,
+                      tiles: dict) -> List[float]:
+        """The values of the carriers of the terms in `batch`, translated by
+        their shifts, into `rows`, bit for bit as `TrigPoly.values` gives
+        them for the carriers and their translates; returns their l1 norms.
+
+        On the FFT path a translate is never formed as a polynomial: its
+        coefficients' real and imaginary parts go into two float rows per
+        tile (`translate_parts`), folded with the tile's residues and
+        parities (`TrigPoly._folded`).  `tiles` keeps both, by tile id,
+        for the pass, so each is made once per tile and grid, and nothing
+        else of the tile's size is allocated.  The l1 norm is the
+        translate's own, which may differ from the tile's in its last
+        bits, so the cut bounds keep it."""
+        m = grid.size
+        norms, folded = [], []
+        for row, i in zip(rows, batch):
+            t = self.terms[i]
+            c = t.carrier
+            if t.shift is None or not _takes_fft(len(c), m):
+                p = t.translated()
+                norms.append(coeff_norms(p).l1)
+                folded.append(_fill_row(p, grid, row))
+                continue
+            held = tiles.get(id(c))
+            if held is None:
+                held = tiles[id(c)] = (c._residues(m), np.empty((2, len(c))))
+            residues, parts = held
+            translate_parts(c, t.angle, *parts)
+            c._folded(m, row, residues, parts)
+            # as `coeff_norms` takes it: the fold flipped signs only
+            norms.append(float(np.hypot(*parts, out=parts[0]).sum()))
+            folded.append(True)
+        _ifft_runs(rows, folded)
+        return norms
 
     def _halves(self, grid: CircleGrid) -> dict:
         """payload id -> (sign, values, l1 norm) of each nonempty half of
@@ -572,13 +645,16 @@ class BlockSum:
         coefficient, both in storage order, each term as one outer product.
         Frequencies k * rate + c follow `_freq_array`'s int64/object rule,
         and each coefficient is the product of its payload and carrier
-        coefficients, rounded as Python's complex product.  Integer rates
-        only; lazy rates raise OverflowError."""
+        coefficients (a shifted term's translated ones), rounded as
+        Python's complex product.  Integer rates only; lazy rates raise
+        OverflowError."""
         if self.lazy:
             raise OverflowError("lazy rates: frequencies not materializable")
         ks = [_outer_freqs(t.payload._k, t.rate, t.carrier._k) for t in self.terms]
-        cs = [_cmul(t.payload._c[:, None], t.carrier._c.real, t.carrier._c.imag).ravel()
-              for t in self.terms]
+        cs = []
+        for t in self.terms:
+            c = t.translated()._c
+            cs.append(_cmul(t.payload._c[:, None], c.real, c.imag).ravel())
         # int64 terms join object ones as Python ints
         return (np.concatenate(ks) if ks else _freq_array([]),
                 np.concatenate(cs) if cs else np.zeros(0, dtype=complex))
@@ -594,6 +670,7 @@ class BlockSum:
         return {i: coeff_norms(h) for i, h in self._payloads.items()}
 
     def coeff_linf(self) -> float:
+        # a shifted term's carrier norms are its tile's (`BlockTerm`)
         h = self._payload_norms()
         return max(coeff_norms(t.carrier).linf * h[id(t.payload)].linf
                    for t in self.terms)
@@ -640,10 +717,16 @@ class BlockSum:
         return np.full(grid.size, self.coeff_l1())
 
     def structure(self, part) -> dict:
-        """The sum as a structure record; `part` numbers each TrigPoly."""
-        return {"type": "BlockSum", "layout": self.layout,
-                "terms": [{"carrier": part(t.carrier), "payload": part(t.payload),
-                           "rate": rate_record(t.rate)} for t in self.terms]}
+        """The sum as a structure record; `part` numbers each TrigPoly.  A
+        shifted term's record names its tile and adds "shift": [s, K]."""
+        terms = []
+        for t in self.terms:
+            record = {"carrier": part(t.carrier), "payload": part(t.payload),
+                      "rate": rate_record(t.rate)}
+            if t.shift is not None:
+                record["shift"] = list(t.shift)
+            terms.append(record)
+        return {"type": "BlockSum", "layout": self.layout, "terms": terms}
 
 
 class ScaledProduct:

@@ -31,7 +31,7 @@ from .targets import make_target
 from .trigpoly import TrigPoly
 
 CSV_CHUNK_ROWS = 16384
-STRUCTURE_FORMAT = "sparsetrig-structure/1"
+STRUCTURE_FORMAT = "sparsetrig-structure/2"
 #: config keys each approximant kind reads, besides "kind"
 APPROXIMATE_KEYS = {
     "analytic_unit": {"eps"},

@@ -37,6 +37,9 @@ DENSE_EVAL_THRESHOLD = 18
 S_STAR_STAR_SUPPORT_CAP = 4096
 #: grid columns per block of the streamed window sweep (`max_window_gap`)
 WINDOW_SWEEP_COLUMNS = 2048
+#: coefficients per block of the phases `translate_parts` forms, and of
+#: the signs `TrigPoly._folded` writes into a caller's rows
+PHASE_BLOCK = 4096
 #: frequencies of this magnitude or more are stored as Python ints; below
 #: it, sums of two frequencies and negation cannot overflow int64
 FREQ_INT64_LIMIT = 2 ** 62
@@ -71,20 +74,24 @@ def _outer_freqs(outer: np.ndarray, rate: int, inner: np.ndarray) -> np.ndarray:
     return _freq_array(ks)
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
-
-
 def _cmul(z: np.ndarray, wr, wi) -> np.ndarray:
     """z * (wr + i wi) elementwise, rounded as CPython's complex product:
     (a wr - b wi) + i (a wi + b wr), each product rounded on its own, and
     as quiet as it on overflow (inf) and inf - inf (nan)."""
+    out = np.empty(np.broadcast_shapes(np.shape(z), np.shape(wr)), dtype=complex)
+    _cmul_parts(z, wr, wi, out.real, out.imag)
+    return out
+
+
+def _cmul_parts(z: np.ndarray, wr, wi, re: np.ndarray, im: np.ndarray) -> None:
+    """`_cmul(z, wr, wi)`'s real and imaginary parts, written into `re` and
+    `im` with one temporary at a time."""
     a, b = z.real, z.imag
     with np.errstate(over="ignore", invalid="ignore"):
-        return _complex(a * wr - b * wi, a * wi + b * wr)
+        np.multiply(a, wr, out=re)
+        np.subtract(re, b * wi, out=re)
+        np.multiply(a, wi, out=im)
+        np.add(im, b * wr, out=im)
 
 
 class TrigPoly:
@@ -270,16 +277,38 @@ class TrigPoly:
             return self._values_fft(m)
         return self._values_direct(m)
 
-    def _folded(self, m: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def _residues(self, m: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The frequencies' residues mod m and parities: where `_folded`
+        adds each coefficient, and with which sign."""
+        return (self._k % m).astype(np.intp, copy=False), (self._k % 2).astype(bool)
+
+    def _folded(self, m: int, out: Optional[np.ndarray] = None,
+                residues: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+                parts: Optional[np.ndarray] = None) -> np.ndarray:
         """The coefficients folded onto the m residues, into `out` (a new
-        array when None): the values are m times its inverse FFT."""
+        array when None): the values are m times its inverse FFT.
+
+        `residues` are `_residues(m)` when the caller holds them already.
+        `parts`, when given, are two contiguous float rows that hold the
+        real and imaginary parts of other coefficients at these
+        frequencies (a translate's, `translate_parts`), folded in place of
+        the stored ones and overwritten by the fold; nothing of the
+        polynomial's size is then allocated."""
         # e^{ik t_j} = (-1)^k * omega^{k j}, t_j = -pi + 2*pi*j/m; bincount
         # adds each residue's terms in storage order from 0.0, a part at a time
-        r = (self._k % m).astype(np.intp, copy=False)
-        odd = (self._k % 2).astype(bool)
+        r, odd = self._residues(m) if residues is None else residues
         out = np.empty(m, dtype=complex) if out is None else out
-        for part, dest in ((self._c.real, out.real), (self._c.imag, out.imag)):
-            dest[...] = np.bincount(r, weights=np.where(odd, -part, part), minlength=m)
+        sources = (self._c.real, self._c.imag) if parts is None else parts
+        for part, dest in zip(sources, (out.real, out.imag)):
+            if parts is None:
+                weights = np.where(odd, -part, part)
+            else:  # the signs go into the caller's row, a block at a time
+                weights = part
+                for lo in range(0, len(part), PHASE_BLOCK):
+                    block = slice(lo, lo + PHASE_BLOCK)
+                    part[block] = np.where(odd[block], -part[block], part[block])
+            dest[...] = np.bincount(r, weights=weights, minlength=m)
+            del weights  # freed before the next part's
         return out
 
     def _values_fft(self, m: int) -> np.ndarray:
@@ -323,25 +352,26 @@ def _takes_fft(size: int, m: int) -> bool:
     return size > DENSE_EVAL_THRESHOLD or _fft_smooth(m)
 
 
-def values_rows(polys: Sequence[TrigPoly], grid: CircleGrid,
-                out: np.ndarray) -> np.ndarray:
-    """`p.values(grid, allow_alias=True)` of polys[i] into row i of `out`, a
-    C-contiguous (len(polys), M) complex array, bit for bit.
+def _fill_row(p: TrigPoly, grid: CircleGrid, row: np.ndarray) -> bool:
+    """One row of a batched evaluation: p's folded coefficients when p
+    takes the FFT path (True; `_ifft_runs` then transforms the row), else
+    p's values (False)."""
+    if len(p) and _takes_fft(len(p), grid.size):
+        p._folded(grid.size, row)
+        return True
+    row[...] = p.values(grid, allow_alias=True)
+    return False
 
-    FFT-path polynomials are folded into their rows, and each run of
-    consecutive FFT rows is transformed in place by one batched inverse
-    FFT (pocketfft transforms each row as it transforms one array).  The
-    other rows take `values`.
-    """
-    m = grid.size
-    fft = [bool(len(p)) and _takes_fft(len(p), m) for p in polys]
-    for i, p in enumerate(polys):
-        if fft[i]:
-            p._folded(m, out[i])
-        else:
-            out[i] = p.values(grid, allow_alias=True)
+
+def _ifft_runs(out: np.ndarray, folded: Sequence[bool]) -> np.ndarray:
+    """The rows of `out`, a C-contiguous (rows, M) complex array, flagged
+    in `folded`, which hold folded coefficients, transformed in place into
+    values: each run of consecutive flagged rows by one batched inverse
+    FFT.  pocketfft transforms each row as it transforms one array, so a
+    row's values are its polynomial's `values` bit for bit."""
+    m = out.shape[1]
     row = 0
-    for batched, group in itertools.groupby(fft):
+    for batched, group in itertools.groupby(folded):
         count = len(list(group))
         if batched:
             run = out[row:row + count]
@@ -465,15 +495,30 @@ def translate(p: TrigPoly, shift: float) -> TrigPoly:
     """Translation by `shift`: c_k -> c_k * e^{ik shift}."""
     if p._k.dtype == object:
         return TrigPoly({k: c * cmath.exp(1j * k * shift) for k, c in p._items()})
-    # np.exp agrees with cmath.exp here; the product is CPython's
-    phase = np.exp(1j * p._k * shift)
     # every coefficient stays nonzero, so p's frequencies are shared, as
     # `contract` shares p's coefficients.  With w = c + id, |c| or |d|
     # exceeds 1/2, and its product with a nonzero a or b never rounds to 0;
     # a zero (a + ib) w would then need fl(ac) = fl(bd) and
     # fl(ad) = -fl(bc), all four nonzero, whose signs give
     # sign(cd) = -sign(cd)
-    return TrigPoly._of_arrays(p._k, _cmul(p._c, phase.real, phase.imag))
+    out = np.empty(len(p), dtype=complex)
+    translate_parts(p, shift, out.real, out.imag)
+    return TrigPoly._of_arrays(p._k, out)
+
+
+def translate_parts(p: TrigPoly, shift: float, re: np.ndarray, im: np.ndarray) -> None:
+    """The real and imaginary parts of `translate(p, shift)`'s coefficients,
+    for int64 frequencies, into the float arrays `re` and `im`.
+
+    Each is c_k * exp(1j * k * shift) as CPython multiplies them; np.exp
+    agrees with cmath.exp here.  The phases are formed in place,
+    PHASE_BLOCK at a time, so nothing else of p's size is allocated."""
+    for lo in range(0, len(p), PHASE_BLOCK):
+        block = slice(lo, lo + PHASE_BLOCK)
+        phase = np.multiply(1j, p._k[block])
+        phase *= shift
+        np.exp(phase, out=phase)
+        _cmul_parts(p._c[block], phase.real, phase.imag, re[block], im[block])
 
 
 def multiply(p: TrigPoly, q: TrigPoly) -> TrigPoly:

@@ -2,28 +2,39 @@
 
 `ref_values` adds carrier times contracted payload term by term, and
 `ref_bracket` builds the segment rows and cut bounds in segment order,
-each carrier evaluated by its own `TrigPoly.values` call in each pass, as
+each carrier (a shifted term's translate) evaluated by its own
+`TrigPoly.values` call in each pass, as
 `BlockSum.values` and `BlockSum.sstar_star_bracket` computed them before
 one memoized pass with batched carrier transforms gave both.  From
 WIDTH_BRACKET_ROWS rows on, it folds the rows into the width bracket with
 `window_oracle.ref_width_bracket`: whole cumulative sums of the positive
 and of the negative halves, each in term order.  Nothing here calls
-`trigpoly.values_rows`, `BlockSum._evaluate` or `blockpoly.WidthBracket`,
+`trigpoly._ifft_runs`, `BlockSum._evaluate` or `blockpoly.WidthBracket`,
 so a fault there cannot hide in both the program and its check.
 """
+
+import math
 
 import numpy as np
 
 from window_oracle import ref_width_bracket, ref_window_gap
 from sparsetrig.blockpoly import WIDTH_BRACKET_ROWS, _half, contracted_index_map
-from sparsetrig.trigpoly import coeff_norms
+from sparsetrig.trigpoly import coeff_norms, translate
+
+
+def ref_carrier(t):
+    """The term's carrier, translated by 2 pi s / K for a shift (s, K)."""
+    if t.shift is None:
+        return t.carrier
+    s, k = t.shift
+    return translate(t.carrier, 2.0 * math.pi * s / k)
 
 
 def ref_values(w, grid) -> np.ndarray:
     out = np.zeros(grid.size, dtype=complex)
     pv = {i: h.values(grid, allow_alias=True) for i, h in w._payloads.items()}
     for t in w.terms:
-        cv = t.carrier.values(grid, allow_alias=True)
+        cv = ref_carrier(t).values(grid, allow_alias=True)
         # one expression: numpy computes it in place on the indexed
         # temporary once the row reaches 256 KiB, and the operand order
         # decides the last bit under FMA
@@ -38,12 +49,13 @@ def ref_segment_rows(w, grid):
     cuts = []
     for pos, seg in enumerate(w._segments):
         t = w.terms[seg["term"]]
-        cv = t.carrier.values(grid, allow_alias=True)
+        carrier = ref_carrier(t)
+        cv = carrier.values(grid, allow_alias=True)
         half = _half(t.payload, seg["sign"])
         hv = half.values(grid, allow_alias=True)
         rows[pos] = cv * hv[contracted_index_map(t.rate, grid)]
         cuts.append(np.abs(cv) * coeff_norms(half).l1
-                    + coeff_norms(t.payload).linf * coeff_norms(t.carrier).l1)
+                    + coeff_norms(t.payload).linf * coeff_norms(carrier).l1)
     return rows, cuts
 
 

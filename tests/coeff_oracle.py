@@ -6,6 +6,9 @@ step per row, products taken as Python complex numbers.  Nested factors go
 through the oracle too, so it never calls the code it checks.
 """
 
+import cmath
+import math
+
 import numpy as np
 
 from sparsetrig.blockpoly import BlockSum, ScaledProduct
@@ -40,6 +43,9 @@ def _blocksum_rows(b):
     payload_items = {i: list(h.coeffs.items()) for i, h in b._payloads.items()}
     for t in b.terms:
         carrier = list(t.carrier.coeffs.items())
+        if t.shift is not None:  # the translate by 2 pi s / K, as translate rounds it
+            shift = 2.0 * math.pi * t.shift[0] / t.shift[1]
+            carrier = [(c, cc * cmath.exp(1j * c * shift)) for c, cc in carrier]
         for k, hk in payload_items[id(t.payload)]:
             base = k * t.rate
             for c, cc in carrier:

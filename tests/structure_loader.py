@@ -1,7 +1,7 @@
 """Reader of the CLI's structure records (`<name>.json` + `<name>.npz`).
 
-Rebuilds the polynomial a record describes from its types, layouts, terms
-and rates, with each TrigPoly part taken from the archive in storage order,
+Rebuilds the polynomial a record describes from its types, layouts, terms,
+rates and shifts, with each TrigPoly part taken from the archive in storage order,
 so that the rebuilt polynomial evaluates bit for bit as the written one.
 """
 
@@ -14,7 +14,7 @@ from sparsetrig.blockpoly import BlockSum, BlockTerm, LazyRate, ScaledProduct
 from sparsetrig.engines import _Modulated
 from sparsetrig.trigpoly import TrigPoly, _freq_array
 
-FORMAT = "sparsetrig-structure/1"
+FORMAT = "sparsetrig-structure/2"
 
 
 def _rate(record):
@@ -45,8 +45,9 @@ def load_structure(path: Path):
             return part(node["part"])
         if kind == "BlockSum":
             return BlockSum([BlockTerm(part(t["carrier"]), part(t["payload"]),
-                                       _rate(t["rate"])) for t in node["terms"]],
-                            layout=node["layout"])
+                                       _rate(t["rate"]),
+                                       tuple(t["shift"]) if "shift" in t else None)
+                             for t in node["terms"]], layout=node["layout"])
         if kind == "ScaledProduct":
             return ScaledProduct(build(node["q"]), _rate(node["rate"]), build(node["p"]))
         assert kind == "Modulated", kind

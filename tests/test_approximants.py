@@ -296,6 +296,18 @@ def test_korner_small_grid():
         rep.extras["sstar_star_constant"] + 1e-9
 
 
+def test_korner_reports_a_tile_tail_it_could_not_reach():
+    # K = 128 tiles asked for an l1 tail below 1.875e-4: _triangle_partial
+    # stops at its cap 2^16 with the tail 1.979e-4, and the report says so;
+    # at eps = delta = 0.25 the tile reaches its tolerance
+    capped = korner_polynomial(0.05, 0.06, grid=CircleGrid(1024), strict=False)
+    assert capped.extras["deg_tile"] == 2 ** 16
+    assert "tile l1 accuracy capped at degree 65536 (rule wants tail < 0.000188)" \
+        in capped.deviations
+    rep = korner_polynomial(0.25, 0.25, grid=GRID, strict=False)
+    assert not any("tile l1 accuracy" in d for d in rep.deviations)
+
+
 def test_block_approximant_zero_target():
     rep = block_approximant(zero(CASCADE_GRID), 0.25, 0.25, s=100, a=3)
     assert isinstance(rep.poly, tp.TrigPoly) and len(rep.poly) == 0
@@ -334,8 +346,9 @@ def test_block_approximant_small_s_exact_rates_oracle():
                                                          rel=1e-12)
     with pytest.raises(ConstructionInfeasible) as exc:
         block_approximant(f, 0.4, 0.4, s=4000, a=3, strict=False)
-    assert str(exc.value) == \
-        "tiled-dip stage does not fit inside payload budget s = 4000"
+    assert str(exc.value) == (
+        "tiled-dip stage infeasible at payload budget s = 4000: payload "
+        "budget 4000 below the minimal tiled-dip size")
     assert exc.value.diagnostics == {
         "step": "Q3", "inner": {"budget": 4000, "deg_tile": 16}}
 
@@ -435,6 +448,11 @@ def test_block_approximant_at_a_huge_budget_reaches_the_walk_cap(monkeypatch):
     inner = info.value.diagnostics["inner"]
     assert inner["candidate_cap"] == 50
     assert inner["payload_deg"] == 76726
+    # the message names the walk's cap, and s by its log10
+    assert str(info.value) == (
+        "tiled-dip stage infeasible at payload budget s = 10^210: found 1 of "
+        "3 prime rates in RATE_WALK_CANDIDATES = 50 candidates with multiples "
+        "below 2^62")
 
 
 def test_structural_containment_rejects_another_block():
@@ -523,6 +541,11 @@ def test_analytic_korner_builds_one_sum_for_every_eps():
         for p, q in ((a.carrier, b.carrier), (a.payload, b.payload)):
             assert np.array_equal(p._k, q._k)
             assert np.array_equal(p._c, q._c)
+    # every term holds the one tile, term s shifted by 2 pi s / 41
+    for rep in (hi, lo):
+        tile = rep.poly.terms[0].carrier
+        assert all(t.carrier is tile for t in rep.poly.terms)
+        assert [t.shift for t in rep.poly.terms] == [(s, 41) for s in range(1, 42)]
     assert np.array_equal(hi.exceptional_set, lo.exceptional_set)
     assert hi.deviations != lo.deviations
 
@@ -556,6 +579,18 @@ def tile_configs(draw):
 @given(tile_configs())
 def test_windowed_exceptional_set_matches_full_grid_loop(config):
     assert np.array_equal(_pullback_bad_set(*config), ref_pullback_bad_set(*config))
+
+
+def test_analytic_korner_keeps_one_tile_in_memory():
+    # the 41 translates of the 8193-coefficient tile (5.4 MB) are never
+    # kept: the build peaked at 12.56 MiB with them, and 7.62 MiB without
+    tracemalloc.start()
+    try:
+        analytic_korner(0.3, grid=CASCADE_GRID, strict=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * 2 ** 20
 
 
 def test_analytic_korner_transforms_its_unit_payload_twice(monkeypatch):

@@ -113,10 +113,10 @@ def test_width_bracket_encloses_window_maximum(count, m, kind, scale, neg, seed)
     lower, upper = width_bracket(rows[neg:], rows[:neg][::-1])
     assert np.all(lower <= exact)
     assert np.all(exact <= upper)
-    # the points the bracket projects: the prefix sums less the
-    # negative-half total
-    prefixes = np.cumsum(rows, axis=0)
-    radius = np.abs(prefixes - (prefixes[neg - 1] if neg else 0)).max(axis=0)
+    # the points the bracket projects: the prefix sums, P_0 = 0 included,
+    # less the negative-half total P_neg
+    prefixes = np.vstack([np.zeros(m), np.cumsum(rows, axis=0)])
+    radius = np.abs(prefixes - prefixes[neg]).max(axis=0)
     margin = WIDTH_MARGIN / WIDTH_COS * radius + WIDTH_UNDERFLOW
     assert np.all(upper <= exact / WIDTH_COS + 2 * margin)
 
@@ -357,6 +357,60 @@ def test_one_pass_bit_identical_to_two(w, m):
 
 
 @st.composite
+def shifted_block_sums(draw):
+    """(shifted, translated): a BlockSum of 1-20 terms that all hold one
+    tile, term i with a shift (s_i, K), and the same sum built from
+    `trigpoly.translate`'s carriers.  The tile has support 1-60 within
+    [-30, 30] (so on a grid with a large prime factor a small one takes
+    the direct sum), K is 1-41 and s_i any of -K..2K; payloads of degree
+    <= 6 are one-sided or two-sided, shared or one per term, at rates
+    61 * 9^i, in either layout."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count = draw(st.integers(1, 20))
+    k = draw(st.integers(1, 41))
+    shifts = draw(st.lists(st.integers(-k, 2 * k), min_size=count, max_size=count))
+    two_sided = draw(st.booleans())
+
+    def poly(ks):
+        return TrigPoly({int(f): complex(rng.normal(), rng.normal()) for f in ks})
+
+    def payload():
+        ks = rng.choice(np.arange(1, 7), int(rng.integers(1, 7)), replace=False)
+        return poly(np.r_[-ks, ks] if two_sided else ks)
+    tile = poly(rng.choice(np.arange(-30, 31), draw(st.integers(1, 60)), replace=False))
+    shared = payload() if draw(st.booleans()) else None
+    parts = [(shared or payload(), 61 * 9 ** i, s) for i, s in enumerate(shifts)]
+    layout = draw(st.sampled_from(["segments", "subblocks"]))
+    return (BlockSum([BlockTerm(tile, h, r, shift=(s, k)) for h, r, s in parts], layout),
+            BlockSum([BlockTerm(tp.translate(tile, 2.0 * math.pi * s / k), h, r)
+                      for h, r, s in parts], layout))
+
+
+# 2*509 points have a large prime factor, as 2*8191 do, at a size where
+# 20 two-sided terms evaluate quickly
+@settings(max_examples=60, deadline=None)
+@given(shifted_block_sums(), st.sampled_from([2 ** 14, 2 * 8191, 2 * 509]))
+def test_shifted_terms_match_translated_carriers(sums, m):
+    # a tile held with shifts evaluates, brackets and lists its
+    # coefficients bit for bit as the sum of its materialized translates
+    shifted, translated = sums
+    grid = CircleGrid(m)
+    assert shifted.values(grid).tobytes() == translated.values(grid).tobytes()
+    if shifted.layout == "segments":
+        for a, b in zip(shifted.sstar_star_bracket(grid),
+                        translated.sstar_star_bracket(grid)):
+            assert a.tobytes() == b.tobytes()
+    (ks, cs), (ref_ks, ref_cs) = shifted.coeff_arrays(), translated.coeff_arrays()
+    assert np.array_equal(ks, ref_ks) and ks.dtype == ref_ks.dtype
+    assert cs.tobytes() == ref_cs.tobytes()
+
+
+def test_shifted_carrier_needs_int64_frequencies():
+    with pytest.raises(ValueError, match="below 2\\^62"):
+        BlockTerm(TrigPoly({2 ** 62: 1.0}), TrigPoly({1: 1.0}), 3, shift=(1, 4))
+
+
+@st.composite
 def two_sided_block_sums(draw):
     """A segments-layout BlockSum of 16-70 segments, at least one term
     two-sided: one- and two-sided payloads of degree <= 6 interleave at
@@ -510,16 +564,19 @@ def test_analytic_stage_transforms_fejer_polynomial_twice(monkeypatch):
                    "target_params": {"k": 1}, "stages": 1})],
     ids=["korner", "analytic_korner", "squares_stage", "asymptotic_stage"])
 def test_no_carrier_is_transformed_twice(monkeypatch, tmp_path, job):
+    # each carrier, and each translate of a shared tile, is transformed
+    # once per grid: the translates share their tile's frequency array, so
+    # an array is transformed at most as often as terms hold it
     transformed, carriers = _count_transforms(monkeypatch)
     command, cfg = job
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     assert carriers
-    counts = Counter((id(p), m) for p, m in transformed)
-    carrier_ids = {id(c) for c in carriers}
-    assert any(i in carrier_ids for i, _ in counts)
-    assert max(n for (i, _), n in counts.items() if i in carrier_ids) == 1
+    counts = Counter((id(p._k), m) for p, m in transformed)
+    holders = Counter(id(c._k) for c in carriers)
+    assert any(k in holders for k, _ in counts)
+    assert all(n <= holders[k] for (k, _), n in counts.items() if k in holders)
 
 
 def test_segment_overlap_rejected():
@@ -787,7 +844,7 @@ def scaled_products(draw, depth=2):
 
 
 @settings(max_examples=150, deadline=None)
-@given(block_sums())
+@given(st.one_of(block_sums(), shifted_block_sums().map(lambda sums: sums[0])))
 def test_coeff_arrays_match_row_oracle(x):
     rows = list(oracle_iter_coeffs(x))
     want_ks = [k for k, _ in rows]
@@ -954,7 +1011,8 @@ def _record(x) -> dict:
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(block_sums(), block_sums().map(lazy_twin), scaled_products()),
+@given(st.one_of(block_sums(), block_sums().map(lazy_twin),
+                 shifted_block_sums().map(lambda sums: sums[0]), scaled_products()),
        st.sampled_from([None, "cos", "exp"]))
 def test_structure_record_round_trips(x, modulated):
     # the written record rebuilds a polynomial of the same structure, whose

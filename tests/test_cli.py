@@ -21,7 +21,8 @@ from sparsetrig import cli, targets
 from sparsetrig.blockpoly import BlockSum, BlockTerm, LazyRate, ScaledProduct
 from sparsetrig.circle import CircleGrid, SampledFunction
 from sparsetrig.cli import main
-from sparsetrig.engines import run_squares_engine
+from sparsetrig.approximants import analytic_korner
+from sparsetrig.engines import run_infinity_mode, run_squares_engine
 from sparsetrig.targets import make_target
 from sparsetrig.trigpoly import TrigPoly
 from structure_loader import load_structure
@@ -404,8 +405,17 @@ def _squares_stage():
     return run.stages[0].poly
 
 
+def _infinity_stage():
+    """Stage 1 of an `infinity` run: Q(R t) g, Q the 41-term analytic
+    Korner sum, whose terms hold one tile with shifts."""
+    grid = CircleGrid(2 * 8191)
+    run = run_infinity_mode(make_target("plus_infinity_arc", grid, {}), 1)
+    return run.stages[0].poly
+
+
 ROUND_TRIP_CASES = {
     "blocksum": _shared_payload_sum,
+    "infinity_stage": _infinity_stage,
     "nested_q": lambda: ScaledProduct(_scaled_product(), 2 ** 70 + 1,
                                       TrigPoly({-1: 0.5, 0: 1.0, 2 ** 62 + 3: 0.25})),
     "nested_p": lambda: ScaledProduct(TrigPoly({1: 0.5, -3: 2.0}),
@@ -432,6 +442,32 @@ def test_structure_records_rebuild_the_polynomial(tmp_path, name):
         assert rebuilt.terms[1].rate == 10 ** 4400 + 1
     if name == "engine_stage":
         assert type(poly).__name__ == "_Modulated" and poly.inner.lazy
+    if name == "infinity_stage":
+        assert entry["parts"] == 3  # the tile, the unit payload and g
+        terms = json.loads((tmp_path / "stage_2.json").read_text())["poly"]["q"]["terms"]
+        assert [t["shift"] for t in terms] == [[s, 41] for s in range(1, 42)]
+        assert all(t.carrier is rebuilt.q.terms[0].carrier for t in rebuilt.q.terms)
+
+
+def test_korner_record_writes_its_tile_once(tmp_path):
+    # the 41 terms of the analytic Korner sum hold one tile with shifts:
+    # the record is the tile and the unit payload, 0.25 MB where the 41
+    # translates took 8.1 MB, and it rebuilds the sum bit for bit
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"kind": "analytic_korner", "eps": 0.3}))
+    out = tmp_path / "r"
+    run_cli(["approximate", "--config", cfg, "--out", out, "--grid", 2 ** 14])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["poly"]["parts"] == 2
+    assert (out / "poly.npz").stat().st_size < 0.5e6
+    record = json.loads((out / "poly.json").read_text())
+    assert record["format"] == "sparsetrig-structure/2"
+    terms = record["poly"]["terms"]
+    assert [t["shift"] for t in terms] == [[s, 41] for s in range(1, 42)]
+    assert {t["carrier"] for t in terms} == {terms[0]["carrier"]}
+    poly = analytic_korner(0.3, grid=CircleGrid(2 ** 14), strict=False).poly
+    assert_same_values(load_structure(out / "poly.json"), poly,
+                       grids=(2 ** 14, 2 * 8191))
 
 
 def test_manifests_record_what_each_file_holds(tmp_path):

@@ -582,11 +582,13 @@ def test_fft_and_direct_paths_agree(items, m):
                          max_size=60), max_size=8),
        st.sampled_from([1022, 4096, 2 * 8191, 2 ** 14]))
 def test_values_rows_match_values(polys, m):
-    # supports on both sides of the threshold, so a grid with a large
-    # prime factor mixes batched FFT rows with direct and empty ones
+    # rows filled and transformed as a block sum's batch is: supports on
+    # both sides of the threshold, so a grid with a large prime factor
+    # mixes batched FFT rows with direct and empty ones
     polys = [TrigPoly(items) for items in polys]
     g = CircleGrid(m)
-    out = tp.values_rows(polys, g, np.empty((len(polys), m), dtype=complex))
+    out = np.empty((len(polys), m), dtype=complex)
+    tp._ifft_runs(out, [tp._fill_row(p, g, row) for p, row in zip(polys, out)])
     for row, p in zip(out, polys):
         assert row.tobytes() == p.values(g, allow_alias=True).tobytes()
 
