@@ -69,6 +69,19 @@ class CertificateError(RuntimeError):
         self.report = report
 
 
+def certificate(measured: float, bound: Optional[float], **details) -> dict:
+    """The one certificate record: {"measured", "bound", "pass"} plus details.
+
+    The only verdict in the package: a record passes iff its bound is None
+    (a reported measurement) or measured < bound (so NaN fails), and it
+    lists no failure `reasons`.
+    """
+    measured = float(measured)
+    bound = None if bound is None else float(bound)
+    passed = (bound is None or measured < bound) and not details.get("reasons")
+    return {"measured": measured, "bound": bound, "pass": passed, **details}
+
+
 @dataclass
 class ApproximantReport:
     """Constructed polynomial plus its measured certificate table."""
@@ -83,8 +96,7 @@ class ApproximantReport:
     values: Optional[np.ndarray] = None
 
     def add(self, name: str, measured: float, bound: float):
-        self.measured[name] = {"requirement": name, "measured": float(measured),
-                               "bound": float(bound), "pass": bool(measured < bound)}
+        self.measured[name] = certificate(measured, bound)
 
     def all_passed(self) -> bool:
         return all(v["pass"] for v in self.measured.values())
@@ -94,7 +106,8 @@ class ApproximantReport:
 
     def to_json(self) -> str:
         body = {
-            "requirements": self.measured,
+            "requirements": {k: {"requirement": k, **v}
+                             for k, v in self.measured.items()},
             "deviations": list(self.deviations),
             "extras": self.extras,
         }
@@ -835,19 +848,14 @@ def _structural_containment(product, p1: TrigPoly, payload: TrigPoly,
     oracle's 2-adic filter.
     """
     s = rates.s
-    ok = True
     reasons = []
     if p1.degree() > s:
-        ok = False
         reasons.append("carrier degree exceeds s")
     if payload.degree() > s:
-        ok = False
         reasons.append("payload degree exceeds s")
     if analytic and not payload.is_analytic():
-        ok = False
         reasons.append("payload not analytic")
     if q3.degree_log2() > math.log2(max(s, 1)) + 1e-12:
-        ok = False
         reasons.append("tiled stage degree exceeds s")
     sampled = 0
     bad = 0
@@ -857,11 +865,8 @@ def _structural_containment(product, p1: TrigPoly, payload: TrigPoly,
         sampled = len(samples)
         bad = sum(not member(k, rates) for k in samples)
         if bad:
-            ok = False
             reasons.append(f"{bad} sampled frequencies outside the block")
-    return {"requirement": "spectrum_in_block", "measured": float(bad),
-            "bound": 0.5, "pass": bool(ok), "checked": sampled,
-            "reasons": reasons}
+    return certificate(bad, 0.5, checked=sampled, reasons=reasons)
 
 
 def block_approximant(f: SampledFunction, eps: float, delta: float,

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from .approximants import (ApproximantReport, ConstructionInfeasible,
-                           analytic_block_approximant, analytic_korner,
-                           block_approximant, fejer_until)
+from . import approximants
+from .approximants import (ConstructionInfeasible, analytic_block_approximant,
+                           analytic_korner, block_approximant, fejer_until)
 from .blockpoly import (Freq, LazyRate, ScaledProduct, contracted_index_map,
                         log2_sum_upper, rate_log2, rate_record)
 from .blocks import (BuiltSpectrum, SpectrumSet, divide_spectrum,
@@ -87,17 +87,13 @@ class RunStage:
     index: int
     block: Optional[dict]
     poly: object
-    report: Optional[ApproximantReport]
     certificates: dict = field(default_factory=dict)
     ok: bool = True
     note: str = ""
 
-    def cert(self, name: str, measured: float, bound: float):
-        passed = bool(measured < bound)
-        self.certificates[name] = {"measured": float(measured),
-                                   "bound": float(bound), "pass": passed}
-        if not passed:
-            self.ok = False
+    def cert(self, name: str, measured: float, bound: Optional[float]):
+        self.certificates[name] = approximants.certificate(measured, bound)
+        self.ok = self.ok and self.certificates[name]["pass"]
 
 
 @dataclass
@@ -179,7 +175,7 @@ def run_ae_engine(f: SampledFunction, built: BuiltSpectrum,
         if l0_of_abs(np.abs(residual)) < 0.5 * delta_n:
             # residual already below the stage target: a zero stage needs
             # no block and trivially follows everything
-            stage = RunStage(n, None, TrigPoly(), None, note="zero stage")
+            stage = RunStage(n, None, TrigPoly(), note="zero stage")
             stage.cert("residual_measure",
                        measure_fraction(np.abs(residual) > delta_n), eps_n)
             run.stages.append(stage)
@@ -206,7 +202,7 @@ def run_ae_engine(f: SampledFunction, built: BuiltSpectrum,
                     {"n": n, "s": entry.s, "a": entry.a,
                      "reason": "block does not clear the previous stage"})
                 continue
-            stage = RunStage(n, entry.as_dict(), poly, rep)
+            stage = RunStage(n, entry.as_dict(), poly)
             break
         if stage is None:
             run.flags["exhausted"] = True
@@ -216,10 +212,8 @@ def run_ae_engine(f: SampledFunction, built: BuiltSpectrum,
         residual = residual - stage.poly.values(grid, allow_alias=True)
         stage.cert("residual_measure",
                    measure_fraction(np.abs(residual) > delta_n), eps_n)
-        rep = stage.report
-        if rep is not None and "sstar_measure" in rep.measured:
-            m = rep.measured["sstar_measure"]
-            stage.cert("sstar_measure", m["measured"], m["bound"])
+        # `rep` is the report that built the stage's polynomial
+        stage.cert("sstar_measure", rep.measured["sstar_measure"]["measured"], eps_n)
         if stage.poly.spectrum_size():
             prev_deg_log2 = stage.poly.degree_log2()
         run.stages.append(stage)
@@ -272,7 +266,7 @@ def run_squares_engine(f: SampledFunction, n_stages: int,
         nu_n = auto_nu(prev_nu, default_ratio_rule(n), floor_log2 + 1.0)
         poly = _Modulated(nu_n, inner, "cos") if inner.spectrum_size() else inner
         stage = RunStage(n, {"kind": "B_nu", "s": s_budget, "a": a,
-                             "nu_log2": rate_log2(nu_n)}, poly, rep)
+                             "nu_log2": rate_log2(nu_n)}, poly)
         idx = contracted_index_map(nu_n, grid)
         cosv = np.cos(grid.points[idx])
         pv = poly.values(grid, allow_alias=True)
@@ -280,9 +274,7 @@ def run_squares_engine(f: SampledFunction, n_stages: int,
         r_n = pv - residual * cosv
         stage.cert("stage_error_measure",
                    measure_fraction(np.abs(r_n) > delta_n), eps_n)
-        if rep is not None and "sstar_measure" in rep.measured:
-            m = rep.measured["sstar_measure"]
-            stage.cert("sstar_measure", m["measured"], m["bound"])
+        stage.cert("sstar_measure", rep.measured["sstar_measure"]["measured"], eps_n)
         residual = residual - pv
         prev_nu = nu_n
         if poly.spectrum_size():
@@ -314,7 +306,7 @@ def _analytic_stage(f_target: np.ndarray, n: int, grid: CircleGrid,
     tol = 2.0 ** -(n + 1)
     resid = f_target - partial
     g_n, gdiag = fejer_until(SampledFunction(grid, resid), tol, tol, 4096)
-    stage = RunStage(n, None, None, None)
+    stage = RunStage(n, None, None)
     if g_n is None:
         stage.ok = False
         stage.note = f"residual approximation stalled: {gdiag}"
@@ -331,7 +323,6 @@ def _analytic_stage(f_target: np.ndarray, n: int, grid: CircleGrid,
     stage.block = {"kind": "analytic", "r_log2": math.log2(r_n),
                    "eps_n": eps_n, "korner_failures": q_rep.failures()}
     stage.poly = poly
-    stage.report = q_rep
     pv = poly.values(grid)
     new_partial = partial + pv
     stage.cert("exceptional_measure", measure_fraction(~e_mask), 2.0 ** -n)
@@ -346,8 +337,7 @@ def _analytic_stage(f_target: np.ndarray, n: int, grid: CircleGrid,
         windows["l2_window_norm_finite"] = both & finite
         windows["l2_window_norm_infinite"] = both & ~finite
     for name, mask in windows.items():
-        stage.certificates[name] = {"measured": _l2_on(sup, mask),
-                                    "bound": None, "pass": True}
+        stage.cert(name, _l2_on(sup, mask), None)
     # exact integer degree: the analytic stage factors keep integer rates
     new_deg = r_n * q.degree() + g_n.degree()
     return stage, pv, e_mask, new_deg
@@ -449,10 +439,10 @@ def run_stoptime_engine(f: SampledFunction, interval_mask: np.ndarray,
             stopped = True
             break
         nu_k = auto_nu(prev_nu, default_ratio_rule(k + 1), prev_deg_log2 + 1.0)
+        eps_k = eps * 2.0 ** (-k - 2)
         try:
-            rep = analytic_block_approximant(
-                SampledFunction(grid, r_k), eps * 2.0 ** (-k - 2),
-                s_budget, a, strict=False)
+            rep = analytic_block_approximant(SampledFunction(grid, r_k), eps_k,
+                                             s_budget, a, strict=False)
         except ConstructionInfeasible as exc:
             run.flags["infeasible"] = {"stage": k, "reason": str(exc),
                                        "diagnostics": exc.diagnostics}
@@ -465,10 +455,9 @@ def run_stoptime_engine(f: SampledFunction, interval_mask: np.ndarray,
             prev_nu = nu_k
         pv = poly.values(grid, allow_alias=True)
         stage = RunStage(k, {"kind": "D_nu", "s": s_budget, "a": a,
-                             "nu_log2": rate_log2(nu_k)}, poly, rep)
-        if rep is not None and "l0_f_minus_P" in rep.measured:
-            m = rep.measured["l0_f_minus_P"]
-            stage.cert("stage_l0", m["measured"], max(m["bound"], 1e-9))
+                             "nu_log2": rate_log2(nu_k)}, poly)
+        stage.cert("stage_l0", rep.measured["l0_f_minus_P"]["measured"],
+                   max(eps_k, 1e-9))
         t_vals = t_vals - pv
         run.stages.append(stage)
     if not stopped and not run.flags.get("infeasible"):
@@ -522,7 +511,7 @@ def run_measure_engine(f: SampledFunction, n_stages: int,
             pv = pv + p.values(grid, allow_alias=True)
         partial = partial + pv
         stage = RunStage(k, {"kind": "cover", "arc_measure": measure_fraction(mask)},
-                         None, None)
+                         None)
         stage.cert("stage_l0", l0_of_abs(np.abs(r_k - pv)), eps_k + 1e-9)
         stage.note = json.dumps(sub.flags, default=str)
         if sub.flags.get("infeasible"):
@@ -560,10 +549,8 @@ def transform_series_shift(run: RepresentationRun, n: int) -> RepresentationRun:
     for st in run.stages:
         if not isinstance(st.poly, TrigPoly):
             raise ValueError("shift transform needs materialized stages")
-        newp = st.poly.shift_freq(-n)
-        ns = RunStage(st.index, st.block, newp, st.report,
-                      dict(st.certificates), st.ok, st.note)
-        out.stages.append(ns)
+        out.stages.append(replace(st, poly=st.poly.shift_freq(-n),
+                                  certificates=dict(st.certificates)))
     if run.spectrum is not None:
         out.spectrum = shift_spectrum(run.spectrum, n)
     out.final_residual = None if run.final_residual is None else \
@@ -601,8 +588,7 @@ def transform_series_divide(run: RepresentationRun, m: int) -> RepresentationRun
             raise ValueError("divide transform needs materialized stages")
         newp = TrigPoly({k // m: c for k, c in st.poly.coeffs.items()
                          if k % m == 0})
-        out.stages.append(RunStage(st.index, st.block, newp, st.report,
-                                   dict(st.certificates), st.ok, st.note))
+        out.stages.append(replace(st, poly=newp, certificates=dict(st.certificates)))
     if run.spectrum is not None:
         out.spectrum = divide_spectrum(run.spectrum, m)
     return out

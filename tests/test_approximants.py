@@ -13,7 +13,7 @@ from sparsetrig import approximants as ap
 from sparsetrig import blocks as bl
 from sparsetrig import trigpoly as tp
 from sparsetrig.approximants import (OUTER_PEAK_LOG_CAP, CertificateError,
-                                     ConstructionInfeasible,
+                                     ConstructionInfeasible, certificate,
                                      _pullback_bad_set,
                                      _structural_containment,
                                      analytic_block_approximant,
@@ -306,6 +306,20 @@ def test_korner_reports_a_tile_tail_it_could_not_reach():
         in capped.deviations
     rep = korner_polynomial(0.25, 0.25, grid=GRID, strict=False)
     assert not any("tile l1 accuracy" in d for d in rep.deviations)
+
+
+def test_certificate_verdict_rule():
+    assert certificate(0.1, 0.2) == {"measured": 0.1, "bound": 0.2, "pass": True}
+    assert not certificate(0.2, 0.2)["pass"]
+    # containment failing on one structural reason alone: nothing sampled
+    chk = certificate(0, 0.5, checked=0, reasons=["carrier degree exceeds s"])
+    assert chk == {"measured": 0.0, "bound": 0.5, "pass": False, "checked": 0,
+                   "reasons": ["carrier degree exceeds s"]}
+    assert certificate(0, 0.5, checked=96, reasons=[])["pass"]
+    # a reported measurement passes; NaN never passes a bound
+    assert certificate(3.0e6, None) == {"measured": 3.0e6, "bound": None, "pass": True}
+    assert not certificate(math.nan, 0.5)["pass"]
+    assert not certificate(math.nan, math.inf)["pass"]
 
 
 def test_block_approximant_zero_target():

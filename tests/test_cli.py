@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import sparsetrig
 from coeff_oracle import oracle_iter_coeffs
-from sparsetrig import cli, targets
+from sparsetrig import approximants, cli, targets
 from sparsetrig.blockpoly import BlockSum, BlockTerm, LazyRate, ScaledProduct
 from sparsetrig.circle import CircleGrid, SampledFunction
 from sparsetrig.cli import main
@@ -181,6 +181,44 @@ def test_represent_without_stages_certifies_nothing(tmp_path, engine, stages):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["run"]["stages"] == []
     assert manifest["certificates_passed"] is False
+
+
+#: runs whose records span every shape: plain requirements, the structural
+#: containment record (checked/reasons), stage certificates, the copied S**
+#: measure and the reported window norm (bound null)
+CERTIFICATE_RUNS = [
+    ("approximate", {"kind": "korner", "eps": 0.25, "delta": 0.25}, 8192),
+    ("approximate", {"kind": "block", "eps": 0.3, "delta": 0.3, "target": "const",
+                     "s": 8000, "a": 3}, 1018),
+    ("represent", {"engine": "squares", "target": "const", "stages": 1}, 1018),
+    ("represent", {"engine": "asymptotic_l2", "target": "const", "stages": 1}, 1018),
+]
+
+
+def test_every_certificate_comes_from_one_constructor(tmp_path, monkeypatch):
+    made = approximants.certificate
+    monkeypatch.setattr(approximants, "certificate",
+                        lambda *args, **details: made(*args, dummy=1, **details))
+    records = []
+    for i, (command, body, grid) in enumerate(CERTIFICATE_RUNS):
+        cfg = tmp_path / f"c{i}.json"
+        cfg.write_text(json.dumps(body))
+        out = tmp_path / f"r{i}"
+        assert run_cli([command, "--config", cfg, "--out", out, "--grid", grid]) in (0, 1)
+        if command == "approximate":
+            reqs = json.loads((out / "report.json").read_text())["requirements"]
+            assert all(r["requirement"] == name for name, r in reqs.items())
+            records += reqs.values()
+        else:
+            stages = json.loads((out / "manifest.json").read_text())["run"]["stages"]
+            assert stages and all(st["certificates"] for st in stages)
+            records += [r for st in stages for r in st["certificates"].values()]
+    assert {"checked", "reasons"} <= set().union(*records)
+    assert any(r["bound"] is None for r in records)
+    for r in records:
+        assert r["dummy"] == 1
+        assert r["pass"] == ((r["bound"] is None or r["measured"] < r["bound"])
+                             and not r.get("reasons"))
 
 
 @pytest.mark.parametrize("spectrum, word", [

@@ -132,8 +132,8 @@ def _synthetic_run(grid) -> RepresentationRun:
     p2 = TrigPoly({-6: 0.25j, 6: -0.25j})
     target = SampledFunction(grid, p1.values(grid) + p2.values(grid))
     run = RepresentationRun("synthetic", target, grid)
-    run.stages.append(RunStage(1, None, p1, None))
-    run.stages.append(RunStage(2, None, p2, None))
+    run.stages.append(RunStage(1, None, p1))
+    run.stages.append(RunStage(2, None, p2))
     run.final_residual = np.zeros(grid.size, dtype=complex)
     return run
 
