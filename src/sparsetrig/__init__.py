@@ -8,8 +8,7 @@ from .trigpoly import (TrigPoly, partial_sum, partial_sum_rect, s_star,
                        special_product, coeff_norms, follows)
 from .blocks import (SpectrumSet, block_B1, block_B1_plus,
                      block_B2, block_B, block_B_nu, block_D, block_D_nu,
-                     linearize, shift_spectrum, divide_spectrum,
-                     build_hadamard_spectrum, build_squares_spectrum,
+                     linearize, build_hadamard_spectrum, build_squares_spectrum,
                      build_analytic_hadamard_spectrum,
                      build_analytic_squares_spectrum)
 from .approximants import (ApproximantReport, CertificateError,
@@ -23,7 +22,6 @@ from .numbertheory import (legendre, find_nonresidue_run,
                            squares_gap_certificate, GapCertificate)
 from .engines import (RepresentationRun, run_ae_engine, run_squares_engine,
                       run_asymptotic_l2_engine, run_infinity_mode,
-                      run_stoptime_engine, run_measure_engine,
-                      transform_series_shift, transform_series_divide)
+                      run_stoptime_engine, run_measure_engine)
 
 __version__ = "0.1.0"

@@ -483,15 +483,27 @@ def _tiled_sum(tile: TrigPoly, payload: TrigPoly, rates: List[int],
                      for s, r in enumerate(rates, start=1)], layout=layout)
 
 
+def _tile(K: int, l1_tol: float, floor: float = 0.0,
+          max_degree: int = 2 ** 16) -> Tuple[TrigPoly, List[str]]:
+    """(tile, deviations): the K-tile triangle partial sum with l1 tail
+    < max(l1_tol, floor), and a deviation where its tail is not below
+    l1_tol, because of the floor or of `_triangle_partial`'s degree cap."""
+    width = 2.0 * math.pi / K
+    tile = _triangle_partial(width, max(l1_tol, floor), max_degree=max_degree)
+    if triangle_coeff_tail(width, tile.degree()) < l1_tol:
+        return tile, []
+    return tile, [f"tile l1 accuracy capped at degree {tile.degree()} "
+                  f"(rule wants tail < {l1_tol:.3g})"]
+
+
 def _tiled_setup(eps: float, delta: float, K: int,
                  tile_l1_tol: float) -> Tuple[TrigPoly, float, int, List[str]]:
     """(tile, dip width, dip degree, deviations) shared by both tiled dips:
-    the K-tile triangle partial sum with l1 tail < tile_l1_tol, or a
-    deviation where `_triangle_partial` stopped at its degree cap above
-    that tail, and the zero-mean dip's width eps/4 and degree for delta."""
+    the K-tile `_tile` for tile_l1_tol, and the zero-mean dip's width
+    eps/4 and degree for delta."""
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ValueError("eps and delta must lie in (0, 1)")
-    tile = _triangle_partial(2.0 * math.pi / K, tile_l1_tol)
+    tile, tile_deviations = _tile(K, tile_l1_tol)
     dip_width = eps / 4.0
     amp = 1.0 / triangle_coeff(dip_width, 0)  # zero-mean normalization
     # off-dip partial-sum residual ~ 24 A / (pi w^2 N^2) kept under delta/4
@@ -502,11 +514,7 @@ def _tiled_setup(eps: float, delta: float, K: int,
         "requirement holds exactly",
         f"tile count K = {K} chosen from the exact coefficient bound "
         "|Q^|_inf = |F^|_inf |G^|_inf rather than the crude l1 chain",
-    ]
-    if triangle_coeff_tail(2.0 * math.pi / K, tile.degree()) >= tile_l1_tol:
-        deviations.append(
-            f"tile l1 accuracy capped at degree {tile.degree()} "
-            f"(rule wants tail < {tile_l1_tol:.3g})")
+    ] + tile_deviations
     return tile, dip_width, deg_dip, deviations
 
 
@@ -660,6 +668,13 @@ def _pullback_bad_set(g_vals: np.ndarray, rates: List[int], grid: CircleGrid,
     return bad
 
 
+def l2_on(sup: np.ndarray, mask: np.ndarray) -> float:
+    """L2 norm over `mask` of the window bound, capped at 1e15 (0 on an
+    empty mask)."""
+    return math.sqrt(float(np.mean(np.minimum(sup, 1e15)[mask] ** 2))) \
+        if mask.any() else 0.0
+
+
 def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
                     unit_floor: float = 0.2, k_cap: int = 41,
                     strict: bool = True) -> ApproximantReport:
@@ -714,15 +729,9 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
             f"tile count clamped to {K} (exact rule needs K > {k_req:.3g}); "
             "L2 window certificates are expected to fail at this scale"
         )
-    tile_width = 2.0 * math.pi / K
-    f_tol = eps / (10.0 * K * g_l1)
-    tile = _triangle_partial(tile_width, max(f_tol, 1e-4),
-                             max_degree=ANALYTIC_TILE_DEGREE_CAP)
-    if triangle_coeff_tail(tile_width, tile.degree()) >= f_tol:
-        deviations.append(
-            f"tile l1 accuracy capped at degree {tile.degree()} "
-            f"(rule wants tail < {f_tol:.3g})"
-        )
+    tile, tile_deviations = _tile(K, eps / (10.0 * K * g_l1), 1e-4,
+                                  ANALYTIC_TILE_DEGREE_CAP)
+    deviations += tile_deviations
     deg_f = tile.degree()
 
     rates = _segment_rates(K, deg_f, g_poly.degree())
@@ -749,8 +758,7 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
     report.add("close_to_one_on_E", float(on_e.max()) if on_e.size else 0.0, eps)
     # certified pointwise bound for sup_n |S_n(Q)|: the S** upper bracket
     sup_sn = q.sstar_upper(grid)
-    l2_on = math.sqrt(float(np.mean(np.minimum(sup_sn, 1e18)[e_mask] ** 2))) if e_mask.any() else 0.0
-    report.add("sup_n_L2_on_E", l2_on, 2.0)
+    report.add("sup_n_L2_on_E", l2_on(sup_sn, e_mask), 2.0)
     report.add("sup_n_tail_measure", measure_fraction(sup_sn > 2.0), eps)
     report.add("analytic", 0.0 if q.is_analytic() else 1.0, 0.5)
     report.extras["tiles"] = float(K)

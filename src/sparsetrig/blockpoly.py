@@ -314,7 +314,8 @@ class BlockTerm:
     tile in each of their K terms this way.  The translate has the tile's
     frequencies, and it is formed only while it is used (`translated`):
     when the sum is evaluated and when its coefficients are listed.  Its
-    coefficient norms are taken as the tile's, since |c e^{i theta}| = |c|.
+    coefficient norms, in the sum's `coeff_l1`/`coeff_linf` and S** cut
+    bounds, are taken as the tile's, since |c e^{i theta}| = |c|.
     """
 
     carrier: TrigPoly
@@ -525,7 +526,7 @@ class BlockSum:
         tiles = {}  # shifted carriers' tiles, by id: see _carrier_rows
         for lo in range(0, n, len(buf)):
             batch = range(lo, min(lo + len(buf), n))
-            carrier_l1 = self._carrier_rows(batch, grid, buf[:len(batch)], tiles)
+            self._carrier_rows(batch, grid, buf[:len(batch)], tiles)
             streamed = {1: [], -1: []}  # the batch's rows of each side
             for slot, i in enumerate(batch):
                 t, cv = self.terms[i], buf[slot]
@@ -534,7 +535,7 @@ class BlockSum:
                     # rows: they read |cv|, and a positive-half row goes
                     # over cv
                     acv = np.abs(cv)
-                    base = coeff_norms(t.payload).linf * carrier_l1[slot]
+                    base = coeff_norms(t.payload).linf * coeff_norms(t.carrier).l1
                     for _, _, half_l1 in halves[id(t.payload)]:
                         cut = acv * half_l1
                         cut += base
@@ -575,28 +576,24 @@ class BlockSum:
         return out, lower, upper + top1 + top2
 
     def _carrier_rows(self, batch: range, grid: CircleGrid, rows: np.ndarray,
-                      tiles: dict) -> List[float]:
+                      tiles: dict) -> None:
         """The values of the carriers of the terms in `batch`, translated by
         their shifts, into `rows`, bit for bit as `TrigPoly.values` gives
-        them for the carriers and their translates; returns their l1 norms.
+        them for the carriers and their translates.
 
         On the FFT path a translate is never formed as a polynomial: its
         coefficients' real and imaginary parts go into two float rows per
         tile (`translate_parts`), folded with the tile's residues and
         parities (`TrigPoly._folded`).  `tiles` keeps both, by tile id,
         for the pass, so each is made once per tile and grid, and nothing
-        else of the tile's size is allocated.  The l1 norm is the
-        translate's own, which may differ from the tile's in its last
-        bits, so the cut bounds keep it."""
+        else of the tile's size is allocated."""
         m = grid.size
-        norms, folded = [], []
+        folded = []
         for row, i in zip(rows, batch):
             t = self.terms[i]
             c = t.carrier
             if t.shift is None or not _takes_fft(len(c), m):
-                p = t.translated()
-                norms.append(coeff_norms(p).l1)
-                folded.append(_fill_row(p, grid, row))
+                folded.append(_fill_row(t.translated(), grid, row))
                 continue
             held = tiles.get(id(c))
             if held is None:
@@ -604,11 +601,8 @@ class BlockSum:
             residues, parts = held
             translate_parts(c, t.angle, *parts)
             c._folded(m, row, residues, parts)
-            # as `coeff_norms` takes it: the fold flipped signs only
-            norms.append(float(np.hypot(*parts, out=parts[0]).sum()))
             folded.append(True)
         _ifft_runs(rows, folded)
-        return norms
 
     def _halves(self, grid: CircleGrid) -> dict:
         """payload id -> (sign, values, l1 norm) of each nonempty half of

@@ -326,18 +326,6 @@ def block_member_D(b: int, rates: BlockRates) -> bool:
     return _b2_member(b - l1 * big, rates)
 
 
-# -- spectrum transforms ------------------------------------------------------
-
-def shift_spectrum(lam: SpectrumSet, n: int) -> SpectrumSet:
-    return SpectrumSet(tuple(x - n for x in lam.elements))
-
-
-def divide_spectrum(lam: SpectrumSet, m: int) -> SpectrumSet:
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return SpectrumSet(tuple(x // m for x in lam.elements if x % m == 0))
-
-
 # -- builders ------------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from . import approximants
 from .approximants import (ConstructionInfeasible, analytic_block_approximant,
-                           analytic_korner, block_approximant, fejer_until)
+                           analytic_korner, block_approximant, fejer_until,
+                           l2_on)
 from .blockpoly import (Freq, LazyRate, ScaledProduct, contracted_index_map,
                         log2_sum_upper, rate_log2, rate_record)
-from .blocks import (BuiltSpectrum, SpectrumSet, divide_spectrum,
-                     shift_spectrum)
+from .blocks import BuiltSpectrum
 from .circle import (CircleGrid, SampledFunction, l0_of_abs, measure_fraction)
 from .riesz import default_ratio_rule
 from .trigpoly import TrigPoly
@@ -103,7 +103,6 @@ class RepresentationRun:
     grid: CircleGrid
     stages: List[RunStage] = field(default_factory=list)
     flags: dict = field(default_factory=dict)
-    spectrum: Optional[SpectrumSet] = None
     final_residual: Optional[np.ndarray] = None
 
     def all_certificates_passed(self) -> bool:
@@ -218,7 +217,6 @@ def run_ae_engine(f: SampledFunction, built: BuiltSpectrum,
             prev_deg_log2 = stage.poly.degree_log2()
         run.stages.append(stage)
     run.final_residual = residual
-    run.spectrum = built.spectrum if len(built.spectrum) < 10 ** 5 else None
     return run
 
 
@@ -290,13 +288,6 @@ def run_squares_engine(f: SampledFunction, n_stages: int,
 # asymptotic-L2 analytic engine and the infinity mode
 # ---------------------------------------------------------------------------
 
-def _l2_on(sup: np.ndarray, mask: np.ndarray) -> float:
-    """L2 norm over `mask` of the window bound, capped at 1e15 (0 on an
-    empty mask)."""
-    return math.sqrt(float(np.mean(np.minimum(sup, 1e15)[mask] ** 2))) \
-        if mask.any() else 0.0
-
-
 def _analytic_stage(f_target: np.ndarray, n: int, grid: CircleGrid,
                     prev_deg: int, prev_e: Optional[np.ndarray],
                     partial: np.ndarray, finite: Optional[np.ndarray]):
@@ -337,7 +328,7 @@ def _analytic_stage(f_target: np.ndarray, n: int, grid: CircleGrid,
         windows["l2_window_norm_finite"] = both & finite
         windows["l2_window_norm_infinite"] = both & ~finite
     for name, mask in windows.items():
-        stage.cert(name, _l2_on(sup, mask), None)
+        stage.cert(name, l2_on(sup, mask), None)
     # exact integer degree: the analytic stage factors keep integer rates
     new_deg = r_n * q.degree() + g_n.degree()
     return stage, pv, e_mask, new_deg
@@ -522,73 +513,3 @@ def run_measure_engine(f: SampledFunction, n_stages: int,
         run.stages.append(stage)
     run.final_residual = f.values - partial
     return run
-
-
-# ---------------------------------------------------------------------------
-# series transforms
-# ---------------------------------------------------------------------------
-
-def transform_series_shift(run: RepresentationRun, n: int) -> RepresentationRun:
-    """Re-center coefficients c_k -> c_{k+n} and damp the target by e^{-int}.
-
-    Only materializable runs (stage polynomials stored as TrigPoly) are
-    transformable; the finite partial sums of the result agree with the
-    original's times e^{-int} up to the re-indexing window, which is
-    verified on the grid by the caller's tests.  No engine run with a
-    non-zero stage is: each engine's only TrigPoly stage is the zero
-    polynomial, the others being `_Modulated`, `BlockSum` or
-    `ScaledProduct`, so this raises ValueError on them, and only
-    synthetic runs of TrigPoly stages reach it.
-    """
-    grid = run.grid
-    new_target = SampledFunction(
-        grid, run.target.values * np.exp(-1j * n * grid.points),
-        run.target.extended_sign)
-    out = RepresentationRun(run.kind + f"_shift{n}", new_target, grid,
-                            flags=dict(run.flags))
-    for st in run.stages:
-        if not isinstance(st.poly, TrigPoly):
-            raise ValueError("shift transform needs materialized stages")
-        out.stages.append(replace(st, poly=st.poly.shift_freq(-n),
-                                  certificates=dict(st.certificates)))
-    if run.spectrum is not None:
-        out.spectrum = shift_spectrum(run.spectrum, n)
-    out.final_residual = None if run.final_residual is None else \
-        run.final_residual * np.exp(-1j * n * grid.points)
-    return out
-
-
-def transform_series_divide(run: RepresentationRun, m: int) -> RepresentationRun:
-    """Keep d_k = c_{mk}; the new target is the m-fold average of the old.
-
-    The target moves to the coarse grid M/m through
-    f(t) = (1/m) sum_{r<m} g((t + 2 pi r)/m), evaluated exactly on grid
-    points; the full finite sums then agree pointwise (decimation).  Like
-    `transform_series_shift` it needs TrigPoly stages, and so raises
-    ValueError on every engine run with a non-zero stage; only synthetic
-    runs of TrigPoly stages reach it.
-    """
-    grid = run.grid
-    if grid.size % m != 0 or (grid.size // m) % 2 != 0:
-        raise ValueError("divide transform needs m | M with M/m even")
-    m_new = grid.size // m
-    new_grid = CircleGrid(m_new)
-    g_vals = run.target.values
-    idx0 = (m_new * (m - 1)) // 2
-    vals = np.zeros(m_new, dtype=complex)
-    for r in range(m):
-        sel = (idx0 + np.arange(m_new) + r * m_new) % grid.size
-        vals += g_vals[sel]
-    vals /= m
-    out = RepresentationRun(run.kind + f"_div{m}",
-                            SampledFunction(new_grid, vals), new_grid,
-                            flags=dict(run.flags))
-    for st in run.stages:
-        if not isinstance(st.poly, TrigPoly):
-            raise ValueError("divide transform needs materialized stages")
-        newp = TrigPoly({k // m: c for k, c in st.poly.coeffs.items()
-                         if k % m == 0})
-        out.stages.append(replace(st, poly=newp, certificates=dict(st.certificates)))
-    if run.spectrum is not None:
-        out.spectrum = divide_spectrum(run.spectrum, m)
-    return out

@@ -44,7 +44,8 @@ def ref_values(w, grid) -> np.ndarray:
 
 def ref_segment_rows(w, grid):
     """(rows, cuts): the segment rows in segment order, and each segment's
-    cut bound |C| l1(half) + linf(H) l1(C)."""
+    cut bound |C| l1(half) + linf(H) l1(C), where a shifted term's l1(C)
+    is its tile's: |c e^{i theta}| = |c|."""
     rows = np.empty((len(w._segments), grid.size), dtype=complex)
     cuts = []
     for pos, seg in enumerate(w._segments):
@@ -55,7 +56,7 @@ def ref_segment_rows(w, grid):
         hv = half.values(grid, allow_alias=True)
         rows[pos] = cv * hv[contracted_index_map(t.rate, grid)]
         cuts.append(np.abs(cv) * coeff_norms(half).l1
-                    + coeff_norms(t.payload).linf * coeff_norms(carrier).l1)
+                    + coeff_norms(t.payload).linf * coeff_norms(t.carrier).l1)
     return rows, cuts
 
 

@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -562,6 +563,26 @@ def test_analytic_korner_builds_one_sum_for_every_eps():
         assert [t.shift for t in rep.poly.terms] == [(s, 41) for s in range(1, 42)]
     assert np.array_equal(hi.exceptional_set, lo.exceptional_set)
     assert hi.deviations != lo.deviations
+
+
+# sha256 of report.json's text for the Korner reports on the default grid
+# and the engine grid: a change that claims to keep the reports' bytes
+# must keep these
+KORNER_REPORT_SHA256 = {
+    ("korner", 2 ** 14): "ed7a8c52f4a219b40644f6529de93ccdfbfdd8d0d371dcc28e21e50070d910de",
+    ("korner", 2 * 8191): "23a6b23caa8c6ee60f197a35a42a2c567390012837d8780435cab47668d36316",
+    ("analytic_korner", 2 ** 14): "ac880ea95c73c74839339c8d60b3fa8f3a8debf64a301c1197f26269a0be1301",
+    ("analytic_korner", 2 * 8191): "f4f1c2a20c60bda3b79dbd1b4c287c49c3fe9bb7060c53a2c931c31afa3d9245",
+}
+
+
+@pytest.mark.parametrize("kind, m", sorted(KORNER_REPORT_SHA256))
+def test_korner_reports_keep_their_bytes(kind, m):
+    grid = CircleGrid(m)
+    rep = (korner_polynomial(0.25, 0.25, grid=grid, strict=False) if kind == "korner"
+           else analytic_korner(0.3, grid=grid, strict=False))
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == KORNER_REPORT_SHA256[kind, m]
 
 
 @st.composite

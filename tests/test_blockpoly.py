@@ -392,14 +392,16 @@ def shifted_block_sums(draw):
 @given(shifted_block_sums(), st.sampled_from([2 ** 14, 2 * 8191, 2 * 509]))
 def test_shifted_terms_match_translated_carriers(sums, m):
     # a tile held with shifts evaluates, brackets and lists its
-    # coefficients bit for bit as the sum of its materialized translates
+    # coefficients bit for bit as the sum of its materialized translates;
+    # its cut bounds take the tile's l1, which a translate's own may pass
+    # in the last bits, so the upper bracket is the oracle's
     shifted, translated = sums
     grid = CircleGrid(m)
     assert shifted.values(grid).tobytes() == translated.values(grid).tobytes()
     if shifted.layout == "segments":
-        for a, b in zip(shifted.sstar_star_bracket(grid),
-                        translated.sstar_star_bracket(grid)):
-            assert a.tobytes() == b.tobytes()
+        lower, upper = shifted.sstar_star_bracket(grid)
+        assert lower.tobytes() == translated.sstar_star_bracket(grid)[0].tobytes()
+        assert upper.tobytes() == ref_bracket(shifted, grid)[1].tobytes()
     (ks, cs), (ref_ks, ref_cs) = shifted.coeff_arrays(), translated.coeff_arrays()
     assert np.array_equal(ks, ref_ks) and ks.dtype == ref_ks.dtype
     assert cs.tobytes() == ref_cs.tobytes()

@@ -250,13 +250,6 @@ def test_membership_ties_and_the_outer_edge():
             assert bl.block_member_D(b, rates) == _ref_member_D(b, s, a, _power)
 
 
-def test_shift_divide():
-    lam = bl.SpectrumSet((1, 5))
-    assert bl.shift_spectrum(lam, 1).elements == (0, 4)
-    assert bl.divide_spectrum(bl.SpectrumSet((2, 3, 4, 8)), 2).elements == (1, 2, 4)
-    assert bl.divide_spectrum(bl.shift_spectrum(lam, 0), 1).elements == lam.elements
-
-
 def test_spectrum_set_invariants():
     with pytest.raises(ValueError):
         bl.SpectrumSet((3, 3))

@@ -1,18 +1,14 @@
 import math
 
 import numpy as np
-import pytest
 
-from sparsetrig import trigpoly as tp
 from sparsetrig.blocks import (BuiltSpectrum, ManifestEntry, SpectrumSet,
                                build_hadamard_spectrum)
 from sparsetrig.circle import CircleGrid, SampledFunction
 from sparsetrig.engines import (ENGINE_GRID_SIZE, RepresentationRun, RunStage,
                                 run_ae_engine, run_asymptotic_l2_engine,
                                 run_infinity_mode, run_measure_engine,
-                                run_squares_engine, run_stoptime_engine,
-                                transform_series_divide,
-                                transform_series_shift)
+                                run_squares_engine, run_stoptime_engine)
 from sparsetrig.targets import (const, cosk, plus_infinity_arc, sign_t, step,
                                zero)
 from sparsetrig.trigpoly import TrigPoly
@@ -136,46 +132,6 @@ def _synthetic_run(grid) -> RepresentationRun:
     run.stages.append(RunStage(2, None, p2))
     run.final_residual = np.zeros(grid.size, dtype=complex)
     return run
-
-
-def test_transform_shift_identity():
-    grid = CircleGrid(256)
-    run = _synthetic_run(grid)
-    shifted = transform_series_shift(run, 3)
-    # values of each transformed stage match e^{-3it} times the original
-    tw = np.exp(-3j * grid.points)
-    for st, st2 in zip(run.stages, shifted.stages):
-        assert np.allclose(st2.poly.values(grid, allow_alias=True),
-                           st.poly.values(grid, allow_alias=True) * tw,
-                           atol=1e-12)
-    # shift then unshift restores coefficients exactly
-    back = transform_series_shift(shifted, -3)
-    for st, st2 in zip(run.stages, back.stages):
-        assert st.poly == st2.poly
-    # shift by zero is the identity
-    same = transform_series_shift(run, 0)
-    assert all(a.poly == b.poly for a, b in zip(run.stages, same.stages))
-
-
-def test_transform_divide_identity():
-    grid = CircleGrid(256)
-    run = _synthetic_run(grid)  # spectrum in 2Z
-    halved = transform_series_divide(run, 2)
-    assert halved.grid.size == 128
-    # decimation identity: the new full sum equals the new target
-    total = np.zeros(128, dtype=complex)
-    for st in halved.stages:
-        total += st.poly.values(halved.grid, allow_alias=True)
-    assert np.allclose(total, halved.target.values, atol=1e-12)
-    # divide by one is the identity
-    same = transform_series_divide(run, 1)
-    assert all(a.poly == b.poly for a, b in zip(run.stages, same.stages))
-
-
-def test_transform_divide_grid_guard():
-    run = _synthetic_run(CircleGrid(256))
-    with pytest.raises(ValueError):
-        transform_series_divide(run, 3)  # 3 does not divide 256
 
 
 def test_run_manifest_serializes():
