@@ -14,6 +14,7 @@ them; `strict=True` turns a failed certificate into an exception.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -483,17 +484,22 @@ def _tiled_sum(tile: TrigPoly, payload: TrigPoly, rates: List[int],
                      for s, r in enumerate(rates, start=1)], layout=layout)
 
 
-def _tile(K: int, l1_tol: float, floor: float = 0.0,
-          max_degree: int = 2 ** 16) -> Tuple[TrigPoly, List[str]]:
-    """(tile, deviations): the K-tile triangle partial sum with l1 tail
-    < max(l1_tol, floor), and a deviation where its tail is not below
-    l1_tol, because of the floor or of `_triangle_partial`'s degree cap."""
+def _tile(K: int, tol: float,
+          max_degree: int = 2 ** 16) -> Tuple[TrigPoly, float]:
+    """(tile, tail): the K-tile triangle partial sum with l1 tail < tol, up
+    to `_triangle_partial`'s degree cap, and its exact l1 tail."""
     width = 2.0 * math.pi / K
-    tile = _triangle_partial(width, max(l1_tol, floor), max_degree=max_degree)
-    if triangle_coeff_tail(width, tile.degree()) < l1_tol:
-        return tile, []
-    return tile, [f"tile l1 accuracy capped at degree {tile.degree()} "
-                  f"(rule wants tail < {l1_tol:.3g})"]
+    tile = _triangle_partial(width, tol, max_degree=max_degree)
+    return tile, triangle_coeff_tail(width, tile.degree())
+
+
+def _tile_deviations(tile: TrigPoly, tail: float, l1_tol: float) -> List[str]:
+    """A deviation where the tile's l1 tail is not below l1_tol, because of
+    a floor on its tolerance or of `_triangle_partial`'s degree cap."""
+    if tail < l1_tol:
+        return []
+    return [f"tile l1 accuracy capped at degree {tile.degree()} "
+            f"(rule wants tail < {l1_tol:.3g})"]
 
 
 def _tiled_setup(eps: float, delta: float, K: int,
@@ -503,7 +509,7 @@ def _tiled_setup(eps: float, delta: float, K: int,
     eps/4 and degree for delta."""
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ValueError("eps and delta must lie in (0, 1)")
-    tile, tile_deviations = _tile(K, tile_l1_tol)
+    tile, tail = _tile(K, tile_l1_tol)
     dip_width = eps / 4.0
     amp = 1.0 / triangle_coeff(dip_width, 0)  # zero-mean normalization
     # off-dip partial-sum residual ~ 24 A / (pi w^2 N^2) kept under delta/4
@@ -514,7 +520,7 @@ def _tiled_setup(eps: float, delta: float, K: int,
         "requirement holds exactly",
         f"tile count K = {K} chosen from the exact coefficient bound "
         "|Q^|_inf = |F^|_inf |G^|_inf rather than the crude l1 chain",
-    ] + tile_deviations
+    ] + _tile_deviations(tile, tail, tile_l1_tol)
     return tile, dip_width, deg_dip, deviations
 
 
@@ -675,6 +681,37 @@ def l2_on(sup: np.ndarray, mask: np.ndarray) -> float:
         if mask.any() else 0.0
 
 
+#: builds `_korner_unit` and `_korner_build` each keep, least recently
+#: used first out
+KORNER_MEMO_SIZE = 4
+
+
+@functools.lru_cache(maxsize=KORNER_MEMO_SIZE)
+def _korner_unit(g_target: float, m: int) -> ApproximantReport:
+    """`analytic_unit(g_target)` on the M-point grid, kept per (quality, M)
+    with its grid values read-only: `analytic_korner`'s payload."""
+    rep = analytic_unit(g_target, grid=CircleGrid(m), strict=False)
+    rep.values.flags.writeable = False
+    return rep
+
+
+@functools.lru_cache(maxsize=KORNER_MEMO_SIZE)
+def _korner_build(g_target: float, K: int, tile_tol: float, m: int):
+    """(tile, its l1 tail, Q, bad): `analytic_korner`'s sum and the mask of
+    its exceptional set's complement on the M-point grid, kept per unit
+    quality g_target (also the exceptional-set threshold), tile count K,
+    tile tolerance and M.  The mask is read-only, and Q keeps its one
+    evaluation pass per grid (`BlockSum`), so a kept build is evaluated
+    once."""
+    unit = _korner_unit(g_target, m)
+    tile, tail = _tile(K, tile_tol, ANALYTIC_TILE_DEGREE_CAP)
+    rates = _segment_rates(K, tile.degree(), unit.poly.degree())
+    q = _tiled_sum(tile, unit.poly, rates, "segments")
+    bad = _pullback_bad_set(unit.values, rates, CircleGrid(m), g_target)
+    bad.flags.writeable = False
+    return tile, tail, q, bad
+
+
 def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
                     unit_floor: float = 0.2, k_cap: int = 41,
                     strict: bool = True) -> ApproximantReport:
@@ -696,13 +733,20 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
     clamped with a recorded deviation, which generally costs certificates
     2 and 3 at small eps.
 
-    With the default `unit_floor` and `k_cap`, every eps in (0, 1/2) builds
-    the same sum and exceptional set: eps/4 < 1/8 clamps the unit quality,
-    and with it the exceptional-set threshold, to 0.2; the tile-count rule
-    (2 l1(G) / eps)^2 asks for far more than 41 tiles (l1(G) is about
-    7.6e4); and the tile accuracy eps / (10 K l1(G)) stays below its floor
-    1e-4.  Only the certificate bounds and the deviation strings depend on
-    eps.
+    The build depends on eps only through its effective parameters: the
+    unit quality g = max(eps/4, unit_floor), which is also the
+    exceptional-set threshold, the tile count K and the tile tolerance
+    max(eps / (10 K l1(G)), 1e-4).  So the unit (`_korner_unit`) and the
+    sum with its exceptional set (`_korner_build`) are built once per
+    (g, grid size) and (g, K, tile tolerance, grid size) and kept, the
+    last KORNER_MEMO_SIZE of each, with their arrays read-only; the sum
+    keeps its values and S** bound per grid.  Each call only certifies:
+    the deviation strings, the bounds, its own copy of E and the report.
+    With the default `unit_floor` and `k_cap` every eps in (0, 1/2) has
+    the same parameters, so one process builds one sum per grid size: eps/4
+    < 1/8 clamps g to 0.2; the tile-count rule (2 l1(G) / eps)^2 asks for
+    far more than 41 tiles (l1(G) is about 7.6e4); and eps / (10 K l1(G))
+    stays below 1e-4.  A fresh process still pays one build per grid.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
@@ -715,9 +759,7 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
             f"{g_target:.4g} exceeds double-precision outer range)"
         )
         g_target = unit_floor
-    g_rep = analytic_unit(g_target, grid=grid, strict=False)
-    g_poly: TrigPoly = g_rep.poly
-    g_l1 = g_rep.extras["coeff_l1"]
+    g_l1 = _korner_unit(g_target, grid.size).extras["coeff_l1"]
 
     k_req = (2.0 * g_l1 / eps) ** 2
     K = int(min(k_req, k_cap))
@@ -729,24 +771,16 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
             f"tile count clamped to {K} (exact rule needs K > {k_req:.3g}); "
             "L2 window certificates are expected to fail at this scale"
         )
-    tile, tile_deviations = _tile(K, eps / (10.0 * K * g_l1), 1e-4,
-                                  ANALYTIC_TILE_DEGREE_CAP)
-    deviations += tile_deviations
-    deg_f = tile.degree()
-
-    rates = _segment_rates(K, deg_f, g_poly.degree())
-    q = _tiled_sum(tile, g_poly, rates, "segments")
-
-    # exceptional set: inside each tile interval, remove the pullback bad set
-    u_threshold = eps / 4.0
+    tile_tol = eps / (10.0 * K * g_l1)
+    tile, tail, q, bad = _korner_build(g_target, K, max(tile_tol, 1e-4),
+                                       grid.size)
+    deviations += _tile_deviations(tile, tail, tile_tol)
     if g_target > eps / 4.0:
         # with a clamped unit approximant the eps/4 cut would empty E;
-        # carve the exceptional set at the achieved quality instead
-        u_threshold = g_target
+        # the exceptional set is carved at the achieved quality instead
         deviations.append(
-            f"exceptional-set threshold raised to {u_threshold} to match "
+            f"exceptional-set threshold raised to {g_target} to match "
             "the clamped unit approximant")
-    bad = _pullback_bad_set(g_rep.values, rates, grid, u_threshold)
     e_mask = ~bad
 
     report = ApproximantReport(q, exceptional_set=e_mask,
@@ -763,7 +797,7 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
     report.add("analytic", 0.0 if q.is_analytic() else 1.0, 0.5)
     report.extras["tiles"] = float(K)
     report.extras["g_l1"] = g_l1
-    report.extras["deg_tile"] = float(deg_f)
+    report.extras["deg_tile"] = float(tile.degree())
     if strict:
         report.raise_if_failed("analytic_korner")
     return report

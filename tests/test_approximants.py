@@ -585,6 +585,75 @@ def test_korner_reports_keep_their_bytes(kind, m):
     assert digest == KORNER_REPORT_SHA256[kind, m]
 
 
+def _korner_arrays(rep, grid):
+    """The bytes of a report's values, S** bound and exceptional set."""
+    return [a.tobytes() for a in (rep.poly.values(grid), rep.poly.sstar_upper(grid),
+                                  rep.exceptional_set)]
+
+
+@pytest.mark.parametrize("m", [2 ** 14, 2 * 8191])
+def test_analytic_korner_certifies_a_kept_build_per_eps(cold_korner, m):
+    grid = CircleGrid(m)
+    cold = analytic_korner(0.3, grid=grid, strict=False)
+    cold_arrays = _korner_arrays(cold, grid)
+    warm = analytic_korner(0.3, grid=grid, strict=False)
+    assert warm.poly is cold.poly
+    ap._korner_unit.cache_clear()
+    ap._korner_build.cache_clear()
+    rebuilt = analytic_korner(0.3, grid=grid, strict=False)
+    assert rebuilt.poly is not cold.poly
+    for rep in (cold, warm, rebuilt):
+        digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+        assert digest == KORNER_REPORT_SHA256["analytic_korner", m]
+        assert _korner_arrays(rep, grid) == cold_arrays
+    # another eps certifies the same sum with its own bounds and deviations
+    small = analytic_korner(0.01, grid=grid, strict=False)
+    assert small.poly is rebuilt.poly
+    assert small.deviations != rebuilt.deviations
+    tol = 0.01 / (10 * 41 * small.extras["g_l1"])
+    assert small.deviations[2].endswith(f"(rule wants tail < {tol:.3g})")
+    for name in ("qhat_linf", "exceptional_measure", "close_to_one_on_E"):
+        assert small.measured[name]["bound"] == 0.01
+        assert rebuilt.measured[name]["bound"] == 0.3
+    # each report's exceptional set is its own copy
+    assert small.exceptional_set is not rebuilt.exceptional_set
+    small.exceptional_set[:] = False
+    assert _korner_arrays(analytic_korner(0.3, grid=grid, strict=False), grid) == cold_arrays
+
+
+def test_analytic_korner_keys_its_builds(cold_korner):
+    grid = CircleGrid(2 ** 14)
+    base = analytic_korner(0.3, grid=grid, strict=False)
+    tile, payload = base.poly.terms[0].carrier, base.poly.terms[0].payload
+    others = {"grid": analytic_korner(0.3, grid=CircleGrid(1022), strict=False),
+              "unit_floor": analytic_korner(0.3, grid=grid, unit_floor=0.25,
+                                            strict=False),
+              "k_cap": analytic_korner(0.3, grid=grid, k_cap=21, strict=False)}
+    for name, rep in others.items():
+        assert rep.poly is not base.poly, name
+        assert rep.poly.terms[0].carrier is not tile, name
+        # the unit is kept per (quality, grid size): k_cap alone reuses it
+        assert (rep.poly.terms[0].payload is payload) == (name == "k_cap"), name
+    assert len(others["k_cap"].poly.terms) == 21
+    assert ap._korner_build.cache_info().misses == 4
+    assert ap._korner_unit.cache_info().currsize == 3
+    # the kept arrays are read-only
+    _, _, q, bad = ap._korner_build(0.2, 41, 1e-4, grid.size)
+    assert q is base.poly
+    for a in (q.values(grid), q.sstar_upper(grid), bad,
+              ap._korner_unit(0.2, grid.size).values):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[1]
+    # an infeasible unit raises on every call and is never kept
+    units = ap._korner_unit.cache_info()
+    for _ in range(2):
+        with pytest.raises(ConstructionInfeasible):
+            analytic_korner(0.3, grid=grid, unit_floor=0.05, strict=False)
+    after = ap._korner_unit.cache_info()
+    assert after.misses == units.misses + 2
+    assert after.currsize == units.currsize
+
+
 @st.composite
 def tile_configs(draw):
     """K odd tiles of 9-41, a grid among the stage and test sizes, a small
@@ -616,7 +685,7 @@ def test_windowed_exceptional_set_matches_full_grid_loop(config):
     assert np.array_equal(_pullback_bad_set(*config), ref_pullback_bad_set(*config))
 
 
-def test_analytic_korner_keeps_one_tile_in_memory():
+def test_analytic_korner_keeps_one_tile_in_memory(cold_korner):
     # the 41 translates of the 8193-coefficient tile (5.4 MB) are never
     # kept: the build peaked at 12.56 MiB with them, and 7.62 MiB without
     tracemalloc.start()
@@ -628,7 +697,7 @@ def test_analytic_korner_keeps_one_tile_in_memory():
     assert peak < 8.5 * 2 ** 20
 
 
-def test_analytic_korner_transforms_its_unit_payload_twice(monkeypatch):
+def test_analytic_korner_transforms_its_unit_payload_twice(monkeypatch, cold_korner):
     # analytic_unit measures the payload's values on the grid and hands
     # them, with its l1 norm, to analytic_korner's exceptional set; the
     # block sum's one pass is the second transform

@@ -558,6 +558,23 @@ def test_analytic_stage_transforms_fejer_polynomial_twice(monkeypatch):
     assert [m for q, m in transformed if q is g_n] == [grid.size] * 2
 
 
+def test_asymptotic_runs_share_one_korner_sum(monkeypatch, cold_korner):
+    # analytic_korner keeps its build per grid size, so a second run on the
+    # grid certifies the first run's sum instead of building its own
+    built = []
+    init = BlockSum.__init__
+
+    def collect(self, terms, layout="segments"):
+        init(self, terms, layout)
+        built.append(self)
+    monkeypatch.setattr(BlockSum, "__init__", collect)
+    grid = CircleGrid(2 * 8191)
+    runs = [run_asymptotic_l2_engine(cosk(grid, 1), 1) for _ in range(2)]
+    assert len(built) == 1
+    assert all(run.stages[0].poly.q is built[0] for run in runs)
+    assert runs[0].to_json() == runs[1].to_json()
+
+
 @pytest.mark.parametrize("job", [
     ("approximate", {"kind": "korner", "eps": 0.25, "delta": 0.25}),
     ("approximate", {"kind": "analytic_korner", "eps": 0.3}),
@@ -565,7 +582,7 @@ def test_analytic_stage_transforms_fejer_polynomial_twice(monkeypatch):
     ("represent", {"engine": "asymptotic_l2", "target": "cosk",
                    "target_params": {"k": 1}, "stages": 1})],
     ids=["korner", "analytic_korner", "squares_stage", "asymptotic_stage"])
-def test_no_carrier_is_transformed_twice(monkeypatch, tmp_path, job):
+def test_no_carrier_is_transformed_twice(monkeypatch, tmp_path, job, cold_korner):
     # each carrier, and each translate of a shared tile, is transformed
     # once per grid: the translates share their tile's frequency array, so
     # an array is transformed at most as often as terms hold it
