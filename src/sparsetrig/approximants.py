@@ -746,7 +746,9 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
     the same parameters, so one process builds one sum per grid size: eps/4
     < 1/8 clamps g to 0.2; the tile-count rule (2 l1(G) / eps)^2 asks for
     far more than 41 tiles (l1(G) is about 7.6e4); and eps / (10 K l1(G))
-    stays below 1e-4.  A fresh process still pays one build per grid.
+    stays below 1e-4.  So a process that reaches this step again (a later
+    engine stage, an eps sweep) only certifies; a process that reaches it
+    once, such as one `sparsetrig approximate`, still pays its one build.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")

@@ -546,23 +546,29 @@ def test_analytic_korner_report_shape():
 
 def test_analytic_korner_builds_one_sum_for_every_eps():
     # with the default unit_floor and k_cap the unit quality clamps to 0.2,
-    # K to 41 and the tile accuracy to 1e-4 for every eps in (0, 1/2):
-    # only the certificate bounds and the deviation strings move with eps
+    # K to 41 and the tile accuracy to 1e-4 for every eps in (0, 1/2): both
+    # eps certify the one kept sum, each with its own bounds and deviations
     grid = CircleGrid(1022)
     hi, lo = (analytic_korner(eps, grid=grid, strict=False) for eps in (0.45, 0.01))
-    assert len(hi.poly.terms) == len(lo.poly.terms) == 41
-    for a, b in zip(hi.poly.terms, lo.poly.terms):
-        assert a.rate == b.rate
-        for p, q in ((a.carrier, b.carrier), (a.payload, b.payload)):
-            assert np.array_equal(p._k, q._k)
-            assert np.array_equal(p._c, q._c)
+    assert hi.poly is lo.poly
+    assert len(hi.poly.terms) == 41
     # every term holds the one tile, term s shifted by 2 pi s / 41
-    for rep in (hi, lo):
-        tile = rep.poly.terms[0].carrier
-        assert all(t.carrier is tile for t in rep.poly.terms)
-        assert [t.shift for t in rep.poly.terms] == [(s, 41) for s in range(1, 42)]
-    assert np.array_equal(hi.exceptional_set, lo.exceptional_set)
+    tile = hi.poly.terms[0].carrier
+    assert all(t.carrier is tile for t in hi.poly.terms)
+    assert [t.shift for t in hi.poly.terms] == [(s, 41) for s in range(1, 42)]
     assert hi.deviations != lo.deviations
+    tol = 0.01 / (10 * 41 * lo.extras["g_l1"])
+    assert lo.deviations[2].endswith(f"(rule wants tail < {tol:.3g})")
+    for name in ("qhat_linf", "exceptional_measure", "close_to_one_on_E"):
+        assert hi.measured[name]["bound"] == 0.45
+        assert lo.measured[name]["bound"] == 0.01
+    # each report's exceptional set is its own copy of the kept mask
+    assert hi.exceptional_set is not lo.exceptional_set
+    assert np.array_equal(hi.exceptional_set, lo.exceptional_set)
+    kept = hi.exceptional_set.copy()
+    lo.exceptional_set[:] = False
+    assert np.array_equal(analytic_korner(0.3, grid=grid, strict=False).exceptional_set,
+                          kept)
 
 
 # sha256 of report.json's text for the Korner reports on the default grid
@@ -592,7 +598,7 @@ def _korner_arrays(rep, grid):
 
 
 @pytest.mark.parametrize("m", [2 ** 14, 2 * 8191])
-def test_analytic_korner_certifies_a_kept_build_per_eps(cold_korner, m):
+def test_analytic_korner_keeps_its_bytes_cold_warm_and_rebuilt(cold_korner, m):
     grid = CircleGrid(m)
     cold = analytic_korner(0.3, grid=grid, strict=False)
     cold_arrays = _korner_arrays(cold, grid)
@@ -606,19 +612,6 @@ def test_analytic_korner_certifies_a_kept_build_per_eps(cold_korner, m):
         digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
         assert digest == KORNER_REPORT_SHA256["analytic_korner", m]
         assert _korner_arrays(rep, grid) == cold_arrays
-    # another eps certifies the same sum with its own bounds and deviations
-    small = analytic_korner(0.01, grid=grid, strict=False)
-    assert small.poly is rebuilt.poly
-    assert small.deviations != rebuilt.deviations
-    tol = 0.01 / (10 * 41 * small.extras["g_l1"])
-    assert small.deviations[2].endswith(f"(rule wants tail < {tol:.3g})")
-    for name in ("qhat_linf", "exceptional_measure", "close_to_one_on_E"):
-        assert small.measured[name]["bound"] == 0.01
-        assert rebuilt.measured[name]["bound"] == 0.3
-    # each report's exceptional set is its own copy
-    assert small.exceptional_set is not rebuilt.exceptional_set
-    small.exceptional_set[:] = False
-    assert _korner_arrays(analytic_korner(0.3, grid=grid, strict=False), grid) == cold_arrays
 
 
 def test_analytic_korner_keys_its_builds(cold_korner):
