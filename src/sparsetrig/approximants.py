@@ -143,8 +143,7 @@ def _smoothstep(x: np.ndarray) -> np.ndarray:
     return y * y * (3.0 - 2.0 * y)
 
 
-def analytic_unit(eps: float, grid: Optional[CircleGrid] = None,
-                  strict: bool = True) -> ApproximantReport:
+def analytic_unit(eps: float, grid: CircleGrid, strict: bool = True) -> ApproximantReport:
     """Analytic polynomial R with spectrum in Z+ and ||R - 1||_0 < eps.
 
     Outer-function construction: a smooth real profile g with exact zero
@@ -162,11 +161,17 @@ def analytic_unit(eps: float, grid: Optional[CircleGrid] = None,
     itself, and from 0.13 down no degree up to DEGREE_CAP reaches the
     bound, so the construction fails loudly rather than return
     cancellation noise.
+
+    Where the bad arc sits: R's coefficients are F's FFT bins on the work
+    grid t_j = -pi + 2 pi j/M with their (-1)^k factor kept (`jackson_dip`
+    and `_fejer_mean` undo it), so the R returned is 1 - S_N(F) translated
+    by pi, and its bad set {|R - 1| > eps} lies around t = +-pi, not
+    around the profile's arc at t = 0.  At eps 0.2 on 2^14 points that set
+    measures 0.175, lies within 0.56 of +-pi and keeps 2.59 away from 0.
+    Grid measure does not change under the shift, so no certificate does.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    grid = grid or CircleGrid(2 ** 15)
-
     arc_measure = UNIT_ARC_FRACTION * eps
     half_width = arc_measure * math.pi  # m((-w, w)) = w/pi
     depth = math.log(eps / UNIT_DEPTH_DIVISOR)
@@ -234,7 +239,7 @@ def analytic_unit(eps: float, grid: Optional[CircleGrid] = None,
         "bound and inside double-precision range",
     ))
     # certificates on the requested evaluation grid
-    report.values = rv = r_poly.values(grid, allow_alias=True)
+    report.values = rv = r_poly.values(grid)
     l0_eval = l0_of_abs(np.abs(rv - 1.0))
     report.add("spectrum_in_Zplus", 0.0 if r_poly.is_analytic() else 1.0, 0.5)
     report.add("l0_R_minus_1", l0_eval, eps)
@@ -290,7 +295,7 @@ def symmetric_unit(bad_measure: float, quality: float, max_degree: int,
     best = None
     while 2 * n - 2 <= max_degree:
         v = jackson_dip(n)
-        vals = v.values(grid, allow_alias=True)
+        vals = v.values(grid)
         frac = measure_fraction(np.abs(vals - 1.0) > quality)
         best = (v, frac, 2 * n - 2)
         if frac <= bad_measure:
@@ -352,7 +357,7 @@ def fejer_until(f: SampledFunction, delta: float, eps: float,
     deg = 0
     while deg <= max_degree:
         p = _fejer_mean(hat, deg)
-        err = np.abs(p.values(grid, allow_alias=True) - f.values)
+        err = np.abs(p.values(grid) - f.values)
         frac = measure_fraction(err > delta)
         if best is None or frac < best[1]:
             best = (p, frac, deg)
@@ -524,8 +529,7 @@ def _tiled_setup(eps: float, delta: float, K: int,
     return tile, dip_width, deg_dip, deviations
 
 
-def korner_polynomial(eps: float, delta: float,
-                      grid: Optional[CircleGrid] = None,
+def korner_polynomial(eps: float, delta: float, grid: CircleGrid,
                       strict: bool = True) -> ApproximantReport:
     """Zero-mean polynomial Q with Q ~ 1 off an eps-set and tame partial sums.
 
@@ -540,7 +544,6 @@ def korner_polynomial(eps: float, delta: float,
     """
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ValueError("eps and delta must lie in (0, 1)")
-    grid = grid or CircleGrid(2 ** 14)
     K = max(8, 2 ** math.ceil(math.log2(4.0 / min(eps, delta))))
     tile, dip_width, deg_dip, deviations = _tiled_setup(
         eps, delta, K, min(1.0 / (2 * K), eps * delta / 16.0))
@@ -712,9 +715,8 @@ def _korner_build(g_target: float, K: int, tile_tol: float, m: int):
     return tile, tail, q, bad
 
 
-def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
-                    unit_floor: float = 0.2, k_cap: int = 41,
-                    strict: bool = True) -> ApproximantReport:
+def analytic_korner(eps: float, grid: CircleGrid, unit_floor: float = 0.2,
+                    k_cap: int = 41, strict: bool = True) -> ApproximantReport:
     """Analytic Q and exceptional mask E with Q ~ 1 on E.
 
     Construction: an analytic unit approximant G, tile partial sums F of
@@ -752,7 +754,6 @@ def analytic_korner(eps: float, grid: Optional[CircleGrid] = None,
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
-    grid = grid or CircleGrid(2 ** 15)
     deviations = []
     g_target = eps / 4.0
     if g_target < unit_floor:

@@ -25,11 +25,14 @@ signed-log space (`BlockTerm._corner`), and exact and lazy ones are
 compared through the same `<`.
 
 TrigPoly, BlockSum and ScaledProduct answer one polynomial protocol:
-values(grid, allow_alias), degree, degree_log2, min_abs_freq, is_analytic,
-spectrum_size, coeff_zero/coeff_l1/coeff_linf, sstar_upper(grid),
-min_orbit_fraction(grid), structure(part) and the `lazy` flag.  TrigPoly and
-BlockSum also list their coefficients: coeff_arrays() with its row view
-iter_coeffs().
+values(grid), exact at the grid points on any grid, degree, degree_log2,
+min_abs_freq, is_analytic, spectrum_size, coeff_zero/coeff_l1/coeff_linf,
+sstar_upper(grid), min_orbit_fraction(grid), structure(part) and the
+`lazy` flag.  TrigPoly and BlockSum also list their coefficients:
+coeff_arrays() with its row view iter_coeffs().  A TrigPoly's values and
+a block sum's carrier rows take the same path rule: the FFT fold or the
+direct sum, chosen by `trigpoly._takes_fft` in `_fill_row` and
+`BlockSum._carrier_rows`.
 
 Sampling health: values are exact pointwise regardless of gcd(r_i, M),
 but a small orbit M/gcd means the grid sees few distinct payload samples;
@@ -149,9 +152,6 @@ class Freq:
 
     def __lt__(self, other):
         return self._key() < Freq.of(other)._key()
-
-    def __neg__(self):
-        return Freq(-self.sign, self.log2)
 
     def __abs__(self):
         return Freq(abs(self.sign), self.log2)
@@ -512,7 +512,7 @@ class BlockSum:
         """
         m = grid.size
         n = len(self.terms)
-        pv = {i: h.values(grid, allow_alias=True) for i, h in self._payloads.items()}
+        pv = {i: h.values(grid) for i, h in self._payloads.items()}
         out = np.zeros(m, dtype=complex)
         segments = self.layout == "segments"
         halves = self._halves(grid) if segments else {}
@@ -615,7 +615,7 @@ class BlockSum:
                 if len(p) == len(h):
                     halves[i].append((sign, None, coeff_norms(h).l1))
                 elif len(p):
-                    halves[i].append((sign, p.values(grid, allow_alias=True), coeff_norms(p).l1))
+                    halves[i].append((sign, p.values(grid), coeff_norms(p).l1))
         return halves
 
     # -- basic stats ---------------------------------------------------------
@@ -682,7 +682,7 @@ class BlockSum:
 
     # -- values and partial-sum brackets ------------------------------------
 
-    def values(self, grid: CircleGrid, allow_alias: bool = True) -> np.ndarray:
+    def values(self, grid: CircleGrid) -> np.ndarray:
         """Values on the grid (read-only; see `_evaluated`)."""
         return self._evaluated(grid)[0]
 
@@ -795,13 +795,13 @@ class ScaledProduct:
         """P's values on the grid (read-only), kept per grid size."""
         pv = self._inner.get(grid.size)
         if pv is None:
-            pv = self.p.values(grid, allow_alias=True)
+            pv = self.p.values(grid)
             pv.flags.writeable = False
             self._inner[grid.size] = pv
         return pv
 
-    def values(self, grid: CircleGrid, allow_alias: bool = True) -> np.ndarray:
-        qv = self.q.values(grid, allow_alias=True)
+    def values(self, grid: CircleGrid) -> np.ndarray:
+        qv = self.q.values(grid)
         return qv[contracted_index_map(self.rate, grid)] * self.inner_values(grid)
 
     def sstar_upper(self, grid: CircleGrid) -> np.ndarray:

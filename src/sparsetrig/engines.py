@@ -47,11 +47,11 @@ class _Modulated:
         self.inner = inner
         self.kind = kind  # "cos" | "exp"
 
-    def values(self, grid: CircleGrid, allow_alias: bool = True) -> np.ndarray:
+    def values(self, grid: CircleGrid) -> np.ndarray:
         idx = contracted_index_map(self.nu, grid)
         theta = grid.points[idx]
         carrier = np.cos(theta) if self.kind == "cos" else np.exp(1j * theta)
-        return carrier * self.inner.values(grid, allow_alias=True)
+        return carrier * self.inner.values(grid)
 
     def degree_log2(self) -> float:
         # spectrum sits at +-nu + spec(inner): degree <= nu + deg(inner)
@@ -208,7 +208,7 @@ def run_ae_engine(f: SampledFunction, built: BuiltSpectrum,
             run.flags.setdefault("notes", []).append(
                 f"manifest exhausted before stage {n}")
             break
-        residual = residual - stage.poly.values(grid, allow_alias=True)
+        residual = residual - stage.poly.values(grid)
         stage.cert("residual_measure",
                    measure_fraction(np.abs(residual) > delta_n), eps_n)
         # `rep` is the report that built the stage's polynomial
@@ -267,7 +267,7 @@ def run_squares_engine(f: SampledFunction, n_stages: int,
                              "nu_log2": rate_log2(nu_n)}, poly)
         idx = contracted_index_map(nu_n, grid)
         cosv = np.cos(grid.points[idx])
-        pv = poly.values(grid, allow_alias=True)
+        pv = poly.values(grid)
         # r_n = P_n - F_n cos nu_n t: the approximation error of the stage
         r_n = pv - residual * cosv
         stage.cert("stage_error_measure",
@@ -444,7 +444,7 @@ def run_stoptime_engine(f: SampledFunction, interval_mask: np.ndarray,
             sup_total += poly.sstar_upper(grid)
             prev_deg_log2 = poly.degree_log2()
             prev_nu = nu_k
-        pv = poly.values(grid, allow_alias=True)
+        pv = poly.values(grid)
         stage = RunStage(k, {"kind": "D_nu", "s": s_budget, "a": a,
                              "nu_log2": rate_log2(nu_k)}, poly)
         stage.cert("stage_l0", rep.measured["l0_f_minus_P"]["measured"],
@@ -490,7 +490,6 @@ def run_measure_engine(f: SampledFunction, n_stages: int,
     run = RepresentationRun("measure", f, grid)
     covers = dyadic_cover(grid, n_stages)
     partial = np.zeros(grid.size, dtype=complex)
-    prev_deg_log2 = 0.0
     for k, mask in enumerate(covers, start=1):
         eps_k = 2.0 ** -k
         r_k = np.where(mask, f.values - partial, 0.0)
@@ -499,7 +498,7 @@ def run_measure_engine(f: SampledFunction, n_stages: int,
         stage_poly = sub.stage_polys()
         pv = f.values * 0
         for p in stage_poly:
-            pv = pv + p.values(grid, allow_alias=True)
+            pv = pv + p.values(grid)
         partial = partial + pv
         stage = RunStage(k, {"kind": "cover", "arc_measure": measure_fraction(mask)},
                          None)

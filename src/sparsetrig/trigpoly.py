@@ -4,8 +4,8 @@ A polynomial is a finite map frequency -> complex coefficient; the spectrum
 is exactly the stored key set.  Frequencies are arbitrary Python integers,
 so contractions by huge factors never overflow.  Evaluation on a grid is
 exact at the grid points for any degree (e^{ikt_j} is reduced modulo the
-grid), but operations whose *meaning* depends on resolving the polynomial
-(norm and measure estimates, partial-sum sweeps) enforce M > 4*deg.
+grid); only the partial-sum maxima `s_star` and `s_star_star`, whose
+meaning depends on resolving the polynomial, enforce M > 4*deg.
 
 Storage is two arrays in the order coefficients were first inserted: the
 frequencies (int64, or Python ints in an object array once some |k| reaches
@@ -257,25 +257,11 @@ class TrigPoly:
 
     # -- evaluation ------------------------------------------------------
 
-    def values(self, grid: CircleGrid, allow_alias: bool = False) -> np.ndarray:
-        """Values at the grid points, by one FFT of the folded coefficients
-        when M has no prime factor above 7 or the support exceeds
-        DENSE_EVAL_THRESHOLD, else by a direct sum over the terms.
-
-        With allow_alias=False (default) requires M > 4*deg; the escape
-        hatch exists for sampling-based diagnostics on spectra whose degree
-        exceeds any storable grid, where values are still exact pointwise.
-        """
-        m = grid.size
-        if not allow_alias and m <= 4 * self.degree():
-            raise AliasingError(
-                f"grid size {m} too small for degree {self.degree()} (need M > 4*deg)"
-            )
-        if not len(self):
-            return np.zeros(m, dtype=complex)
-        if _takes_fft(len(self), m):
-            return self._values_fft(m)
-        return self._values_direct(m)
+    def values(self, grid: CircleGrid) -> np.ndarray:
+        """Values at the grid points, exact for any degree: the one-row
+        case of a batched evaluation (`_fill_row`, then `_ifft_runs`)."""
+        out = np.empty((1, grid.size), dtype=complex)
+        return _ifft_runs(out, [_fill_row(self, grid, out[0])])[0]
 
     def _residues(self, m: int) -> Tuple[np.ndarray, np.ndarray]:
         """The frequencies' residues mod m and parities: where `_folded`
@@ -310,9 +296,6 @@ class TrigPoly:
             dest[...] = np.bincount(r, weights=weights, minlength=m)
             del weights  # freed before the next part's
         return out
-
-    def _values_fft(self, m: int) -> np.ndarray:
-        return m * np.fft.ifft(self._folded(m))
 
     def _values_direct(self, m: int) -> np.ndarray:
         out = np.zeros(m, dtype=complex)
@@ -355,11 +338,11 @@ def _takes_fft(size: int, m: int) -> bool:
 def _fill_row(p: TrigPoly, grid: CircleGrid, row: np.ndarray) -> bool:
     """One row of a batched evaluation: p's folded coefficients when p
     takes the FFT path (True; `_ifft_runs` then transforms the row), else
-    p's values (False)."""
+    p's values by the direct sum (False)."""
     if len(p) and _takes_fft(len(p), grid.size):
         p._folded(grid.size, row)
         return True
-    row[...] = p.values(grid, allow_alias=True)
+    row[...] = p._values_direct(grid.size)
     return False
 
 
@@ -368,7 +351,8 @@ def _ifft_runs(out: np.ndarray, folded: Sequence[bool]) -> np.ndarray:
     in `folded`, which hold folded coefficients, transformed in place into
     values: each run of consecutive flagged rows by one batched inverse
     FFT.  pocketfft transforms each row as it transforms one array, so a
-    row's values are its polynomial's `values` bit for bit."""
+    row's values do not depend on the rows batched with it: they are its
+    polynomial's `values` (the one-row case) bit for bit."""
     m = out.shape[1]
     row = 0
     for batched, group in itertools.groupby(folded):

@@ -32,9 +32,9 @@ def ref_carrier(t):
 
 def ref_values(w, grid) -> np.ndarray:
     out = np.zeros(grid.size, dtype=complex)
-    pv = {i: h.values(grid, allow_alias=True) for i, h in w._payloads.items()}
+    pv = {i: h.values(grid) for i, h in w._payloads.items()}
     for t in w.terms:
-        cv = ref_carrier(t).values(grid, allow_alias=True)
+        cv = ref_carrier(t).values(grid)
         # one expression: numpy computes it in place on the indexed
         # temporary once the row reaches 256 KiB, and the operand order
         # decides the last bit under FMA
@@ -51,9 +51,9 @@ def ref_segment_rows(w, grid):
     for pos, seg in enumerate(w._segments):
         t = w.terms[seg["term"]]
         carrier = ref_carrier(t)
-        cv = carrier.values(grid, allow_alias=True)
+        cv = carrier.values(grid)
         half = _half(t.payload, seg["sign"])
-        hv = half.values(grid, allow_alias=True)
+        hv = half.values(grid)
         rows[pos] = cv * hv[contracted_index_map(t.rate, grid)]
         cuts.append(np.abs(cv) * coeff_norms(half).l1
                     + coeff_norms(t.payload).linf * coeff_norms(t.carrier).l1)

@@ -186,7 +186,7 @@ def test_fejer_until_takes_one_dft(monkeypatch):
 def test_symmetric_unit_certificate():
     v, diag = symmetric_unit(0.1, 0.05, 4096, GRID)
     assert diag["bad_fraction"] <= 0.1
-    vals = v.values(GRID, allow_alias=True)
+    vals = v.values(GRID)
     assert measure_fraction(np.abs(vals - 1.0) > 0.05) <= 0.1
 
 
@@ -708,7 +708,7 @@ def test_analytic_korner_transforms_its_unit_payload_twice(monkeypatch, cold_kor
     # what the report hands over is what analytic_korner computed itself
     unit = analytic_unit(0.2, grid=CASCADE_GRID, strict=False)
     assert np.array_equal(unit.values,
-                          unit.poly.values(CASCADE_GRID, allow_alias=True))
+                          unit.poly.values(CASCADE_GRID))
     assert unit.extras["coeff_l1"] == tp.coeff_norms(unit.poly).l1
     assert rep.extras["g_l1"] == unit.extras["coeff_l1"]
 

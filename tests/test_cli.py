@@ -22,7 +22,8 @@ from sparsetrig.blockpoly import BlockSum, BlockTerm, LazyRate, ScaledProduct
 from sparsetrig.circle import CircleGrid, SampledFunction
 from sparsetrig.cli import main
 from sparsetrig.approximants import analytic_korner
-from sparsetrig.engines import run_infinity_mode, run_squares_engine
+from sparsetrig.engines import (run_infinity_mode, run_squares_engine,
+                                run_stoptime_engine)
 from sparsetrig.targets import make_target
 from sparsetrig.trigpoly import TrigPoly
 from structure_loader import load_structure
@@ -295,8 +296,7 @@ def assert_same_values(x, y, grids=(1022, 16382)):
     with np.errstate(all="ignore"):
         for m in grids:
             grid = CircleGrid(m)
-            assert x.values(grid, allow_alias=True).tobytes() == \
-                y.values(grid, allow_alias=True).tobytes()
+            assert x.values(grid).tobytes() == y.values(grid).tobytes()
 
 
 def assert_csvs_match_oracle(polys):
@@ -451,6 +451,16 @@ def _infinity_stage():
     return run.stages[0].poly
 
 
+def _stoptime_stage():
+    """Stage 0 of a `stoptime` run: an analytic block polynomial times
+    e^{i nu t}."""
+    grid = CircleGrid(4096)
+    mask = (grid.points >= 0) & (grid.points < math.pi / 2)
+    run = run_stoptime_engine(targets.const(grid, 10.0), mask, 16.0,
+                              s_budget=10 ** 210)
+    return run.stages[0].poly
+
+
 ROUND_TRIP_CASES = {
     "blocksum": _shared_payload_sum,
     "infinity_stage": _infinity_stage,
@@ -459,6 +469,7 @@ ROUND_TRIP_CASES = {
     "nested_p": lambda: ScaledProduct(TrigPoly({1: 0.5, -3: 2.0}),
                                       LazyRate(7, 3, 9000), _scaled_product()),
     "engine_stage": _squares_stage,
+    "stoptime_stage": _stoptime_stage,
 }
 
 
@@ -480,6 +491,8 @@ def test_structure_records_rebuild_the_polynomial(tmp_path, name):
         assert rebuilt.terms[1].rate == 10 ** 4400 + 1
     if name == "engine_stage":
         assert type(poly).__name__ == "_Modulated" and poly.inner.lazy
+    if name == "stoptime_stage":
+        assert type(poly).__name__ == "_Modulated" and poly.kind == "exp"
     if name == "infinity_stage":
         assert entry["parts"] == 3  # the tile, the unit payload and g
         terms = json.loads((tmp_path / "stage_2.json").read_text())["poly"]["q"]["terms"]

@@ -6,9 +6,10 @@ from sparsetrig.blocks import (BuiltSpectrum, ManifestEntry, SpectrumSet,
                                build_hadamard_spectrum)
 from sparsetrig.circle import CircleGrid, SampledFunction
 from sparsetrig.engines import (ENGINE_GRID_SIZE, RepresentationRun, RunStage,
-                                run_ae_engine, run_asymptotic_l2_engine,
-                                run_infinity_mode, run_measure_engine,
-                                run_squares_engine, run_stoptime_engine)
+                                _Modulated, run_ae_engine,
+                                run_asymptotic_l2_engine, run_infinity_mode,
+                                run_measure_engine, run_squares_engine,
+                                run_stoptime_engine)
 from sparsetrig.targets import (const, cosk, plus_infinity_arc, sign_t, step,
                                zero)
 from sparsetrig.trigpoly import TrigPoly
@@ -80,6 +81,18 @@ def test_stoptime_zero_target():
     assert run.flags["cert_outside_fraction"] == 0.0
 
 
+def test_stoptime_builds_a_modulated_stage():
+    # at a budget past every tiled-dip degree the stage-0 construction is
+    # feasible; with eps = 16 the first residual already stops the run
+    grid = CircleGrid(4096)
+    mask = (grid.points >= 0) & (grid.points < math.pi / 2)
+    run = run_stoptime_engine(const(grid, 10.0), mask, 16.0, s_budget=10 ** 210)
+    [stage] = run.stages
+    assert type(stage.poly) is _Modulated and stage.poly.kind == "exp"
+    assert "cert_outside_fraction" in run.flags
+    assert "stop_unreached" not in run.flags
+
+
 def test_stoptime_indicator_flags():
     mask = (GRID.points >= 0) & (GRID.points < math.pi / 2)
     f = SampledFunction(GRID, mask.astype(complex))
@@ -140,3 +153,10 @@ def test_run_manifest_serializes():
     data = json.loads(run.to_json())
     assert data["engine"] == "synthetic"
     assert len(data["stages"]) == 2
+
+
+def test_follows_chain_ok_compares_stage_spectra():
+    run = _synthetic_run(CircleGrid(64))
+    assert run.follows_chain_ok()
+    run.stages.reverse()
+    assert not run.follows_chain_ok()

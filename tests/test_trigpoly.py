@@ -42,13 +42,18 @@ def test_evaluate_examples():
     assert abs(v) < 1e-12
 
 
+def fft_values(p: TrigPoly, m: int) -> np.ndarray:
+    """p's values on m points by one inverse FFT of its folded coefficients."""
+    return m * np.fft.ifft(p._folded(m))
+
+
 def test_evaluate_fft_matches_direct():
     g = CircleGrid(4096)
     rng = np.random.default_rng(0)
     coeffs = {int(k): complex(rng.normal(), rng.normal())
               for k in rng.choice(np.arange(-600, 601), 600, replace=False)}
     p = TrigPoly(coeffs)
-    dense = p._values_fft(g.size)
+    dense = fft_values(p, g.size)
     direct = np.zeros(g.size, dtype=complex)
     for k, c in coeffs.items():
         direct += c * np.exp(1j * k * g.points)
@@ -57,12 +62,14 @@ def test_evaluate_fft_matches_direct():
 
 
 def test_alias_guard():
+    # 64 <= 4 * 20: the partial-sum maxima refuse the grid, while the
+    # values are exact at its points
     g = CircleGrid(64)
-    with pytest.raises(AliasingError):
-        TrigPoly({20: 1}).values(g)
-    # escape hatch: exact sampling allowed explicitly
-    v = TrigPoly({20: 1}).values(g, allow_alias=True)
-    assert abs(v[32] - 1.0) < 1e-12
+    p = TrigPoly({20: 1})
+    for sup in (tp.s_star, tp.s_star_star):
+        with pytest.raises(AliasingError):
+            sup(p, g)
+    assert np.allclose(p.values(g), np.exp(20j * g.points), rtol=0, atol=1e-12)
 
 
 def test_partial_sums():
@@ -177,9 +184,9 @@ def assert_exact_bracket(w, g):
     segs, cuts = [], []
     for seg in w._segments:
         t = w.terms[seg["term"]]
-        cv = t.carrier.values(g, allow_alias=True)
+        cv = t.carrier.values(g)
         half = _half(t.payload, seg["sign"])
-        hv = half.values(g, allow_alias=True)
+        hv = half.values(g)
         # one expression outside the assert (which names its temporaries),
         # so numpy evaluates it in place on the indexed temporary once rows
         # reach 256 KiB, as the bracket does
@@ -501,7 +508,7 @@ def test_array_storage_bit_identical_to_dict(items, shift, c, n, m):
     p, ref = TrigPoly(items), DictPoly(items)
     assert_same_storage(p, ref)
     assert np.array_equal(p._values_direct(m), ref_values_direct(ref, m))
-    assert np.array_equal(p.values(CircleGrid(m), allow_alias=True), ref.values(m))
+    assert np.array_equal(p.values(CircleGrid(m)), ref.values(m))
     # complex coefficients times complex phases: the FMA trap
     assert_same_storage(tp.translate(p, shift), ref.translate(shift))
     assert bits(p.scale(c).coeffs.items()) == \
@@ -534,7 +541,7 @@ def test_dense_fold_bit_identical_to_dict(seed, m, huge, data):
     p, ref = TrigPoly(items), DictPoly(items)
     assert takes_fft(len(p), m)
     assert_same_storage(p, ref)
-    assert np.array_equal(p.values(CircleGrid(m), allow_alias=True), ref.values(m))
+    assert np.array_equal(p.values(CircleGrid(m)), ref.values(m))
     lo, hi = sorted(rng.integers(-3 * m, 3 * m, 2).tolist())
     assert bits(tp.partial_sum_rect(p, lo, hi).coeffs.items()) == \
         bits((k, v) for k, v in ref.coeffs.items() if lo <= k <= hi)
@@ -550,14 +557,14 @@ def test_dense_fold_bit_identical_to_dict(seed, m, huge, data):
 def test_evaluation_path_choice(monkeypatch, m, size, fft):
     assert takes_fft(size, m) == fft
     taken = []
-    for name in ("_values_fft", "_values_direct"):
-        def record(self, n, orig=getattr(TrigPoly, name), name=name):
+    for name in ("_folded", "_values_direct"):
+        def record(self, n, *rest, orig=getattr(TrigPoly, name), name=name):
             taken.append(name)
-            return orig(self, n)
+            return orig(self, n, *rest)
         monkeypatch.setattr(TrigPoly, name, record)
     p = TrigPoly({k: 1.0 + 0.5j * k for k in range(1, size + 1)})
-    assert p.values(CircleGrid(m), allow_alias=True).shape == (m,)
-    assert taken == ["_values_fft" if fft else "_values_direct"]
+    assert p.values(CircleGrid(m)).shape == (m,)
+    assert taken == ["_folded" if fft else "_values_direct"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -568,13 +575,13 @@ def test_evaluation_path_choice(monkeypatch, m, size, fft):
 def test_fft_and_direct_paths_agree(items, m):
     p = TrigPoly(items)
     l1 = tp.coeff_norms(p).l1
-    gap = np.abs(p._values_fft(m) - p._values_direct(m)).max(initial=0.0)
+    gap = np.abs(fft_values(p, m) - p._values_direct(m)).max(initial=0.0)
     # relative rounding plus the rounding model's underflow term: the FFT
     # divides by M first, so a subnormal coefficient can flush to 0 (the
     # example above reads a gap of 5e-324 against 1e-12 * l1 = 0)
     assert gap <= 1e-12 * l1 + m * 2.0 ** -1074
-    assert np.array_equal(p.values(CircleGrid(m), allow_alias=True),
-                          p._values_fft(m) if takes_fft(len(p), m) else p._values_direct(m))
+    assert np.array_equal(p.values(CircleGrid(m)),
+                          fft_values(p, m) if takes_fft(len(p), m) else p._values_direct(m))
 
 
 @settings(max_examples=60, deadline=None)
@@ -590,7 +597,7 @@ def test_values_rows_match_values(polys, m):
     out = np.empty((len(polys), m), dtype=complex)
     tp._ifft_runs(out, [tp._fill_row(p, g, row) for p, row in zip(polys, out)])
     for row, p in zip(out, polys):
-        assert row.tobytes() == p.values(g, allow_alias=True).tobytes()
+        assert row.tobytes() == p.values(g).tobytes()
 
 
 def test_blocksum_evaluates_shared_payload_once(monkeypatch):
@@ -607,7 +614,7 @@ def test_blocksum_evaluates_shared_payload_once(monkeypatch):
     for m in (256, 254):
         w = BlockSum([BlockTerm(c, payload, r) for c, r in zip(carriers, (11, 101))])
         g = CircleGrid(m)
-        expected = sum(c.values(g) * payload.values(g, allow_alias=True)[
+        expected = sum(c.values(g) * payload.values(g)[
             g.contracted_indices(r % g.size)]
             for c, r in zip(carriers, (11, 101)))
         transformed.clear()
